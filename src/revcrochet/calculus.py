@@ -170,12 +170,20 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth):
 
 @lru_cache(maxsize=128)
 def _arc_integrand(func: Expr) -> Callable[[float], float]:
-    """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree."""
+    """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree.
+
+    A complex f'(x) raises EvalDomainError.  A non-finite one makes the
+    quadrature that samples it end in QuadratureError; checking for it here
+    would cost every call.
+    """
     fp = compile_expr(differentiate(func))
 
     def g(x: float) -> float:
         d = fp(x)
-        return math.sqrt(1.0 + d * d)
+        try:
+            return math.sqrt(1.0 + d * d)
+        except TypeError:  # complex d: a fractional power of a negative base
+            raise EvalDomainError(f"f' is not a real number at x={x!r}") from None
 
     return g
 
@@ -205,9 +213,14 @@ def find_extrema(spec: PatternSpec) -> list[float]:
 
     def deriv(x):
         try:
-            return fp(x)
+            v = fp(x)
+            if math.isfinite(v):
+                return v
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+        except TypeError:  # complex v: a fractional power of a negative base
+            pass
+        raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
 
     roots = []
     last_x = None

@@ -7,16 +7,17 @@ import sys
 
 from .calculus import PatternSpec, QuadratureError, SpecValidationError, build_plan
 from .emit import render_json, render_pattern, render_svg
-from .expression import ExpressionError, parse
+from .expression import MAX_DEPTH, ExpressionError, parse
 from .shaping import shape_rows
 
-GRAMMAR_HELP = """\
+GRAMMAR_HELP = f"""\
 expression grammar:
   infix notation in the variable x with + - * / ^ and parentheses;
   ^ is exponentiation (right-associative, binds tighter than unary minus);
   functions: sin cos tan exp ln sqrt abs sign, written like sin(x);
   constants: pi, e; numbers like 2, 0.18 (no exponent notation);
-  multiplication must be explicit: write 2*x, not 2x.
+  multiplication must be explicit: write 2*x, not 2x;
+  expressions nest at most {MAX_DEPTH} levels deep.
 
 example:
   revcrochet --function "x^3 + 2*x^2 - 2*x + 4" --a -3 --b 1 \\

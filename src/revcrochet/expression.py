@@ -10,8 +10,10 @@ Grammar (infix, whitespace-insensitive, no implicit multiplication):
     FUNC   := sin | cos | tan | exp | ln | sqrt | abs | sign
     NUMBER := digits with an optional decimal point (no exponent notation)
 
-Unary minus binds looser than '^', so -x^2 means -(x^2).  Trees are
-immutable and hashable; evaluation is deterministic for a given tree and x.
+Unary minus binds looser than '^', so -x^2 means -(x^2).  A tree may be at
+most MAX_DEPTH levels deep, with at most that many parentheses open at once;
+deeper input is a ParseError.  Trees are immutable and hashable; evaluation
+is deterministic for a given tree and x.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ class ParseError(ExpressionError):
 class EvalDomainError(ExpressionError):
     """The expression is undefined at the requested point."""
 
+
+# Deepest tree parse() accepts.  Differentiation adds at most 4 levels per
+# level (the u^v rule), so f' of a tree this deep is at most 4*50 - 3 = 197
+# levels, whose generated source nests 196 parentheses: within CPython's
+# limit of 200 in compile_expr, and far within the recursion limit that
+# hashing, rendering and differentiating a tree use.
+MAX_DEPTH = 50
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
 NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -423,10 +432,19 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; every rule returns (tree, tree depth).
+
+    Depth counts nodes on the longest root-to-leaf path (a leaf is 1).  The
+    recursion stays as shallow as MAX_DEPTH: at most that many grouping
+    parentheses, and that many calls, negations and exponents, may be open
+    at once.
+    """
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = {"group": 0, "node": 0}
 
     def peek(self):
         return self.tokens[self.i]
@@ -443,62 +461,79 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {found!r}", tok.pos)
         return self.take()
 
+    def deeper(self, depth, tok):
+        """depth + 1, or ParseError once that passes MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth + 1
+
+    def nested(self, rule, tok, kind="node"):
+        """Apply rule inside the group or node that tok opens."""
+        self.open[kind] = self.deeper(self.open[kind], tok)
+        result = rule()
+        self.open[kind] -= 1
+        return result
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
         return e
 
     def expr(self):
-        e = self.term()
+        e, depth = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            e = Binary(op, e, self.term())
-        return e
+            tok = self.take()
+            right, right_depth = self.term()
+            e, depth = Binary(tok.kind, e, right), self.deeper(max(depth, right_depth), tok)
+        return e, depth
 
     def term(self):
-        e = self.unary()
+        e, depth = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            e = Binary(op, e, self.unary())
-        return e
+            tok = self.take()
+            right, right_depth = self.unary()
+            e, depth = Binary(tok.kind, e, right), self.deeper(max(depth, right_depth), tok)
+        return e, depth
 
     def unary(self):
         if self.peek().kind == "-":
-            self.take()
-            return Neg(self.unary())
+            tok = self.take()
+            arg, depth = self.nested(self.unary, tok)
+            return Neg(arg), self.deeper(depth, tok)
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         if self.peek().kind == "^":
-            self.take()
-            return Binary("^", base, self.unary())
-        return base
+            tok = self.take()
+            exponent, exp_depth = self.nested(self.unary, tok)
+            return Binary("^", base, exponent), self.deeper(max(depth, exp_depth), tok)
+        return base, depth
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "(":
             self.take()
-            e = self.expr()
+            result = self.nested(self.expr, tok, "group")
             self.expect(")")
-            return e
+            return result
         if tok.kind == "ident":
             self.take()
             name = tok.text
             if name == "x":
-                return Var()
+                return Var(), 1
             if name in NAMED_CONSTANTS:
-                return NamedConst(name)
+                return NamedConst(name), 1
             if name in FUNCTION_NAMES:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, tok)
                 self.expect(")")
-                return Call(name, arg)
+                return Call(name, arg), self.deeper(depth, tok)
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         found = tok.text or "end of input"
         raise ParseError(f"expected a value, found {found!r}", tok.pos)

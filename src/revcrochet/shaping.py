@@ -7,7 +7,16 @@ the ops sit at instruction positions {q*j + k} for a shift k in [1, q+r].
 The shift is chosen to keep this row's ops far from the previous row's on
 the circle: maximize the minimum circular distance d1 between the two
 rows' position ratios, break ties by the larger mean nearest-neighbor
-distance d2.  Ratios are exact fractions so ties compare exactly.
+distance d2.
+
+The search is exact integer arithmetic.  With the reference row over D
+instructions and this row over low = min(s_prev, s_cur), every ratio is a
+multiple of 1/(D*low), and every candidate position is some m/low.  One
+table per row holds, for each m in 0..low-1, the circular distance (in
+units of 1/(D*low)) from m/low to the nearest reference ratio, filled gap
+by gap between the sorted reference ratios.  A shift k then scores the
+integer key (min, sum) of its n table entries, which orders candidates
+exactly as (d1, d2) does.  A row costs O(low + |ref|*log|ref| + (q+r)*n).
 """
 
 from __future__ import annotations
@@ -98,25 +107,74 @@ def ratio_set(positions: Sequence[int], denom: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(p, denom) for p in positions)
 
 
+def _nearest_table(ref_positions: Sequence[int], ref_denom: int, low: int) -> list[int]:
+    """Circular distance from m/low to the nearest ref_positions/ref_denom ratio.
+
+    Entry m, for m in 0..low, is that distance in units of 1/(ref_denom*low);
+    entry low repeats entry 0, so position low (ratio 1) looks up directly.
+    On the integer circle of ref_denom*low points, the candidates m*ref_denom
+    that fall in the gap between two neighboring reference points a < b are
+    nearest to a up to the gap's midpoint and nearest to b after it, so
+    each half gap is one arithmetic run of distances.
+    """
+    modulus = ref_denom * low
+    ref = sorted({p * low % modulus for p in ref_positions})
+    points = [ref[-1] - modulus, *ref, ref[0] + modulus]
+    table = []
+    for a, b in zip(points, points[1:]):
+        # m in [start, stop) has a <= m*ref_denom < b; below mid, a is nearer
+        start = max(0, -(-a // ref_denom))
+        stop = min(low, -(-b // ref_denom))
+        mid = min(max(start, (a + b) // (2 * ref_denom) + 1), stop)
+        table += range(start * ref_denom - a, mid * ref_denom - a, ref_denom)
+        table += range(b - mid * ref_denom, b - stop * ref_denom, -ref_denom)
+    table.append(table[0])
+    return table
+
+
+def _shift_keys(
+    ref_positions: Sequence[int], ref_denom: int, low: int, n_ops: int
+) -> list[tuple[int, int]]:
+    """Integer (min, sum) nearest-distance key of every shift k = 1 .. q+r.
+
+    Dividing min by ref_denom*low gives d1, and sum by n_ops*ref_denom*low
+    gives d2, so comparing keys compares (d1, d2) exactly.
+    """
+    q, r = divmod(low, n_ops)
+    table = _nearest_table(ref_positions, ref_denom, low)
+    stop = q * n_ops
+    keys = []
+    for k in range(1, q + r + 1):
+        dists = table[k : k + stop : q]
+        keys.append((min(dists), sum(dists)))
+    return keys
+
+
 def placement_candidates(
     prev_positions: Sequence[int], prev_denom: int, s_prev: int, s_cur: int
 ):
     """All k-shift candidates with their exact d1/d2 against the reference row.
 
-    Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order.
+    Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order, with
+    d1 and d2 as Fractions.
     """
     n_ops = abs(s_cur - s_prev)
     low = min(s_prev, s_cur)
     if n_ops == 0 or n_ops > low:
         raise ValueError("no remainder-method candidates for this stitch change")
-    q, r = divmod(low, n_ops)
-    prev_ratios = ratio_set(prev_positions, prev_denom)
-    out = []
-    for k in range(1, q + r + 1):
-        positions = tuple(q * j + k for j in range(n_ops))
-        ratios = ratio_set(positions, low)
-        out.append((k, positions, d1(prev_ratios, ratios), d2(prev_ratios, ratios)))
-    return out
+    if not prev_positions:
+        raise ValueError("placement candidates need a nonempty reference row")
+    q = low // n_ops
+    modulus = prev_denom * low
+    return [
+        (
+            k,
+            tuple(q * j + k for j in range(n_ops)),
+            Fraction(lo, modulus),
+            Fraction(total, n_ops * modulus),
+        )
+        for k, (lo, total) in enumerate(_shift_keys(prev_positions, prev_denom, low, n_ops), 1)
+    ]
 
 
 def optimize_placement(
@@ -130,11 +188,11 @@ def optimize_placement(
 ) -> RowShaping:
     """Choose shaping positions for a row that goes s_prev -> s_cur stitches.
 
-    Scans k = 1 .. q+r starting from the k=1 layout, replacing it only on a
-    strictly larger d1, or on equal d1 with strictly larger d2 (so the
-    earliest k wins ties).  With no reference positions the k=1 layout is
-    returned unoptimized.  A change bigger than min(s_prev, s_cur) cannot be
-    worked with single increases/decreases and comes back flagged steep.
+    Picks the k in 1 .. q+r with the largest d1, then the largest d2; the
+    earliest k wins ties, so a row where every shift scores zero keeps k=1.
+    With no reference positions the k=1 layout is returned unoptimized.  A
+    change bigger than min(s_prev, s_cur) cannot be worked with single
+    increases/decreases and comes back flagged steep.
     """
     n_ops = abs(s_cur - s_prev)
     if n_ops == 0:
@@ -146,23 +204,12 @@ def optimize_placement(
     q, r = divmod(low, n_ops)
 
     best_k = 1
-    best = tuple(q * j + 1 for j in range(n_ops))
     if prev_positions:
-        prev_ratios = ratio_set(prev_positions, prev_denom)
-        prev_distance = Fraction(0)
-        prev_mean = Fraction(0)
-        for k in range(1, q + r + 1):
-            candidate = tuple(q * j + k for j in range(n_ops))
-            ratios = ratio_set(candidate, low)
-            new_distance = d1(prev_ratios, ratios)
-            new_mean = d2(prev_ratios, ratios)
-            if new_distance > prev_distance or (
-                new_distance == prev_distance and new_mean > prev_mean
-            ):
-                prev_distance, prev_mean = new_distance, new_mean
-                best, best_k = candidate, k
+        keys = _shift_keys(prev_positions, prev_denom, low, n_ops)
+        best_k += keys.index(max(keys))
+    positions = tuple(q * j + best_k for j in range(n_ops))
     return RowShaping(
-        index, x, s_cur, op, n_ops=n_ops, q=q, r=r, k=best_k, positions=best
+        index, x, s_cur, op, n_ops=n_ops, q=q, r=r, k=best_k, positions=positions
     )
 
 

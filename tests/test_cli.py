@@ -82,6 +82,27 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("Note: Row ")
 
+    @pytest.mark.parametrize("extrema", [[], ["--no-extrema"]])
+    def test_complex_derivative_exits_2(self, capsys, extrema):
+        # f' is complex only where |x - 0.5| < 0.0001, between validation samples
+        code = run(["--function", "2 + (abs(x-0.5) - 0.0001)^1.5", "--a", "0", "--b", "1.0003",
+                    "--stitch-gauge", "22", "--row-gauge", "25", "--scale", "0.18", *extrema])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("revcrochet: f' ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("function", [
+        "(" * 1500 + "x + 1" + ")" * 1500,
+        "(" + "+".join(["x"] * 300) + ")/300 + 1",
+    ])
+    def test_deep_nesting_exits_2(self, capsys, function):
+        code = run(["--function", function, "--a", "0", "--b", "1",
+                    "--stitch-gauge", "22", "--row-gauge", "25", "--scale", "0.18"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("revcrochet: expression nests deeper than 50 levels")
+        assert err.count("\n") == 1
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["--function", "x"])
@@ -94,6 +115,7 @@ class TestRun:
         helptext = capsys.readouterr().out
         assert "expression grammar" in helptext
         assert "2*x, not 2x" in helptext
+        assert "nest at most 50 levels" in helptext
 
 
 class TestInstalledEntryPoint:

@@ -8,6 +8,7 @@ from revcrochet.expression import (
     Call,
     Const,
     EvalDomainError,
+    MAX_DEPTH,
     NamedConst,
     Neg,
     ParseError,
@@ -70,6 +71,42 @@ class TestParse:
         assert evaluate(parse("2 + 3 * 4"), 0.0) == 14.0
         assert evaluate(parse("(2 + 3) * 4"), 0.0) == 20.0
         assert evaluate(parse("2 - 3 - 4"), 0.0) == -5.0
+
+
+class TestDepthLimit:
+    @staticmethod
+    def at_cap(kind):
+        # trees of exactly MAX_DEPTH levels
+        n = MAX_DEPTH - 1
+        if kind == "call":
+            return "sin(" * n + "x" + ")" * n
+        if kind == "pow_left":  # the u^v rule deepens f' the most
+            return "(" * n + "x" + "^x)" * n
+        return {"sum": "+", "product": "*", "power": "^"}[kind].join(["x"] * (n + 1))
+
+    @pytest.mark.parametrize("kind", ["sum", "product", "power", "pow_left", "call"])
+    def test_trees_at_the_cap_compile_and_hash(self, kind):
+        tree = parse(self.at_cap(kind))
+        deriv = differentiate(tree)
+        assert parse(render(tree)) == tree
+        for e in (tree, deriv):
+            assert compile_expr(e)(0.5) == evaluate(e, 0.5)
+            assert isinstance(hash(e), int)
+
+    @pytest.mark.parametrize("kind", ["sum", "product", "power", "pow_left", "call"])
+    def test_one_level_past_the_cap_is_rejected(self, kind):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(f"-({self.at_cap(kind)})")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 1500 + "x + 1" + ")" * 1500,
+        "-" * 5000 + "x",
+        "x^" * 5000 + "x",
+        "+".join(["x"] * 5000),
+    ])
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text)
 
 
 class TestEvaluate:

@@ -216,6 +216,85 @@ class TestOptimizePlacement:
             done += 1
 
 
+class TestKernelMatchesOracle:
+    """The integer kernel against brute_force_placement and the Fraction d1/d2."""
+
+    @staticmethod
+    def check(prev, prev_denom, s_prev, s_cur):
+        row = optimize_placement(prev, prev_denom, s_prev, s_cur)
+        assert (row.k, row.positions) == brute_force_placement(prev, prev_denom, s_prev, s_cur)
+        return row
+
+    def test_arbitrary_reference_subsets(self):
+        # references are any subset of 1..D, not just remainder-method layouts
+        rng = random.Random(2302)
+        done = 0
+        while done < 1500:
+            s_prev, s_cur = rng.randint(1, 60), rng.randint(1, 60)
+            if not 0 < abs(s_cur - s_prev) <= min(s_prev, s_cur):
+                continue
+            prev_denom = rng.randint(1, 60)
+            size = rng.randint(1, prev_denom)
+            prev = tuple(sorted(rng.sample(range(1, prev_denom + 1), size)))
+            self.check(prev, prev_denom, s_prev, s_cur)
+            done += 1
+
+    def test_one_op_per_instruction(self):
+        # n_ops == low: q = 1, r = 0, a single candidate
+        row = self.check((2, 5), 7, 9, 18)
+        assert (row.q, row.r, row.k) == (1, 0, 1)
+        assert row.positions == tuple(range(1, 10))
+
+    def test_single_op(self):
+        for s_prev in range(2, 30):
+            for prev in ((1,), (s_prev - 1,), (1, s_prev // 2)):
+                self.check(prev, s_prev - 1, s_prev, s_prev - 1)
+                self.check(prev, s_prev + 1, s_prev, s_prev + 1)
+
+    def test_one_position_reference(self):
+        for denom in range(1, 25):
+            for p in range(1, denom + 1):
+                self.check((p,), denom, 20, 27)
+
+    def test_reference_at_denominator_wraps_to_zero(self):
+        # position D is ratio 1, the same point as 0 on the circle
+        got = placement_candidates((12,), 12, 12, 18)
+        assert got[1][1][-1] == 12 and got[1][2] == 0  # k=2 puts an op on ratio 1
+        assert got[0][2] == Fraction(1, 12)
+        assert self.check((12,), 12, 12, 18).k == 1
+
+    def test_ties_go_to_the_earliest_k(self):
+        # a reference at every 1/6 leaves every shift of 3 ops on 6 at d1 = 0
+        got = placement_candidates((1, 2, 3, 4, 5, 6), 6, 6, 9)
+        assert {(dist1, dist2) for _, _, dist1, dist2 in got} == {(0, 0)}
+        assert self.check((1, 2, 3, 4, 5, 6), 6, 6, 9).k == 1
+        # k=2 and k=3 tie on the best nonzero score; the earlier one wins
+        got = placement_candidates((1,), 3, 3, 4)
+        assert [(dist1, dist2) for _, _, dist1, dist2 in got] == [
+            (0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 3))
+        ]
+        assert self.check((1,), 3, 3, 4).k == 2
+
+    def test_candidates_equal_fraction_definitions(self):
+        rng = random.Random(2303)
+        for _ in range(300):
+            s_prev, s_cur = rng.randint(2, 40), rng.randint(2, 40)
+            low = min(s_prev, s_cur)
+            if not 0 < abs(s_cur - s_prev) <= low:
+                continue
+            prev_denom = rng.randint(1, 40)
+            prev = tuple(sorted(rng.sample(range(1, prev_denom + 1), rng.randint(1, prev_denom))))
+            ref = ratio_set(prev, prev_denom)
+            for k, positions, dist1, dist2 in placement_candidates(prev, prev_denom, s_prev, s_cur):
+                cur = ratio_set(positions, low)
+                assert (dist1, dist2) == (d1(ref, cur), d2(ref, cur))
+                assert isinstance(dist1, Fraction) and isinstance(dist2, Fraction)
+
+    def test_candidates_need_a_reference(self):
+        with pytest.raises(ValueError):
+            placement_candidates((), 1, 24, 29)
+
+
 class TestCandidates:
     def test_row6_candidates_match_table(self):
         got = placement_candidates(ROW5_POSITIONS, ROW5_DENOM, 35, 41)
