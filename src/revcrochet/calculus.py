@@ -89,7 +89,7 @@ class PatternSpec:
             raise SpecValidationError("scale must be a positive number")
 
         f = compile_expr(self.func)
-        fp = compile_expr(differentiate(self.func))
+        fp = _fprime(self.func)
         n = VALIDATION_GRID
         step = (self.b - self.a) / n
         for i in range(n + 1):
@@ -169,6 +169,12 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth):
 
 
 @lru_cache(maxsize=128)
+def _fprime(func: Expr) -> Callable[[float], float]:
+    """f' as a compiled callable, differentiated and compiled once per tree."""
+    return compile_expr(differentiate(func))
+
+
+@lru_cache(maxsize=128)
 def _arc_integrand(func: Expr) -> Callable[[float], float]:
     """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree.
 
@@ -176,7 +182,7 @@ def _arc_integrand(func: Expr) -> Callable[[float], float]:
     quadrature that samples it end in QuadratureError; checking for it here
     would cost every call.
     """
-    fp = compile_expr(differentiate(func))
+    fp = _fprime(func)
 
     def g(x: float) -> float:
         d = fp(x)
@@ -195,6 +201,8 @@ def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     g = _arc_integrand(spec.func)
     try:
         raw = adaptive_simpson(g, lo, hi)
+    except EvalDomainError:
+        raise  # already names the x where f' is not real
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalDomainError(f"f' undefined somewhere in [{lo!r}, {hi!r}]") from exc
     return spec.rows_per_unit * raw
@@ -207,7 +215,7 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     subintervals and then located by bisection to EXTREMUM_XTOL; results
     closer together than EXTREMUM_DEDUPE are merged.
     """
-    fp = compile_expr(differentiate(spec.func))
+    fp = _fprime(spec.func)
     n = EXTREMUM_GRID
     step = (spec.b - spec.a) / n
 
@@ -266,6 +274,12 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     with the arclength always accumulated from seg.lo; each is found by
     bisection (the accumulated arclength is strictly increasing) and then
     rounded to two decimals.  The segment endpoints are returned unrounded.
+
+    A bisection step whose outcome the lower bound "arclength >= width"
+    already decides moves the right bracket without running the quadrature,
+    so the cost per landmark does not grow with segment length.  Only steps
+    that would have gone right are skipped, so every bracket, accumulated
+    arclength and landmark is the same float as with a quadrature per step.
     """
     g = _arc_integrand(spec.func)
     factor = spec.rows_per_unit
@@ -276,6 +290,16 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         xr = seg.hi
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
+            # g = sqrt(1 + f'^2) >= 1, and each accepted Simpson leaf is off
+            # by at most its tolerance, which sum to QUAD_TOL; so a returned
+            # adaptive_simpson(g, xl, mid) is at least this bound (the
+            # relative slack covers rounding over QUAD_MAX_DEPTH levels).
+            # Float * and + round monotonically, so if the bound reaches the
+            # target, amid would too and the step would set xr = mid.
+            bound = (mid - xl) * (1.0 - 1e-12) - 2.0 * QUAD_TOL
+            if al + factor * bound >= target:
+                xr = mid
+                continue
             amid = al + factor * adaptive_simpson(g, xl, mid)
             if amid < target:
                 xl, al = mid, amid

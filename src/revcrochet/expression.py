@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 
 class ExpressionError(ValueError):
@@ -100,7 +101,9 @@ class Const(Expr):
         v = self.value
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
-        return repr(v)
+        text = repr(v)
+        # The grammar has no exponent notation: 1e-07 renders as 0.0000001.
+        return format(Decimal(text), "f") if "e" in text else text
 
     def precedence(self):
         return 5 if self.value >= 0 else 3
@@ -202,7 +205,8 @@ class Neg(Expr):
 
     def render(self):
         inner = self.arg.render()
-        if self.arg.precedence() < 2:
+        # Unary minus binds tighter than * and /: -(x*y) is not -x*y.
+        if self.arg.precedence() < 3:
             inner = f"({inner})"
         return f"-{inner}"
 
@@ -278,10 +282,9 @@ class Binary(Expr):
             return f"{left}^{right}"
         if self.left.precedence() < prec:
             left = f"({left})"
-        # '-' and '/' are left-associative: parenthesize same-precedence rhs.
-        if self.right.precedence() < prec or (
-            self.op in ("-", "/") and self.right.precedence() == prec
-        ):
+        # The parser groups + - * / to the left, so a same-precedence rhs
+        # keeps its parentheses: x+(2+x) must not re-parse as (x+2)+x.
+        if self.right.precedence() <= prec:
             right = f"({right})"
         if prec == 1:
             return f"{left} {self.op} {right}"
@@ -565,7 +568,10 @@ def differentiate(e: Expr) -> Expr:
 
 
 def render(e: Expr) -> str:
-    """Render a tree back to parseable text."""
+    """Render a tree back to parseable text.
+
+    parse(render(t)) == t for every tree that parse() returns.
+    """
     return e.render()
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from revcrochet import PatternSpec, build_plan, parse, render_pattern, shape_rows
+from revcrochet.calculus import LANDMARK_XTOL, _arc_integrand, adaptive_simpson, round_landmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -95,6 +96,31 @@ def brute_force_placement(prev_positions, prev_denom, s_prev, s_cur):
         if key > best_key:
             best_key, best_k, best = key, k, cand
     return best_k, best
+
+
+# --- landmark oracle --------------------------------------------------------
+# Plain bisection with a quadrature on every step; solve_landmarks skips the
+# steps whose outcome a lower bound on the arclength decides, and must
+# return the same floats.
+
+def reference_landmarks(spec, seg):
+    g = _arc_integrand(spec.func)
+    factor = spec.rows_per_unit
+    xs = [seg.lo]
+    xl, al = seg.lo, 0.0
+    for i in range(1, seg.row_count):
+        target = i * seg.arclength_rows / seg.row_count
+        xr = seg.hi
+        while xr - xl > LANDMARK_XTOL:
+            mid = 0.5 * (xl + xr)
+            amid = al + factor * adaptive_simpson(g, xl, mid)
+            if amid < target:
+                xl, al = mid, amid
+            else:
+                xr = mid
+        xs.append(round_landmark(0.5 * (xl + xr)))
+    xs.append(seg.hi)
+    return xs
 
 
 def random_valid_spec(rng: random.Random):

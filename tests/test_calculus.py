@@ -13,15 +13,26 @@ from revcrochet import (
     parse,
     solve_landmarks,
 )
-from revcrochet.calculus import Segment, round_half_away, round_landmark
+from revcrochet import calculus
+from revcrochet.calculus import (
+    QUAD_TOL,
+    Segment,
+    _arc_integrand,
+    adaptive_simpson,
+    round_half_away,
+    round_landmark,
+)
 
 from conftest import (
     EXTREMUM_HI,
     EXTREMUM_LO,
     LANDMARKS_EVEN,
     LANDMARKS_EXTREMA,
+    RUNNING_TEXT,
     SEGMENT_ROW_COUNTS,
     SEGMENT_ROW_LENGTHS,
+    random_valid_spec,
+    reference_landmarks,
 )
 
 
@@ -162,6 +173,58 @@ class TestSolveLandmarks:
         seg = Segment(0.0, 1.0, length, 1)
         assert solve_landmarks(spec, seg) == [0.0, 1.0]
 
+    @staticmethod
+    def assert_matches_reference(spec, prioritize_extrema):
+        plan = build_plan(spec, prioritize_extrema)
+        for seg in plan.segments:
+            assert solve_landmarks(spec, seg) == reference_landmarks(spec, seg)
+
+    def test_random_specs_match_reference_exactly(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            spec = random_valid_spec(rng)
+            self.assert_matches_reference(spec, prioritize_extrema=rng.random() < 0.5)
+
+    @pytest.mark.parametrize("text, a, b, scale", [
+        (RUNNING_TEXT, -3.0, 1.0, 9.0),          # 808 rows
+        ("0.1*exp(3*x) + 1", 0.0, 2.0, 3.5),     # steep: |f'| up to 121; 889 rows
+        ("5", 0.0, 30.0, 4.5),                   # flat: g is exactly 1; 844 rows
+        ("5 + 0.000001*x", 0.0, 30.0, 4.5),      # nearly flat
+        ("2 + sin(8*x)", 0.0, 6.0, 2.5),         # many slope changes; 496 rows
+        ("2 + abs(x - 0.3)", 0.0, 1.0, 100.0),   # a kink inside; 884 rows
+    ])
+    def test_long_single_segments_match_reference_exactly(self, text, a, b, scale):
+        self.assert_matches_reference(make_spec(text, a, b, scale=scale), False)
+
+    def test_quadrature_is_at_least_the_skip_bound(self):
+        # the lower bound solve_landmarks uses to skip a bisection step
+        rng = random.Random(5)
+        specs = [random_valid_spec(rng) for _ in range(6)] + [make_spec("5", 0.0, 3.0)]
+        for spec in specs:
+            g = _arc_integrand(spec.func)
+            for _ in range(60):
+                lo = rng.uniform(spec.a, spec.b)
+                hi = lo + (spec.b - lo) * rng.choice([1.0, rng.random(), 1e-6 * rng.random()])
+                bound = (hi - lo) * (1.0 - 1e-12) - 2.0 * QUAD_TOL
+                assert adaptive_simpson(g, lo, hi) >= bound
+
+    def test_cost_per_landmark_does_not_grow_with_segment_length(self, monkeypatch):
+        spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
+        plan = build_plan(spec, prioritize_extrema=False)
+        (seg,) = plan.segments
+        assert seg.row_count >= 800
+        g = _arc_integrand(spec.func)
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return g(x)
+
+        monkeypatch.setattr(calculus, "_arc_integrand", lambda func: counted)
+        solve_landmarks(spec, seg)
+        assert calls / (seg.row_count - 1) <= 60   # 339 with a quadrature per step
+
 
 class TestBuildPlan:
     def test_running_example_with_extrema(self, running_plan):
@@ -215,6 +278,20 @@ class TestBuildPlan:
                 )
                 slack = 0.011 * slope * running_spec.rows_per_unit + 0.001
                 assert step == pytest.approx(share, abs=slack)
+
+    def test_fprime_is_compiled_once_per_spec(self, monkeypatch):
+        derived = []
+
+        def differentiate(tree):
+            derived.append(tree)
+            return tree.derivative()
+
+        monkeypatch.setattr(calculus, "differentiate", differentiate)
+        calculus._fprime.cache_clear()
+        calculus._arc_integrand.cache_clear()
+        spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
+        build_plan(spec, prioritize_extrema=True)
+        assert derived == [spec.func]
 
     def test_validates_spec(self):
         with pytest.raises(SpecValidationError):

@@ -90,6 +90,7 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("revcrochet: f' ") and err.count("\n") == 1
+        assert "x=0.49" in err  # the grid scan or the quadrature says where
 
     @pytest.mark.parametrize("function", [
         "(" * 1500 + "x + 1" + ")" * 1500,

@@ -206,7 +206,51 @@ def random_tree(rng, depth=0):
     return f"({random_tree(rng, depth + 1)} {op} {random_tree(rng, depth + 1)})"
 
 
+def random_parsed_tree(rng, depth):
+    """A random tree of the shapes parse() returns, at most depth levels deep.
+
+    One operand of each binary node carries the depth, the other stays
+    shallow, so trees at MAX_DEPTH stay small.
+    """
+    if depth == 1 or rng.random() < 0.1:
+        kind = rng.random()
+        if kind < 0.4:
+            return Var()
+        if kind < 0.5:
+            return NamedConst(rng.choice(["pi", "e"]))
+        digits = rng.randint(0, 9)
+        return Const(float(f"{rng.uniform(0, 10) * 10.0 ** rng.randint(-8, 3):.{digits}f}"))
+    kind = rng.random()
+    if kind < 0.15:
+        return Neg(random_parsed_tree(rng, depth - 1))
+    if kind < 0.3:
+        return Call(rng.choice(["sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign"]),
+                    random_parsed_tree(rng, depth - 1))
+    deep = random_parsed_tree(rng, depth - 1)
+    shallow = random_parsed_tree(rng, rng.randint(1, min(depth - 1, 4)))
+    left, right = (deep, shallow) if rng.random() < 0.5 else (shallow, deep)
+    return Binary(rng.choice("+-*/^"), left, right)
+
+
 class TestProperties:
+    def test_render_parse_is_the_identity_on_trees(self):
+        rng = random.Random(4242)
+        for _ in range(2000):
+            tree = random_parsed_tree(rng, rng.randint(1, MAX_DEPTH))
+            assert parse(render(tree)) == tree
+
+    @pytest.mark.parametrize("tree, text", [
+        (Binary("+", Var(), Binary("+", Const(2.0), Binary("^", Var(), Const(2.0)))),
+         "x + (2 + x^2)"),
+        (Binary("*", Var(), Binary("*", Const(2.0), Var())), "x*(2*x)"),
+        (Binary("+", Var(), Binary("-", Var(), Const(1.0))), "x + (x - 1)"),
+        (Neg(Binary("*", Var(), Var())), "-(x*x)"),
+        (Binary("^", Var(), Binary("^", Var(), Var())), "x^(x^x)"),
+        (Const(1e-07), "0.0000001"),
+    ])
+    def test_render_keeps_the_grouping(self, tree, text):
+        assert render(tree) == text
+
     def test_derivative_matches_central_differences(self):
         # 50 random expressions, 20-point grids, 1e-5 relative tolerance
         rng = random.Random(1405)
