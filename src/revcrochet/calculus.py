@@ -13,9 +13,9 @@ decimal places; the downstream stitch counts use the rounded values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .expression import Expr, EvalDomainError, compile_expr, differentiate, render
 
@@ -46,17 +46,21 @@ def round_landmark(x: float) -> float:
     return round_half_away(x * 100.0) / 100.0
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    """The six user inputs: f, its interval, gauge, and physical scale."""
+class PatternSpec(
+    namedtuple(
+        "PatternSpec",
+        "func a b stitch_gauge row_gauge scale source",
+        defaults=(None,),
+    )
+):
+    """The six user inputs: f, its interval, gauge, and physical scale.
 
-    func: Expr
-    a: float
-    b: float
-    stitch_gauge: int   # stitches per 4 inches
-    row_gauge: int      # rows per 4 inches
-    scale: float        # inches per x unit
-    source: str | None = None
+    func is the tree of f over [a, b]; stitch_gauge and row_gauge count
+    stitches and rows per 4 inches; scale is inches per x unit; source, if
+    given, is the text f was parsed from.
+    """
+
+    __slots__ = ()
 
     @property
     def function_text(self) -> str:
@@ -90,10 +94,10 @@ class PatternSpec:
 
         f = compile_expr(self.func)
         fp = _fprime(self.func)
-        n = VALIDATION_GRID
-        step = (self.b - self.a) / n
+        a, n = self.a, VALIDATION_GRID
+        step = (self.b - a) / n
         for i in range(n + 1):
-            x = self.a + i * step
+            x = a + i * step
             try:
                 y = f(x)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -114,23 +118,16 @@ class PatternSpec:
                 raise SpecValidationError(f"f' is not finite at x={x!r}")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
     """One stretch between consecutive extrema (or the endpoints)."""
 
-    lo: float
-    hi: float
-    arclength_rows: float
-    row_count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LandmarkPlan:
+class LandmarkPlan(namedtuple("LandmarkPlan", "segments landmarks total_rows")):
     """Ordered segments plus the merged landmark list x_0 .. x_n."""
 
-    segments: tuple[Segment, ...]
-    landmarks: tuple[float, ...]
-    total_rows: int
+    __slots__ = ()
 
 
 def adaptive_simpson(
@@ -140,16 +137,25 @@ def adaptive_simpson(
     tol: float = QUAD_TOL,
     max_depth: int = QUAD_MAX_DEPTH,
 ) -> float:
-    """Adaptive Simpson quadrature of g over [lo, hi] to absolute tol."""
+    """Adaptive Simpson quadrature of g over [lo, hi] to absolute tol.
+
+    Each level halves the tolerance, so the accepted subintervals' error
+    estimates sum to at most tol.  Near a cusp, g can change too fast for
+    the halved tolerance even on a subinterval a few ulps wide, after
+    max_depth levels.  Such subintervals share a second allowance of tol:
+    each is accepted while its error estimate fits in what is left of it,
+    so the result is within 2*tol by the estimates.  A subinterval that
+    does not fit raises QuadratureError.
+    """
     if hi == lo:
         return 0.0
     mid = 0.5 * (lo + hi)
     fa, fm, fb = g(lo), g(mid), g(hi)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth, [tol])
 
 
-def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth):
+def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
     mid = 0.5 * (lo + hi)
     lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
     flm, frm = g(lmid), g(rmid)
@@ -159,13 +165,17 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
+        error = abs(delta) / 15.0
+        if error <= allowance[0]:
+            allowance[0] -= error
+            return left + right + delta / 15.0
         raise QuadratureError(
             f"quadrature did not converge on [{lo!r}, {hi!r}] after the depth limit"
         )
     half = 0.5 * tol
-    return _simpson_step(g, lo, mid, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        g, mid, hi, fm, frm, fb, right, half, depth - 1
-    )
+    return _simpson_step(
+        g, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
+    ) + _simpson_step(g, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
 
 
 @lru_cache(maxsize=128)
@@ -178,18 +188,20 @@ def _fprime(func: Expr) -> Callable[[float], float]:
 def _arc_integrand(func: Expr) -> Callable[[float], float]:
     """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree.
 
-    A complex f'(x) raises EvalDomainError.  A non-finite one makes the
-    quadrature that samples it end in QuadratureError; checking for it here
-    would cost every call.
+    An f'(x) that is undefined or complex raises EvalDomainError naming x.
+    A non-finite one makes the quadrature that samples it end in
+    QuadratureError; checking for it here would cost every call.
     """
     fp = _fprime(func)
 
     def g(x: float) -> float:
-        d = fp(x)
         try:
+            d = fp(x)
             return math.sqrt(1.0 + d * d)
         except TypeError:  # complex d: a fractional power of a negative base
             raise EvalDomainError(f"f' is not a real number at x={x!r}") from None
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
 
     return g
 
@@ -198,14 +210,7 @@ def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     """Arclength of f over [lo, hi] converted to row units."""
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
-    g = _arc_integrand(spec.func)
-    try:
-        raw = adaptive_simpson(g, lo, hi)
-    except EvalDomainError:
-        raise  # already names the x where f' is not real
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(f"f' undefined somewhere in [{lo!r}, {hi!r}]") from exc
-    return spec.rows_per_unit * raw
+    return spec.rows_per_unit * adaptive_simpson(_arc_integrand(spec.func), lo, hi)
 
 
 def find_extrema(spec: PatternSpec) -> list[float]:
@@ -216,8 +221,8 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     closer together than EXTREMUM_DEDUPE are merged.
     """
     fp = _fprime(spec.func)
-    n = EXTREMUM_GRID
-    step = (spec.b - spec.a) / n
+    a, n = spec.a, EXTREMUM_GRID
+    step = (spec.b - a) / n
 
     def deriv(x):
         try:
@@ -234,7 +239,7 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     last_x = None
     last_sign = 0
     for i in range(n + 1):
-        x = spec.a + i * step
+        x = a + i * step
         v = deriv(x)
         s = (v > 0) - (v < 0)
         if s == 0:
@@ -291,7 +296,8 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
             # g = sqrt(1 + f'^2) >= 1, and each accepted Simpson leaf is off
-            # by at most its tolerance, which sum to QUAD_TOL; so a returned
+            # by at most its error estimate; those sum to QUAD_TOL, plus at
+            # most QUAD_TOL for leaves at the depth limit; so a returned
             # adaptive_simpson(g, xl, mid) is at least this bound (the
             # relative slack covers rounding over QUAD_MAX_DEPTH levels).
             # Float * and + round monotonically, so if the bound reaches the

@@ -14,14 +14,16 @@ and the k = q, t = 0 case collapses to "*Sc(q-1), Op* (n times)".
 Warning notes go at the top of the pattern; stuffing and closing lines at
 the bottom.  The JSON export carries the full structure (schema_version 1)
 and the SVG export plots the curve with one marker per row landmark.
+
+PatternRow and PatternDoc are immutable namedtuples; a row's JSON object
+lists its fields in their declared order.  json is imported by the two
+functions that use it, so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import re
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .calculus import LandmarkPlan, PatternSpec
 from .expression import compile_expr
@@ -36,39 +38,24 @@ CLOSING_LINE = "Dec to close; tie off and weave in end."
 TIE_OFF_LINE = "Tie off"
 
 
-@dataclass(frozen=True)
-class PatternRow:
-    row: int
-    x: float
-    stitches: int
-    op: str
-    n_ops: int
-    q: int | None
-    r: int | None
-    k: int | None
-    positions: tuple[int, ...]
-    instruction: str
+class PatternRow(
+    namedtuple("PatternRow", "row x stitches op n_ops q r k positions instruction")
+):
+    """One row of a finished pattern; the field order is its JSON key order."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PatternDoc:
+class PatternDoc(
+    namedtuple(
+        "PatternDoc",
+        "function a b stitch_gauge row_gauge scale prioritize_extrema total_rows"
+        " closed_start closed_end stuffed warnings landmarks rows finishing",
+    )
+):
     """A finished pattern: metadata, warnings, rows, and closure handling."""
 
-    function: str
-    a: float
-    b: float
-    stitch_gauge: int
-    row_gauge: int
-    scale: float
-    prioritize_extrema: bool
-    total_rows: int
-    closed_start: bool
-    closed_end: bool
-    stuffed: bool
-    warnings: tuple[str, ...]
-    landmarks: tuple[float, ...]
-    rows: tuple[PatternRow, ...]
-    finishing: tuple[str, ...]
+    __slots__ = ()
 
     def to_text(self) -> str:
         lines = [f"Note: {w}" for w in self.warnings]
@@ -199,14 +186,18 @@ def render_json(doc: PatternDoc) -> str:
         "stuffed": doc.stuffed,
         "warnings": list(doc.warnings),
         "landmarks": list(doc.landmarks),
-        "rows": [asdict(r) | {"positions": list(r.positions)} for r in doc.rows],
+        "rows": [r._asdict() | {"positions": list(r.positions)} for r in doc.rows],
         "finishing": list(doc.finishing),
     }
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
 def doc_from_json(text: str) -> PatternDoc:
     """Rebuild a PatternDoc from render_json output (exact roundtrip)."""
+    import json
+
     obj = json.loads(text)
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
@@ -256,8 +247,8 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     reads the usual way up).  Output is deterministic for identical inputs.
     """
     f = compile_expr(spec.func)
-    n = SVG_SAMPLES
-    xs = [spec.a + i * (spec.b - spec.a) / (n - 1) for i in range(n)]
+    a, b, n = spec.a, spec.b, SVG_SAMPLES
+    xs = [a + i * (b - a) / (n - 1) for i in range(n)]
     ys = [f(x) for x in xs]
     marks = [(x, f(x)) for x in plan.landmarks]
 
@@ -291,9 +282,10 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CAST_ON_CHAIN = re.compile(r"^Chain (\d+)\. join work, and Sc\1\.$")
-_CAST_ON_RING = re.compile(r"^Create a magic ring with (\d+) stitches\.$")
-_TOKEN = re.compile(r"\*([^*]*)\* \((\d+) times\)|Sc(\d+)|Inc|Dec")
+# Patterns for instruction_totals; re caches what it compiles.
+_CAST_ON_CHAIN = r"^Chain (\d+)\. join work, and Sc\1\.$"
+_CAST_ON_RING = r"^Create a magic ring with (\d+) stitches\.$"
+_TOKEN = r"\*([^*]*)\* \((\d+) times\)|Sc(\d+)|Inc|Dec"
 
 
 def instruction_totals(line: str) -> tuple[int, int]:
@@ -304,16 +296,16 @@ def instruction_totals(line: str) -> tuple[int, int]:
     """
     body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
     body = re.sub(r" \(\d+ stitches\)$", "", body)
-    m = _CAST_ON_CHAIN.match(body)
+    m = re.match(_CAST_ON_CHAIN, body)
     if m:
         return 0, int(m.group(1))
-    m = _CAST_ON_RING.match(body)
+    m = re.match(_CAST_ON_RING, body)
     if m:
         return 0, int(m.group(1))
 
     def tally(text):
         consumed = produced = 0
-        for m in _TOKEN.finditer(text):
+        for m in re.finditer(_TOKEN, text):
             if m.group(2) is not None:
                 inner_c, inner_p = tally(m.group(1))
                 times = int(m.group(2))

@@ -14,13 +14,19 @@ Unary minus binds looser than '^', so -x^2 means -(x^2).  A tree may be at
 most MAX_DEPTH levels deep, with at most that many parentheses open at once;
 deeper input is a ParseError.  Trees are immutable and hashable; evaluation
 is deterministic for a given tree and x.
+
+Each node class is a namedtuple, so two trees compare equal, and hash
+equal, when their fields do.  A namedtuple also equals any tuple with equal
+fields, whatever its class, yet no two node classes can hold equal fields:
+Const holds a float, NamedConst a str and Neg an Expr (one field each),
+while Var, Call and Binary have 0, 2 and 3 fields.  So equal trees are
+trees of the same shape and classes, as with one class per node kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
+from collections import namedtuple
 
 
 class ExpressionError(ValueError):
@@ -66,9 +72,10 @@ _FUNCTION_IMPLS = {
 }
 
 
-@dataclass(frozen=True)
 class Expr:
     """Base node; concrete nodes implement evaluate/derivative/render."""
+
+    __slots__ = ()
 
     def evaluate(self, x: float) -> float:
         raise NotImplementedError
@@ -87,9 +94,8 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
+class Const(namedtuple("Const", "value"), Expr):
+    __slots__ = ()
 
     def evaluate(self, x):
         return self.value
@@ -102,8 +108,12 @@ class Const(Expr):
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         text = repr(v)
+        if "e" not in text:
+            return text
         # The grammar has no exponent notation: 1e-07 renders as 0.0000001.
-        return format(Decimal(text), "f") if "e" in text else text
+        from decimal import Decimal
+
+        return format(Decimal(text), "f")
 
     def precedence(self):
         return 5 if self.value >= 0 else 3
@@ -112,9 +122,10 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class NamedConst(Expr):
-    name: str  # 'pi' or 'e'
+class NamedConst(namedtuple("NamedConst", "name"), Expr):
+    """The constant pi or e, by name ('pi' or 'e')."""
+
+    __slots__ = ()
 
     def evaluate(self, x):
         return NAMED_CONSTANTS[self.name]
@@ -129,8 +140,9 @@ class NamedConst(Expr):
         return f"math.{'pi' if self.name == 'pi' else 'e'}"
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(namedtuple("Var", ()), Expr):
+    __slots__ = ()
+
     def evaluate(self, x):
         return x
 
@@ -144,10 +156,8 @@ class Var(Expr):
         return "x"
 
 
-@dataclass(frozen=True)
-class Call(Expr):
-    fn: str
-    arg: Expr
+class Call(namedtuple("Call", "fn arg"), Expr):
+    __slots__ = ()
 
     def evaluate(self, x):
         v = self.arg.evaluate(x)
@@ -193,9 +203,8 @@ class Call(Expr):
         return f"math.{name}({self.arg.pysrc()})"
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
+class Neg(namedtuple("Neg", "arg"), Expr):
+    __slots__ = ()
 
     def evaluate(self, x):
         return -self.arg.evaluate(x)
@@ -220,11 +229,8 @@ class Neg(Expr):
 _BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+class Binary(namedtuple("Binary", "op left right"), Expr):
+    __slots__ = ()
 
     def evaluate(self, x):
         a = self.left.evaluate(x)

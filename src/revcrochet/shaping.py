@@ -22,9 +22,8 @@ exactly as (d1, d2) does.  A row costs O(low + |ref|*log|ref| + (q+r)*n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .calculus import LandmarkPlan, PatternSpec, round_half_away
 from .expression import compile_expr
@@ -34,8 +33,13 @@ OP_INCREASE = "increase"
 OP_DECREASE = "decrease"
 
 
-@dataclass(frozen=True)
-class RowShaping:
+class RowShaping(
+    namedtuple(
+        "RowShaping",
+        "index x stitches op n_ops q r k positions steep",
+        defaults=(0, None, None, None, (), False),
+    )
+):
     """Shaping decision for one row.
 
     positions are 1-indexed instruction slots; for a shaped row they are
@@ -45,16 +49,7 @@ class RowShaping:
     decreases can do (n_ops > min); it carries no positions.
     """
 
-    index: int
-    x: float
-    stitches: int
-    op: str
-    n_ops: int = 0
-    q: int | None = None
-    r: int | None = None
-    k: int | None = None
-    positions: tuple[int, ...] = ()
-    steep: bool = False
+    __slots__ = ()
 
 
 def stitch_count(spec: PatternSpec, x: float) -> int:
@@ -104,6 +99,8 @@ def d2(prev_ratios: Iterable, cur_ratios: Iterable):
 
 def ratio_set(positions: Sequence[int], denom: int) -> tuple[Fraction, ...]:
     """Positions normalized by the row's instruction count, as fractions."""
+    from fractions import Fraction
+
     return tuple(Fraction(p, denom) for p in positions)
 
 
@@ -164,6 +161,8 @@ def placement_candidates(
         raise ValueError("no remainder-method candidates for this stitch change")
     if not prev_positions:
         raise ValueError("placement candidates need a nonempty reference row")
+    from fractions import Fraction
+
     q = low // n_ops
     modulus = prev_denom * low
     return [

@@ -16,6 +16,7 @@ from revcrochet import (
 from revcrochet import calculus
 from revcrochet.calculus import (
     QUAD_TOL,
+    QuadratureError,
     Segment,
     _arc_integrand,
     adaptive_simpson,
@@ -129,6 +130,36 @@ class TestArclength:
     def test_rejects_bad_bounds(self, running_spec):
         with pytest.raises(ValueError):
             arclength_rows(running_spec, 1.0, -3.0)
+
+    @pytest.mark.parametrize("d, p, w", [(-0.2677, 1.048, 1.456), (-0.3226, 1.006, 7.1)])
+    def test_cusp_converges_to_the_trapezoid_oracle(self, d, p, w):
+        # f' ~ |x - d|^(p - 1) near d, so g changes too fast for the halved
+        # tolerance on intervals a few ulps wide, at the depth limit
+        g = _arc_integrand(parse(f"3 + abs(x - {d})^{p}*sin({w}*x)"))
+        xs = np.linspace(-1.4, 1.35, 2_000_001)
+        u = xs - d
+        fp = p * np.abs(u) ** (p - 1) * np.sign(u) * np.sin(w * xs)
+        fp += np.abs(u) ** p * w * np.cos(w * xs)
+        oracle = np.trapezoid(np.sqrt(1.0 + fp**2), xs)
+        whole = adaptive_simpson(g, -1.4, 1.35)
+        split = adaptive_simpson(g, -1.4, d) + adaptive_simpson(g, d, 1.35)
+        assert whole == pytest.approx(oracle, abs=1e-7)
+        assert split == pytest.approx(oracle, abs=1e-7)
+
+    def test_depth_limit_intervals_share_one_allowance(self):
+        # at max_depth=6 each unit step leaves one interval at the depth
+        # limit, with an error estimate of about 0.87*tol
+        def steps(*at):
+            return lambda x: 1.0 + sum(x > c for c in at)
+
+        got = adaptive_simpson(steps(0.3), 0.0, 1.0, tol=1e-4, max_depth=6)
+        assert got == pytest.approx(1.7, abs=0.01)
+        with pytest.raises(QuadratureError):
+            adaptive_simpson(steps(0.3, 0.8), 0.0, 1.0, tol=1e-4, max_depth=6)
+
+    def test_non_integrable_singularity_raises(self):
+        with pytest.raises(QuadratureError, match="did not converge"):
+            adaptive_simpson(lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0)
 
 
 class TestFindExtrema:

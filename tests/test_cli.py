@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,28 @@ class TestRun:
         assert err.startswith("revcrochet: f' ") and err.count("\n") == 1
         assert "x=0.49" in err  # the grid scan or the quadrature says where
 
+    @pytest.mark.parametrize("function, scale, extrema", [
+        ("3.042 + abs(x - -0.2677)^1.048*sin(1.456*x)", "1.856", []),
+        ("3.426 + abs(x - -0.3226)^1.006*sin(7.1*x)", "1.443", ["--no-extrema"]),
+    ])
+    def test_cusp_with_finite_arclength_exits_0(self, capsys, function, scale, extrema):
+        code = run(["--function", function, "--a", "-1.4", "--b", "1.35",
+                    "--stitch-gauge", "12", "--row-gauge", "28", "--scale", scale, *extrema])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert out.out.endswith("Tie off\n")
+
+    def test_vertical_tangent_hit_by_a_landmark_quadrature_exits_2(self, capsys):
+        # f' = 0.986*|x + 0.7069|^-0.014*sign(...) is undefined at x = -0.7069
+        # only; the whole-interval quadrature misses that float, a landmark
+        # bisection step's quadrature lands on it
+        code = run(["--function", "1.244 + abs(x - -0.7069)^0.986", "--a", "-1", "--b", "1",
+                    "--stitch-gauge", "23", "--row-gauge", "17", "--scale", "1.257",
+                    "--no-extrema"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "revcrochet: f' undefined at x=-0.7069\n"
+
     @pytest.mark.parametrize("function", [
         "(" * 1500 + "x + 1" + ")" * 1500,
         "(" + "+".join(["x"] * 300) + ")/300 + 1",
@@ -117,6 +141,24 @@ class TestRun:
         assert "expression grammar" in helptext
         assert "2*x, not 2x" in helptext
         assert "nest at most 50 levels" in helptext
+
+
+class TestColdImport:
+    def test_import_defers_heavy_stdlib_modules(self):
+        # -S keeps the modules that site imports out of the picture
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, revcrochet.cli; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "revcrochet.cli" in loaded
+        heavy = {"dataclasses", "inspect", "ast", "decimal", "fractions", "json", "typing"}
+        assert heavy & loaded == set()
 
 
 class TestInstalledEntryPoint:

@@ -4,6 +4,8 @@ import re
 import pytest
 
 from revcrochet import (
+    PatternDoc,
+    PatternRow,
     PatternSpec,
     RowShaping,
     build_plan,
@@ -178,11 +180,15 @@ class TestRenderJson:
         assert len(obj["landmarks"]) == 17
 
     def test_roundtrip_is_exact(self, running_doc):
-        text = render_json(running_doc)
-        doc2 = doc_from_json(text)
-        assert doc2 == running_doc
-        assert render_json(doc2) == text
-        assert doc2.to_text() == running_doc.to_text()
+        _, _, sphere_doc = build_doc("sin(x)", 0.0, math.pi, 22, 25, 2.0)
+        for doc in (running_doc, sphere_doc):
+            text = render_json(doc)
+            doc2 = doc_from_json(text)
+            assert doc2 == doc
+            assert type(doc2) is PatternDoc
+            assert all(type(row) is PatternRow for row in doc2.rows)
+            assert render_json(doc2) == text
+            assert doc2.to_text() == doc.to_text()
 
     def test_cast_on_row_has_null_shaping_fields(self, running_doc):
         import json

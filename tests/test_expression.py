@@ -239,6 +239,37 @@ class TestProperties:
             tree = random_parsed_tree(rng, rng.randint(1, MAX_DEPTH))
             assert parse(render(tree)) == tree
 
+    def test_equality_and_hash_follow_the_rendered_tree(self):
+        # Nodes are namedtuples, which compare equal to any tuple with equal
+        # fields; equal trees must still be exactly the equally rendered ones.
+        rng = random.Random(4242)
+        trees = [random_parsed_tree(rng, rng.randint(1, MAX_DEPTH)) for _ in range(2000)]
+        trees += [differentiate(t) for t in trees]
+        by_text = {}
+        for t in trees:
+            by_text.setdefault(render(t), []).append(t)
+        for group in by_text.values():
+            for t in group:
+                assert t == group[0] and hash(t) == hash(group[0])
+        # Trees rendered differently must differ.  Equal tuples hash equal,
+        # so only pairs within one hash bucket could compare equal.
+        by_hash = {}
+        for group in by_text.values():
+            by_hash.setdefault(hash(group[0]), []).append(group[0])
+        for bucket in by_hash.values():
+            for i, a in enumerate(bucket):
+                assert all(a != b for b in bucket[i + 1:])
+        assert len(by_text) > 2000
+
+    def test_trees_are_immutable(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            tree = random_parsed_tree(rng, rng.randint(1, MAX_DEPTH))
+            for t in (tree, differentiate(tree)):
+                name = t._fields[0] if t._fields else "value"  # Var: no new attributes
+                with pytest.raises(AttributeError):
+                    setattr(t, name, Var())
+
     @pytest.mark.parametrize("tree, text", [
         (Binary("+", Var(), Binary("+", Const(2.0), Binary("^", Var(), Const(2.0)))),
          "x + (2 + x^2)"),
