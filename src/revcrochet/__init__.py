@@ -22,7 +22,6 @@ from .emit import (
     PatternDoc,
     PatternRow,
     doc_from_json,
-    instruction_totals,
     render_json,
     render_pattern,
     render_row,
@@ -40,12 +39,7 @@ from .expression import (
 )
 from .shaping import (
     RowShaping,
-    circular_distance,
-    d1,
-    d2,
     optimize_placement,
-    placement_candidates,
-    ratio_set,
     row_counts,
     shape_rows,
     stitch_count,
@@ -68,18 +62,12 @@ __all__ = [
     "SpecValidationError",
     "arclength_rows",
     "build_plan",
-    "circular_distance",
-    "d1",
-    "d2",
     "differentiate",
     "doc_from_json",
     "evaluate",
     "find_extrema",
-    "instruction_totals",
     "optimize_placement",
     "parse",
-    "placement_candidates",
-    "ratio_set",
     "render",
     "render_json",
     "render_pattern",

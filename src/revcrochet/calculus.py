@@ -100,9 +100,9 @@ class PatternSpec(
             x = a + i * step
             try:
                 y = f(x)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise SpecValidationError(f"f is undefined at x={x!r}: {exc}") from exc
-            if isinstance(y, complex) or not math.isfinite(y):
+            except EvalDomainError as exc:
+                raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+            if not math.isfinite(y):
                 raise SpecValidationError(f"f is not finite at x={x!r}")
             if y < 0:
                 raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
@@ -112,9 +112,9 @@ class PatternSpec(
                 )
             try:
                 dy = fp(x)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise SpecValidationError(f"f' is undefined at x={x!r}: {exc}") from exc
-            if isinstance(dy, complex) or not math.isfinite(dy):
+            except EvalDomainError as exc:
+                raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
+            if not math.isfinite(dy):
                 raise SpecValidationError(f"f' is not finite at x={x!r}")
 
 
@@ -188,20 +188,18 @@ def _fprime(func: Expr) -> Callable[[float], float]:
 def _arc_integrand(func: Expr) -> Callable[[float], float]:
     """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree.
 
-    An f'(x) that is undefined or complex raises EvalDomainError naming x.
-    A non-finite one makes the quadrature that samples it end in
-    QuadratureError; checking for it here would cost every call.
+    An undefined f'(x) raises EvalDomainError naming x.  A non-finite one
+    makes the quadrature that samples it end in QuadratureError; checking
+    for it here would cost every call.
     """
     fp = _fprime(func)
 
     def g(x: float) -> float:
         try:
             d = fp(x)
-            return math.sqrt(1.0 + d * d)
-        except TypeError:  # complex d: a fractional power of a negative base
-            raise EvalDomainError(f"f' is not a real number at x={x!r}") from None
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except EvalDomainError as exc:
             raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+        return math.sqrt(1.0 + d * d)
 
     return g
 
@@ -227,13 +225,11 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     def deriv(x):
         try:
             v = fp(x)
-            if math.isfinite(v):
-                return v
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except EvalDomainError as exc:
             raise EvalDomainError(f"f' undefined at x={x!r}") from exc
-        except TypeError:  # complex v: a fractional power of a negative base
-            pass
-        raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
+        if not math.isfinite(v):
+            raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
+        return v
 
     roots = []
     last_x = None

@@ -87,8 +87,13 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(out)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"revcrochet: cannot write {args.output}: {reason}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0

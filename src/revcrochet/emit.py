@@ -22,7 +22,6 @@ functions that use it, so importing this module stays cheap.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from .calculus import LandmarkPlan, PatternSpec
@@ -280,47 +279,3 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-# Patterns for instruction_totals; re caches what it compiles.
-_CAST_ON_CHAIN = r"^Chain (\d+)\. join work, and Sc\1\.$"
-_CAST_ON_RING = r"^Create a magic ring with (\d+) stitches\.$"
-_TOKEN = r"\*([^*]*)\* \((\d+) times\)|Sc(\d+)|Inc|Dec"
-
-
-def instruction_totals(line: str) -> tuple[int, int]:
-    """(consumed, produced) stitch totals of a rendered row line.
-
-    Accepts a full "Row N: ..." line or a bare instruction body; cast-on
-    rows consume 0.  Used to check stitch conservation row by row.
-    """
-    body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
-    body = re.sub(r" \(\d+ stitches\)$", "", body)
-    m = re.match(_CAST_ON_CHAIN, body)
-    if m:
-        return 0, int(m.group(1))
-    m = re.match(_CAST_ON_RING, body)
-    if m:
-        return 0, int(m.group(1))
-
-    def tally(text):
-        consumed = produced = 0
-        for m in re.finditer(_TOKEN, text):
-            if m.group(2) is not None:
-                inner_c, inner_p = tally(m.group(1))
-                times = int(m.group(2))
-                consumed += inner_c * times
-                produced += inner_p * times
-            elif m.group(3) is not None:
-                n = int(m.group(3))
-                consumed += n
-                produced += n
-            elif m.group(0) == "Inc":
-                consumed += 1
-                produced += 2
-            else:
-                consumed += 2
-                produced += 1
-        return consumed, produced
-
-    return tally(body)

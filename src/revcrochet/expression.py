@@ -10,10 +10,11 @@ Grammar (infix, whitespace-insensitive, no implicit multiplication):
     FUNC   := sin | cos | tan | exp | ln | sqrt | abs | sign
     NUMBER := digits with an optional decimal point (no exponent notation)
 
-Unary minus binds looser than '^', so -x^2 means -(x^2).  A tree may be at
-most MAX_DEPTH levels deep, with at most that many parentheses open at once;
-deeper input is a ParseError.  Trees are immutable and hashable; evaluation
-is deterministic for a given tree and x.
+Unary minus binds looser than '^', so -x^2 means -(x^2).  A numeral too
+large for a float, or a tree more than MAX_DEPTH levels deep or with more
+than that many parentheses open at once, is a ParseError.  Trees are
+immutable and hashable.  A tree is evaluated by the function compile_expr
+generates for it; evaluation is deterministic for a given tree and x.
 
 Each node class is a namedtuple, so two trees compare equal, and hash
 equal, when their fields do.  A namedtuple also equals any tuple with equal
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 
 class ExpressionError(ValueError):
@@ -47,9 +49,10 @@ class EvalDomainError(ExpressionError):
 
 # Deepest tree parse() accepts.  Differentiation adds at most 4 levels per
 # level (the u^v rule), so f' of a tree this deep is at most 4*50 - 3 = 197
-# levels, whose generated source nests 196 parentheses: within CPython's
-# limit of 200 in compile_expr, and far within the recursion limit that
-# hashing, rendering and differentiating a tree use.
+# levels, whose generated source nests 196 parentheses (one per node, as in
+# math.pow(u, v)): within CPython's limit of 200 in compile_expr, and far
+# within the recursion limit that hashing, rendering and differentiating a
+# tree use.
 MAX_DEPTH = 50
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
@@ -60,25 +63,10 @@ def _sign(v: float) -> float:
     return float((v > 0) - (v < 0))
 
 
-_FUNCTION_IMPLS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sign": _sign,
-}
-
-
 class Expr:
-    """Base node; concrete nodes implement evaluate/derivative/render."""
+    """Base node; concrete nodes implement derivative/render/pysrc."""
 
     __slots__ = ()
-
-    def evaluate(self, x: float) -> float:
-        raise NotImplementedError
 
     def derivative(self) -> "Expr":
         raise NotImplementedError
@@ -96,9 +84,6 @@ class Expr:
 
 class Const(namedtuple("Const", "value"), Expr):
     __slots__ = ()
-
-    def evaluate(self, x):
-        return self.value
 
     def derivative(self):
         return Const(0.0)
@@ -127,9 +112,6 @@ class NamedConst(namedtuple("NamedConst", "name"), Expr):
 
     __slots__ = ()
 
-    def evaluate(self, x):
-        return NAMED_CONSTANTS[self.name]
-
     def derivative(self):
         return Const(0.0)
 
@@ -143,9 +125,6 @@ class NamedConst(namedtuple("NamedConst", "name"), Expr):
 class Var(namedtuple("Var", ()), Expr):
     __slots__ = ()
 
-    def evaluate(self, x):
-        return x
-
     def derivative(self):
         return Const(1.0)
 
@@ -158,17 +137,6 @@ class Var(namedtuple("Var", ()), Expr):
 
 class Call(namedtuple("Call", "fn arg"), Expr):
     __slots__ = ()
-
-    def evaluate(self, x):
-        v = self.arg.evaluate(x)
-        if self.fn == "ln" and v <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {v!r} at x={x!r}")
-        if self.fn == "sqrt" and v < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {v!r} at x={x!r}")
-        try:
-            return _FUNCTION_IMPLS[self.fn](v)
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(f"{self.fn}({v!r}) undefined at x={x!r}") from exc
 
     def derivative(self):
         u, du = self.arg, self.arg.derivative()
@@ -206,9 +174,6 @@ class Call(namedtuple("Call", "fn arg"), Expr):
 class Neg(namedtuple("Neg", "arg"), Expr):
     __slots__ = ()
 
-    def evaluate(self, x):
-        return -self.arg.evaluate(x)
-
     def derivative(self):
         return _neg(self.arg.derivative())
 
@@ -231,30 +196,6 @@ _BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 class Binary(namedtuple("Binary", "op left right"), Expr):
     __slots__ = ()
-
-    def evaluate(self, x):
-        a = self.left.evaluate(x)
-        b = self.right.evaluate(x)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalDomainError(f"division by zero at x={x!r}")
-            return a / b
-        try:
-            r = a**b
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvalDomainError(f"{a!r}^{b!r} undefined at x={x!r}") from exc
-        if isinstance(r, complex):
-            raise EvalDomainError(
-                f"{a!r}^{b!r} is not real (negative base, fractional power) at x={x!r}"
-            )
-        return r
 
     def derivative(self):
         u, v = self.left, self.right
@@ -300,8 +241,11 @@ class Binary(namedtuple("Binary", "op left right"), Expr):
         return _BINARY_PRECEDENCE[self.op]
 
     def pysrc(self):
-        op = "**" if self.op == "^" else self.op
-        return f"({self.left.pysrc()}{op}{self.right.pysrc()})"
+        # math.pow raises where ** would return a complex number, and
+        # returns the same float wherever ** returns one.
+        if self.op == "^":
+            return f"math.pow({self.left.pysrc()}, {self.right.pysrc()})"
+        return f"({self.left.pysrc()}{self.op}{self.right.pysrc()})"
 
 
 def _is_constant(e: Expr) -> bool:
@@ -374,11 +318,9 @@ def _pow(a, b):
         return Const(1.0)
     if isinstance(a, Const) and isinstance(b, Const):
         try:
-            v = a.value**b.value
-        except (ZeroDivisionError, OverflowError, ValueError):
-            v = None
-        if isinstance(v, float):
-            return Const(v)
+            return Const(math.pow(a.value, b.value))
+        except (ArithmeticError, ValueError):
+            pass
     return Binary("^", a, b)
 
 
@@ -525,7 +467,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            return Const(float(tok.text)), 1
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError("number too large", tok.pos)
+            return Const(value), 1
         if tok.kind == "(":
             self.take()
             result = self.nested(self.expr, tok, "group")
@@ -565,7 +510,7 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, x: float) -> float:
     """Evaluate a tree at x; raises EvalDomainError where undefined."""
-    return e.evaluate(x)
+    return compile_expr(e)(x)
 
 
 def differentiate(e: Expr) -> Expr:
@@ -582,13 +527,39 @@ def render(e: Expr) -> str:
 
 
 def compile_expr(e: Expr):
-    """Compile a tree to a plain Python callable.
+    """Compile a tree to a plain Python callable of x, cached per tree.
 
-    The generated code performs the same IEEE operations in the same order
-    as evaluate(), so the results are bit-for-bit identical where defined
-    (raw ZeroDivisionError/ValueError/OverflowError escape instead of
-    EvalDomainError; hot loops catch those at their boundary).
+    The callable returns a float, or raises EvalDomainError naming x where
+    the tree is undefined: a division by zero, a math domain or range
+    error, or a fractional power of a negative base.  It never returns a
+    complex number.
     """
-    src = f"lambda x: {e.pysrc()}"
-    namespace = {"math": math, "abs": abs, "_sign": _sign, "__builtins__": {}}
-    return eval(src, namespace)  # noqa: S307 - source is generated from our own AST
+    # Keyed by the generated source: trees that differ only in the sign of
+    # a zero constant compare equal, yet compute differently signed zeros.
+    return _compile_source(e.pysrc())
+
+
+@lru_cache(maxsize=128)
+def _compile_source(body: str):
+    src = (
+        "def f(x):\n"
+        "    try:\n"
+        f"        return {body}\n"
+        "    except (ArithmeticError, ValueError) as exc:\n"
+        "        raise EvalDomainError(f'undefined at x={x!r}') from exc\n"
+    )
+    # Constant folding in differentiate can overflow to inf, and inf - inf
+    # is nan; repr writes those as bare names.
+    namespace = {
+        "math": math,
+        "abs": abs,
+        "_sign": _sign,
+        "inf": math.inf,
+        "nan": math.nan,
+        "ArithmeticError": ArithmeticError,
+        "ValueError": ValueError,
+        "EvalDomainError": EvalDomainError,
+        "__builtins__": {},
+    }
+    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
+    return namespace["f"]

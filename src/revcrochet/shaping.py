@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .calculus import LandmarkPlan, PatternSpec, round_half_away
 from .expression import compile_expr
@@ -56,7 +56,7 @@ def stitch_count(spec: PatternSpec, x: float) -> int:
     """Stitches around the surface at landmark x."""
     if not (spec.a <= x <= spec.b):
         raise ValueError(f"x={x!r} outside [{spec.a!r}, {spec.b!r}]")
-    y = spec.func.evaluate(x)
+    y = compile_expr(spec.func)(x)
     return round_half_away(2.0 * math.pi * spec.stitches_per_unit * y)
 
 
@@ -65,43 +65,6 @@ def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
     f = compile_expr(spec.func)
     factor = 2.0 * math.pi * spec.stitches_per_unit
     return [round_half_away(factor * f(x)) for x in plan.landmarks]
-
-
-def circular_distance(u, v):
-    """Distance between two positions on the unit circle, in [0, 1/2].
-
-    Works for floats and Fractions alike; only the values mod 1 matter.
-    """
-    d = abs(v - u) % 1
-    return min(d, 1 - d)
-
-
-def d1(prev_ratios: Iterable, cur_ratios: Iterable):
-    """Smallest circular distance between any pair across the two sets."""
-    prev_ratios, cur_ratios = list(prev_ratios), list(cur_ratios)
-    if not prev_ratios or not cur_ratios:
-        raise ValueError("d1 needs two nonempty ratio sets")
-    return min(circular_distance(u, v) for u in prev_ratios for v in cur_ratios)
-
-
-def d2(prev_ratios: Iterable, cur_ratios: Iterable):
-    """Mean over cur_ratios of the distance to the nearest prev ratio.
-
-    This is the tie-breaking measure: on average, how far each of this
-    row's ops sits from the closest op of the reference row.
-    """
-    prev_ratios, cur_ratios = list(prev_ratios), list(cur_ratios)
-    if not prev_ratios or not cur_ratios:
-        raise ValueError("d2 needs two nonempty ratio sets")
-    total = sum(min(circular_distance(u, v) for u in prev_ratios) for v in cur_ratios)
-    return total / len(cur_ratios)
-
-
-def ratio_set(positions: Sequence[int], denom: int) -> tuple[Fraction, ...]:
-    """Positions normalized by the row's instruction count, as fractions."""
-    from fractions import Fraction
-
-    return tuple(Fraction(p, denom) for p in positions)
 
 
 def _nearest_table(ref_positions: Sequence[int], ref_denom: int, low: int) -> list[int]:
@@ -145,35 +108,6 @@ def _shift_keys(
         dists = table[k : k + stop : q]
         keys.append((min(dists), sum(dists)))
     return keys
-
-
-def placement_candidates(
-    prev_positions: Sequence[int], prev_denom: int, s_prev: int, s_cur: int
-):
-    """All k-shift candidates with their exact d1/d2 against the reference row.
-
-    Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order, with
-    d1 and d2 as Fractions.
-    """
-    n_ops = abs(s_cur - s_prev)
-    low = min(s_prev, s_cur)
-    if n_ops == 0 or n_ops > low:
-        raise ValueError("no remainder-method candidates for this stitch change")
-    if not prev_positions:
-        raise ValueError("placement candidates need a nonempty reference row")
-    from fractions import Fraction
-
-    q = low // n_ops
-    modulus = prev_denom * low
-    return [
-        (
-            k,
-            tuple(q * j + k for j in range(n_ops)),
-            Fraction(lo, modulus),
-            Fraction(total, n_ops * modulus),
-        )
-        for k, (lo, total) in enumerate(_shift_keys(prev_positions, prev_denom, low, n_ops), 1)
-    ]
 
 
 def optimize_placement(

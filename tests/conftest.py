@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,17 @@ import pytest
 
 from revcrochet import PatternSpec, build_plan, parse, render_pattern, shape_rows
 from revcrochet.calculus import LANDMARK_XTOL, _arc_integrand, adaptive_simpson, round_landmark
+from revcrochet.expression import (
+    NAMED_CONSTANTS,
+    Binary,
+    Call,
+    Const,
+    EvalDomainError,
+    NamedConst,
+    Neg,
+    Var,
+)
+from revcrochet.shaping import _shift_keys
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -96,6 +108,179 @@ def brute_force_placement(prev_positions, prev_denom, s_prev, s_cur):
         if key > best_key:
             best_key, best_k, best = key, k, cand
     return best_k, best
+
+
+# --- shaping definitions -------------------------------------------------
+# d1 and d2 as the paper defines them, over exact Fraction ratios; the
+# integer kernel in shaping must order candidates exactly as they do.
+
+def circular_distance(u, v):
+    """Distance between two positions on the unit circle, in [0, 1/2].
+
+    Works for floats and Fractions alike; only the values mod 1 matter.
+    """
+    d = abs(v - u) % 1
+    return min(d, 1 - d)
+
+
+def d1(prev_ratios, cur_ratios):
+    """Smallest circular distance between any pair across the two sets."""
+    prev_ratios, cur_ratios = list(prev_ratios), list(cur_ratios)
+    if not prev_ratios or not cur_ratios:
+        raise ValueError("d1 needs two nonempty ratio sets")
+    return min(circular_distance(u, v) for u in prev_ratios for v in cur_ratios)
+
+
+def d2(prev_ratios, cur_ratios):
+    """Mean over cur_ratios of the distance to the nearest prev ratio."""
+    prev_ratios, cur_ratios = list(prev_ratios), list(cur_ratios)
+    if not prev_ratios or not cur_ratios:
+        raise ValueError("d2 needs two nonempty ratio sets")
+    total = sum(min(circular_distance(u, v) for u in prev_ratios) for v in cur_ratios)
+    return total / len(cur_ratios)
+
+
+def ratio_set(positions, denom):
+    """Positions normalized by the row's instruction count, as fractions."""
+    return tuple(Fraction(p, denom) for p in positions)
+
+
+def placement_candidates(prev_positions, prev_denom, s_prev, s_cur):
+    """All k-shift candidates with the kernel's d1/d2 against the reference row.
+
+    Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order, with
+    d1 and d2 as Fractions read off shaping._shift_keys.
+    """
+    n_ops = abs(s_cur - s_prev)
+    low = min(s_prev, s_cur)
+    if n_ops == 0 or n_ops > low:
+        raise ValueError("no remainder-method candidates for this stitch change")
+    if not prev_positions:
+        raise ValueError("placement candidates need a nonempty reference row")
+    q = low // n_ops
+    modulus = prev_denom * low
+    return [
+        (
+            k,
+            tuple(q * j + k for j in range(n_ops)),
+            Fraction(lo, modulus),
+            Fraction(total, n_ops * modulus),
+        )
+        for k, (lo, total) in enumerate(_shift_keys(prev_positions, prev_denom, low, n_ops), 1)
+    ]
+
+
+# --- instruction parser -----------------------------------------------------
+
+_CAST_ON_CHAIN = r"^Chain (\d+)\. join work, and Sc\1\.$"
+_CAST_ON_RING = r"^Create a magic ring with (\d+) stitches\.$"
+_TOKEN = r"\*([^*]*)\* \((\d+) times\)|Sc(\d+)|Inc|Dec"
+
+
+def instruction_totals(line):
+    """(consumed, produced) stitch totals of a rendered row line.
+
+    Accepts a full "Row N: ..." line or a bare instruction body; cast-on
+    rows consume 0.  Used to check stitch conservation row by row.
+    """
+    body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
+    body = re.sub(r" \(\d+ stitches\)$", "", body)
+    for cast_on in (_CAST_ON_CHAIN, _CAST_ON_RING):
+        m = re.match(cast_on, body)
+        if m:
+            return 0, int(m.group(1))
+
+    def tally(text):
+        consumed = produced = 0
+        for m in re.finditer(_TOKEN, text):
+            if m.group(2) is not None:
+                inner_c, inner_p = tally(m.group(1))
+                times = int(m.group(2))
+                consumed += inner_c * times
+                produced += inner_p * times
+            elif m.group(3) is not None:
+                n = int(m.group(3))
+                consumed += n
+                produced += n
+            elif m.group(0) == "Inc":
+                consumed += 1
+                produced += 2
+            else:
+                consumed += 2
+                produced += 1
+        return consumed, produced
+
+    return tally(body)
+
+
+# --- reference evaluator ----------------------------------------------------
+# A tree-walker with its own domain checks, independent of the code that
+# compile_expr generates: ** where that uses math.pow, and explicit checks
+# for complex powers, division by zero and ln/sqrt out of domain.
+
+def _sign(v):
+    return float((v > 0) - (v < 0))
+
+
+_REFERENCE_CALLS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "sign": _sign,
+}
+
+
+def reference_evaluate(e, x):
+    """Value of tree e at x; EvalDomainError where e is undefined or not real."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, NamedConst):
+        return NAMED_CONSTANTS[e.name]
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.arg, x)
+    if isinstance(e, Call):
+        v = reference_evaluate(e.arg, x)
+        if e.fn == "ln" and v <= 0.0:
+            raise EvalDomainError(f"ln of non-positive value {v!r} at x={x!r}")
+        if e.fn == "sqrt" and v < 0.0:
+            raise EvalDomainError(f"sqrt of negative value {v!r} at x={x!r}")
+        try:
+            return _REFERENCE_CALLS[e.fn](v)
+        except (ValueError, OverflowError) as exc:
+            raise EvalDomainError(f"{e.fn}({v!r}) undefined at x={x!r}") from exc
+    assert isinstance(e, Binary)
+    a = reference_evaluate(e.left, x)
+    b = reference_evaluate(e.right, x)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if e.op == "/":
+        if b == 0.0:
+            raise EvalDomainError(f"division by zero at x={x!r}")
+        return a / b
+    try:
+        r = a**b
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise EvalDomainError(f"{a!r}^{b!r} undefined at x={x!r}") from exc
+    if isinstance(r, complex):
+        raise EvalDomainError(f"{a!r}^{b!r} is not real at x={x!r}")
+    return r
+
+
+def same_float(u, v):
+    """u and v are the same float: equal with the same sign, or both nan."""
+    if math.isnan(u) or math.isnan(v):
+        return math.isnan(u) and math.isnan(v)
+    return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
 # --- landmark oracle --------------------------------------------------------

@@ -18,13 +18,9 @@ from revcrochet import (
     PatternSpec,
     arclength_rows,
     build_plan,
-    d1,
-    d2,
-    instruction_totals,
+    evaluate,
     optimize_placement,
     parse,
-    placement_candidates,
-    ratio_set,
     render_pattern,
     row_counts,
     shape_rows,
@@ -40,7 +36,10 @@ from conftest import (
     TABLE_STITCHES,
     brute_force_placement,
     golden,
+    instruction_totals,
+    placement_candidates,
     random_valid_spec,
+    ratio_set,
 )
 from test_expression import random_tree
 
@@ -206,8 +205,8 @@ def test_criterion_7_numerical_suite():
         for i in range(20):
             x = -2.0 + i * (4.0 / 19)
             try:
-                sym = deriv.evaluate(x)
-                fd = (tree.evaluate(x + 1e-6) - tree.evaluate(x - 1e-6)) / 2e-6
+                sym = evaluate(deriv, x)
+                fd = (evaluate(tree, x + 1e-6) - evaluate(tree, x - 1e-6)) / 2e-6
             except Exception:
                 continue
             if not math.isfinite(sym) or abs(sym) > 1e8:

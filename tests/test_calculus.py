@@ -9,11 +9,12 @@ from revcrochet import (
     SpecValidationError,
     arclength_rows,
     build_plan,
+    evaluate,
     find_extrema,
     parse,
     solve_landmarks,
 )
-from revcrochet import calculus
+from revcrochet import calculus, expression, render_pattern, render_svg, shape_rows
 from revcrochet.calculus import (
     QUAD_TOL,
     QuadratureError,
@@ -80,6 +81,11 @@ class TestValidation:
         # positive everywhere it is defined, but blows up at the x=0 sample
         with pytest.raises(SpecValidationError, match="f is"):
             make_spec("1/x^2", -1.0, 1.0).validate()
+
+    def test_non_finite_derivative(self):
+        big = "1" + "0" * 200
+        with pytest.raises(SpecValidationError, match=r"^f' is not finite at x=0\.0$"):
+            make_spec(f"{big}*({big}*x) + 1", 0.0, 1.0).validate()
 
     def test_gauge_types(self):
         with pytest.raises(SpecValidationError, match="stitch gauge"):
@@ -305,7 +311,7 @@ class TestBuildPlan:
             for u, v in zip(pts, pts[1:]):
                 step = arclength_rows(running_spec, u, v)
                 slope = max(
-                    math.hypot(1.0, deriv.evaluate(u)), math.hypot(1.0, deriv.evaluate(v))
+                    math.hypot(1.0, evaluate(deriv, u)), math.hypot(1.0, evaluate(deriv, v))
                 )
                 slack = 0.011 * slope * running_spec.rows_per_unit + 0.001
                 assert step == pytest.approx(share, abs=slack)
@@ -323,6 +329,18 @@ class TestBuildPlan:
         spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
         build_plan(spec, prioritize_extrema=True)
         assert derived == [spec.func]
+
+    def test_f_is_compiled_once_per_spec(self):
+        expression._compile_source.cache_clear()
+        calculus._fprime.cache_clear()
+        calculus._arc_integrand.cache_clear()
+        spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
+        plan = build_plan(spec, prioritize_extrema=True)
+        render_pattern(spec, plan, shape_rows(spec, plan))
+        render_svg(spec, plan)
+        info = expression._compile_source.cache_info()
+        assert info.misses == 2  # f and f'
+        assert info.hits >= 4  # row counts, two closure checks, the plot
 
     def test_validates_spec(self):
         with pytest.raises(SpecValidationError):

@@ -77,6 +77,18 @@ class TestRun:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8") == golden("running_example.txt")
 
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "pattern.txt"
+        assert run(RUNNING_ARGS + ["--output", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"revcrochet: cannot write {target}: No such file or directory\n"
+
+    def test_output_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert run(RUNNING_ARGS + ["--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"revcrochet: cannot write {tmp_path}: ") and err.count("\n") == 1
+
     def test_warnings_are_not_failures(self, capsys):
         code = run(["--function", "x^2 + 0.05", "--a", "0", "--b", "1",
                     "--stitch-gauge", "40", "--row-gauge", "10", "--scale", "1"])
@@ -93,6 +105,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("revcrochet: f' ") and err.count("\n") == 1
         assert "x=0.49" in err  # the grid scan or the quadrature says where
+
+    @pytest.mark.parametrize("function", ["2 + sin((x - 0.5)^1.5)", "1 + abs((x - 0.5)^0.5)"])
+    def test_complex_function_exits_2(self, capsys, function):
+        # (x - 0.5)^p has no real value for x < 0.5, inside sin or abs too
+        code = run(["--function", function, "--a", "0", "--b", "1",
+                    "--stitch-gauge", "20", "--row-gauge", "20", "--scale", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "revcrochet: f is undefined at x=0.0\n"
+
+    def test_numeral_too_large_exits_2(self, capsys):
+        code = run(["--function", "1" * 400, "--a", "0", "--b", "1",
+                    "--stitch-gauge", "20", "--row-gauge", "20", "--scale", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "revcrochet: number too large (at position 0)\n"
 
     @pytest.mark.parametrize("function, scale, extrema", [
         ("3.042 + abs(x - -0.2677)^1.048*sin(1.456*x)", "1.856", []),

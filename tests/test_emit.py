@@ -10,7 +10,6 @@ from revcrochet import (
     RowShaping,
     build_plan,
     doc_from_json,
-    instruction_totals,
     parse,
     render_json,
     render_pattern,
@@ -20,7 +19,7 @@ from revcrochet import (
     shape_rows,
 )
 
-from conftest import LANDMARKS_EVEN, golden
+from conftest import LANDMARKS_EVEN, golden, instruction_totals
 
 
 def build_doc(text, a, b, stitch_gauge, row_gauge, scale, prioritize_extrema=True):

@@ -20,6 +20,8 @@ from revcrochet.expression import (
     render,
 )
 
+from conftest import reference_evaluate, same_float
+
 
 class TestParse:
     def test_running_example_at_point(self):
@@ -42,6 +44,14 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("2*foo(x)")
         assert err.value.position == 2
+
+    @pytest.mark.parametrize(
+        "text, position", [("1" * 400, 0), ("2 + " + "9" * 400 + ".5", 4)], ids=["int", "decimal"]
+    )
+    def test_number_too_large_for_a_float(self, text, position):
+        with pytest.raises(ParseError, match="number too large") as err:
+            parse(text)
+        assert err.value.position == position
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
@@ -90,7 +100,7 @@ class TestDepthLimit:
         deriv = differentiate(tree)
         assert parse(render(tree)) == tree
         for e in (tree, deriv):
-            assert compile_expr(e)(0.5) == evaluate(e, 0.5)
+            assert same_float(compile_expr(e)(0.5), reference_evaluate(e, 0.5))
             assert isinstance(hash(e), int)
 
     @pytest.mark.parametrize("kind", ["sum", "product", "power", "pow_left", "call"])
@@ -136,6 +146,31 @@ class TestEvaluate:
     def test_error_names_the_point(self):
         with pytest.raises(EvalDomainError, match="x=0.0"):
             evaluate(parse("1/x"), 0.0)
+
+    @pytest.mark.parametrize("text", [
+        "(x - 0.5)^1.5",
+        "sin((x - 0.5)^1.5)",
+        "abs((x - 0.5)^0.5)",  # abs of a complex number would be real
+        "sign((x - 0.5)^0.5)",
+    ])
+    def test_fractional_power_inside_a_call_is_undefined(self, text):
+        with pytest.raises(EvalDomainError, match=r"^undefined at x=0\.25$"):
+            evaluate(parse(text), 0.25)
+
+    def test_folded_overflow_compiles(self):
+        # Const(1e200*1e200) folds to inf, which repr writes as a bare name
+        big = "1" + "0" * 200
+        d = differentiate(parse(f"{big}*({big}*x)"))
+        assert d == Const(math.inf)
+        assert evaluate(d, 0.0) == math.inf
+        assert math.isnan(evaluate(Binary("+", d, Neg(d)), 0.0))
+
+    def test_signed_zero_constants_compile_apart(self):
+        # Const(0.0) == Const(-0.0), yet x*0 and x*-0 differ in sign at x=1
+        pos, neg = Binary("*", Var(), Const(0.0)), Binary("*", Var(), Const(-0.0))
+        assert pos == neg
+        assert math.copysign(1.0, evaluate(pos, 1.0)) == 1.0
+        assert math.copysign(1.0, evaluate(neg, 1.0)) == -1.0
 
     def test_deterministic(self):
         tree = parse("sin(x) + x^2 / 3")
@@ -333,14 +368,17 @@ class TestProperties:
         rng = random.Random(81)
         for _ in range(60):
             tree = parse(random_tree(rng))
-            fn = compile_expr(tree)
-            for _ in range(40):
-                x = rng.uniform(-2, 2)
-                try:
-                    v1 = evaluate(tree, x)
-                except EvalDomainError:
-                    continue
-                assert fn(x) == v1
+            for e in (tree, differentiate(tree)):
+                fn = compile_expr(e)
+                for _ in range(40):
+                    x = rng.uniform(-2, 2)
+                    try:
+                        v1 = reference_evaluate(e, x)
+                    except EvalDomainError:
+                        with pytest.raises(EvalDomainError):
+                            fn(x)
+                        continue
+                    assert same_float(fn(x), v1)
 
     def test_derivative_uses_only_supported_node_kinds(self):
         rng = random.Random(83)

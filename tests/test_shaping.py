@@ -7,19 +7,23 @@ import pytest
 from revcrochet import (
     PatternSpec,
     build_plan,
-    circular_distance,
-    d1,
-    d2,
     optimize_placement,
     parse,
-    placement_candidates,
-    ratio_set,
     row_counts,
     shape_rows,
     stitch_count,
 )
 
-from conftest import EXTREMUM_LO, TABLE_STITCHES, brute_force_placement
+from conftest import (
+    EXTREMUM_LO,
+    TABLE_STITCHES,
+    brute_force_placement,
+    circular_distance,
+    d1,
+    d2,
+    placement_candidates,
+    ratio_set,
+)
 
 ROW5_POSITIONS = (7, 11, 15, 19, 23, 27)  # chosen ops of the 29->35 row
 ROW5_DENOM = 29
