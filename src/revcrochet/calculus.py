@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 
-from .expression import Expr, EvalDomainError, compile_expr, differentiate, render
+from .expression import Expr, EvalDomainError, compile_enclosure, compile_expr, differentiate, render
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
@@ -26,6 +26,19 @@ EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # subintervals scanned for f' sign changes
 VALIDATION_GRID = 2048    # subintervals sampled for positivity / f' definedness
+# Largest pattern build_plan places landmarks for: each row costs one
+# landmark bisection (tens of microseconds), so 10,000 rows take about a
+# second; the running example at scale 30 has 2,694.
+MAX_ROWS = 10_000
+# Grid cells at or below which an undecided range is evaluated point by
+# point rather than halved again.  An enclosure of f' costs as much as 10 to
+# 25 point evaluations (3 us for the running example's f', 20 us for
+# sin(5x)cos(3x) + exp(-x^2)x^2), and a range that stays undecided wastes
+# it.  Timing validate + find_extrema on the benchmark's anchor specs with
+# 16, 32, 64 and 128 cells, 32 was fastest or within 5% of it on each: a
+# ripple that no wide range decides pays 255 enclosures at 32 cells and
+# 511 at 16, while 128 cells evaluate up to four times more points.
+SCAN_LEAF_CELLS = 32
 
 
 class SpecValidationError(ValueError):
@@ -80,6 +93,9 @@ class PatternSpec(
         f >= 0 at the endpoints, f > 0 on the open interval, and f'
         defined on [a, b] are checked by dense sampling (VALIDATION_GRID
         subintervals), which is as strong a guarantee as sampling can give.
+        A block of grid points where enclosures prove f > 0 and f' defined
+        and finite is not evaluated point by point; the first failing grid
+        point, and its message, are the same either way.
         """
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise SpecValidationError("a and b must be finite")
@@ -94,28 +110,40 @@ class PatternSpec(
 
         f = compile_expr(self.func)
         fp = _fprime(self.func)
+        f_box = compile_enclosure(self.func)
+        fp_box = compile_enclosure(_derivative(self.func))
+
+        def certify(lo, hi):
+            y = f_box(lo, hi)
+            return y is not None and y[0] > 0 and fp_box(lo, hi) is not None
+
         a, n = self.a, VALIDATION_GRID
         step = (self.b - a) / n
-        for i in range(n + 1):
-            x = a + i * step
-            try:
-                y = f(x)
-            except EvalDomainError as exc:
-                raise SpecValidationError(f"f is undefined at x={x!r}") from exc
-            if not math.isfinite(y):
-                raise SpecValidationError(f"f is not finite at x={x!r}")
-            if y < 0:
-                raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
-            if y == 0 and 0 < i < n:
-                raise SpecValidationError(
-                    f"f must be positive on the open interval; f({x!r}) = 0"
-                )
-            try:
-                dy = fp(x)
-            except EvalDomainError as exc:
-                raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
-            if not math.isfinite(dy):
-                raise SpecValidationError(f"f' is not finite at x={x!r}")
+        for i0, i1, proved in _grid_blocks(a, step, n, certify):
+            if proved:
+                continue
+            for i in range(i0, i1 + 1):
+                x = a + i * step
+                try:
+                    y = f(x)
+                except EvalDomainError as exc:
+                    raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+                if not math.isfinite(y):
+                    raise SpecValidationError(f"f is not finite at x={x!r}")
+                if y < 0:
+                    raise SpecValidationError(
+                        f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}"
+                    )
+                if y == 0 and 0 < i < n:
+                    raise SpecValidationError(
+                        f"f must be positive on the open interval; f({x!r}) = 0"
+                    )
+                try:
+                    dy = fp(x)
+                except EvalDomainError as exc:
+                    raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
+                if not math.isfinite(dy):
+                    raise SpecValidationError(f"f' is not finite at x={x!r}")
 
 
 class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
@@ -178,10 +206,40 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
     ) + _simpson_step(g, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
 
 
+def _grid_blocks(a, step, n, certify):
+    """Split the grid points a + i*step, i = 0..n, into blocks, left to right.
+
+    Yields (i0, i1, verdict) for the points i0..i1, each point in exactly
+    one block.  verdict is what certify(lo, hi) returned for a range of
+    cells holding the block; a falsy one means "evaluate these points",
+    and comes only for ranges of at most SCAN_LEAF_CELLS cells.  A range
+    certify does not decide is halved, left half first.  lo and hi are the
+    floats a + i*step at the range's ends, and float rounding is monotone,
+    so every grid point of the range lies between them.
+    """
+    ranges = [(0, n)]
+    first = 0
+    while ranges:
+        c0, c1 = ranges.pop()
+        verdict = certify(a + c0 * step, a + c1 * step)
+        if not verdict and c1 - c0 > SCAN_LEAF_CELLS:
+            mid = (c0 + c1) // 2
+            ranges += [(mid, c1), (c0, mid)]
+            continue
+        yield first, c1, verdict
+        first = c1 + 1
+
+
+@lru_cache(maxsize=128)
+def _derivative(func: Expr) -> Expr:
+    """f' as a tree, differentiated once per tree."""
+    return differentiate(func)
+
+
 @lru_cache(maxsize=128)
 def _fprime(func: Expr) -> Callable[[float], float]:
-    """f' as a compiled callable, differentiated and compiled once per tree."""
-    return compile_expr(differentiate(func))
+    """f' as a compiled callable, compiled once per tree."""
+    return compile_expr(_derivative(func))
 
 
 @lru_cache(maxsize=128)
@@ -216,9 +274,20 @@ def find_extrema(spec: PatternSpec) -> list[float]:
 
     Sign changes are detected on a uniform grid of EXTREMUM_GRID
     subintervals and then located by bisection to EXTREMUM_XTOL; results
-    closer together than EXTREMUM_DEDUPE are merged.
+    closer together than EXTREMUM_DEDUPE are merged.  A block of grid
+    points where an enclosure proves the sign of f' is not evaluated point
+    by point, so every bracket bisected, and every extremum, is the same
+    float as with a scan of every point.
     """
     fp = _fprime(spec.func)
+    fp_box = compile_enclosure(_derivative(spec.func))
+
+    def certify(lo, hi):
+        d = fp_box(lo, hi)
+        if d is None:
+            return 0
+        return (d[0] > 0) - (d[1] < 0)
+
     a, n = spec.a, EXTREMUM_GRID
     step = (spec.b - a) / n
 
@@ -234,15 +303,21 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     roots = []
     last_x = None
     last_sign = 0
-    for i in range(n + 1):
-        x = a + i * step
-        v = deriv(x)
-        s = (v > 0) - (v < 0)
-        if s == 0:
+    for i0, i1, sign in _grid_blocks(a, step, n, certify):
+        if sign:
+            # The block's first cell starts at the last point scanned, of
+            # this sign too, so the block holds no sign change.
+            last_x, last_sign = a + i1 * step, sign
             continue
-        if last_sign != 0 and s != last_sign:
-            roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
-        last_x, last_sign = x, s
+        for i in range(i0, i1 + 1):
+            x = a + i * step
+            v = deriv(x)
+            s = (v > 0) - (v < 0)
+            if s == 0:
+                continue
+            if last_sign != 0 and s != last_sign:
+                roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
+            last_x, last_sign = x, s
 
     merged = []
     for r in roots:
@@ -318,7 +393,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     With prioritize_extrema, segment boundaries are {a, extrema.., b} so
     every local extremum lands exactly on a row; otherwise [a, b] is one
     segment.  Shared boundary landmarks are deduplicated when segments
-    are concatenated.
+    are concatenated.  A plan of more than MAX_ROWS rows is refused with
+    SpecValidationError before any landmark is placed.
     """
     spec.validate()
     bounds = [spec.a]
@@ -326,13 +402,22 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
         bounds.extend(find_extrema(spec))
     bounds.append(spec.b)
 
-    segments: list[Segment] = []
+    spans = list(zip(bounds, bounds[1:]))
+    lengths = [arclength_rows(spec, lo, hi) for lo, hi in spans]
+    # inf and nan, which round_half_away cannot take, are not <= MAX_ROWS
+    counts = [max(1, round_half_away(length)) for length in lengths if length <= MAX_ROWS]
+    total = sum(counts)
+    if len(counts) < len(lengths) or total > MAX_ROWS:
+        raise SpecValidationError(
+            f"the pattern would have more than {MAX_ROWS} rows; lower the scale or the row gauge"
+        )
+    segments = [
+        Segment(lo, hi, length, count)
+        for (lo, hi), length, count in zip(spans, lengths, counts)
+    ]
+
     landmarks: list[float] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        length = arclength_rows(spec, lo, hi)
-        seg = Segment(lo, hi, length, max(1, round_half_away(length)))
+    for seg in segments:
         pts = solve_landmarks(spec, seg)
         landmarks.extend(pts if not landmarks else pts[1:])
-        segments.append(seg)
-    total = sum(s.row_count for s in segments)
     return LandmarkPlan(tuple(segments), tuple(landmarks), total)

@@ -7,7 +7,7 @@ import sys
 
 from .calculus import PatternSpec, QuadratureError, SpecValidationError, build_plan
 from .emit import render_json, render_pattern, render_svg
-from .expression import MAX_DEPTH, ExpressionError, parse
+from .expression import MAX_DEPTH, EvalDomainError, ExpressionError, parse
 from .shaping import shape_rows
 
 GRAMMAR_HELP = f"""\
@@ -74,14 +74,19 @@ def run(argv: list[str] | None = None) -> int:
             source=args.function,
         )
         plan = build_plan(spec, prioritize_extrema=args.prioritize_extrema)
-        if args.format == "svg":
-            out = render_svg(spec, plan)
-        else:
-            rows = shape_rows(spec, plan)
-            doc = render_pattern(
-                spec, plan, rows, prioritize_extrema=args.prioritize_extrema
-            )
-            out = render_json(doc) if args.format == "json" else doc.to_text()
+        try:
+            if args.format == "svg":
+                out = render_svg(spec, plan)
+            else:
+                rows = shape_rows(spec, plan)
+                doc = render_pattern(
+                    spec, plan, rows, prioritize_extrema=args.prioritize_extrema
+                )
+                out = render_json(doc) if args.format == "json" else doc.to_text()
+        except EvalDomainError as exc:
+            # Past build_plan, only f itself is evaluated (stitch counts and
+            # the plot), at points validation's grid may not have sampled.
+            raise SpecValidationError(f"f is {exc}") from exc
     except (ExpressionError, SpecValidationError, QuadratureError, ValueError) as exc:
         print(f"revcrochet: {exc}", file=sys.stderr)
         return 2

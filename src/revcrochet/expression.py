@@ -15,6 +15,8 @@ large for a float, or a tree more than MAX_DEPTH levels deep or with more
 than that many parentheses open at once, is a ParseError.  Trees are
 immutable and hashable.  A tree is evaluated by the function compile_expr
 generates for it; evaluation is deterministic for a given tree and x.
+compile_enclosure generates, from the same emitter, a function that bounds
+what that evaluator returns over a range of x.
 
 Each node class is a namedtuple, so two trees compare equal, and hash
 equal, when their fields do.  A namedtuple also equals any tuple with equal
@@ -50,9 +52,9 @@ class EvalDomainError(ExpressionError):
 # Deepest tree parse() accepts.  Differentiation adds at most 4 levels per
 # level (the u^v rule), so f' of a tree this deep is at most 4*50 - 3 = 197
 # levels, whose generated source nests 196 parentheses (one per node, as in
-# math.pow(u, v)): within CPython's limit of 200 in compile_expr, and far
-# within the recursion limit that hashing, rendering and differentiating a
-# tree use.
+# math.pow(u, v)), and 197 in an enclosure, whose constants are pairs:
+# within CPython's limit of 200, and far within the recursion limit that
+# hashing, rendering, differentiating and compiling a tree use.
 MAX_DEPTH = 50
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
@@ -64,7 +66,7 @@ def _sign(v: float) -> float:
 
 
 class Expr:
-    """Base node; concrete nodes implement derivative/render/pysrc."""
+    """Base node; concrete nodes implement derivative/render."""
 
     __slots__ = ()
 
@@ -78,9 +80,6 @@ class Expr:
     def precedence(self) -> int:
         return 5
 
-    def pysrc(self) -> str:
-        raise NotImplementedError
-
 
 class Const(namedtuple("Const", "value"), Expr):
     __slots__ = ()
@@ -90,6 +89,9 @@ class Const(namedtuple("Const", "value"), Expr):
 
     def render(self):
         v = self.value
+        if not math.isfinite(v):
+            # differentiate's constant folding can overflow; no numeral says inf
+            raise ExpressionError(f"cannot render the non-finite constant {v!r}")
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         text = repr(v)
@@ -103,9 +105,6 @@ class Const(namedtuple("Const", "value"), Expr):
     def precedence(self):
         return 5 if self.value >= 0 else 3
 
-    def pysrc(self):
-        return repr(self.value)
-
 
 class NamedConst(namedtuple("NamedConst", "name"), Expr):
     """The constant pi or e, by name ('pi' or 'e')."""
@@ -118,9 +117,6 @@ class NamedConst(namedtuple("NamedConst", "name"), Expr):
     def render(self):
         return self.name
 
-    def pysrc(self):
-        return f"math.{'pi' if self.name == 'pi' else 'e'}"
-
 
 class Var(namedtuple("Var", ()), Expr):
     __slots__ = ()
@@ -129,9 +125,6 @@ class Var(namedtuple("Var", ()), Expr):
         return Const(1.0)
 
     def render(self):
-        return "x"
-
-    def pysrc(self):
         return "x"
 
 
@@ -162,14 +155,6 @@ class Call(namedtuple("Call", "fn arg"), Expr):
     def render(self):
         return f"{self.fn}({self.arg.render()})"
 
-    def pysrc(self):
-        if self.fn == "abs":
-            return f"abs({self.arg.pysrc()})"
-        if self.fn == "sign":
-            return f"_sign({self.arg.pysrc()})"
-        name = "log" if self.fn == "ln" else self.fn
-        return f"math.{name}({self.arg.pysrc()})"
-
 
 class Neg(namedtuple("Neg", "arg"), Expr):
     __slots__ = ()
@@ -186,9 +171,6 @@ class Neg(namedtuple("Neg", "arg"), Expr):
 
     def precedence(self):
         return 3
-
-    def pysrc(self):
-        return f"(-{self.arg.pysrc()})"
 
 
 _BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -239,13 +221,6 @@ class Binary(namedtuple("Binary", "op left right"), Expr):
 
     def precedence(self):
         return _BINARY_PRECEDENCE[self.op]
-
-    def pysrc(self):
-        # math.pow raises where ** would return a complex number, and
-        # returns the same float wherever ** returns one.
-        if self.op == "^":
-            return f"math.pow({self.left.pysrc()}, {self.right.pysrc()})"
-        return f"({self.left.pysrc()}{self.op}{self.right.pysrc()})"
 
 
 def _is_constant(e: Expr) -> bool:
@@ -536,7 +511,60 @@ def compile_expr(e: Expr):
     """
     # Keyed by the generated source: trees that differ only in the sign of
     # a zero constant compare equal, yet compute differently signed zeros.
-    return _compile_source(e.pysrc())
+    return _compile_source(_emit(e, _FLOAT_OPS))
+
+
+def compile_enclosure(e: Expr):
+    """Compile a tree to a callable enclosure(lo, hi), cached per tree.
+
+    It returns (lo', hi') such that, at every float x in [lo, hi], the
+    callable compile_expr(e) returns a float in [lo', hi'] and does not
+    raise; or None, "undecided", where it cannot prove that.  Every bound
+    is finite.  The enclosure is generated from the same tree walk as
+    compile_expr, with an interval operation in place of each float one.
+    """
+    return _compile_enclosure_source(_emit(e, _ENCLOSURE_OPS))
+
+
+def _emit(e, ops):
+    """Python source of one expression that computes tree e from x.
+
+    ops maps each node kind to a template of its operands' sources, and
+    "const" to a function of the constant's value.
+    """
+    if isinstance(e, Const):
+        return ops["const"](e.value)
+    if isinstance(e, NamedConst):
+        return ops["const"](NAMED_CONSTANTS[e.name])
+    if isinstance(e, Var):
+        return "x"
+    if isinstance(e, Neg):
+        return ops["neg"].format(_emit(e.arg, ops))
+    if isinstance(e, Call):
+        return ops[e.fn].format(_emit(e.arg, ops))
+    return ops[e.op].format(_emit(e.left, ops), _emit(e.right, ops))
+
+
+# One parenthesis per node, as in math.pow(u, v): see MAX_DEPTH.
+_FLOAT_OPS = {
+    "const": repr,
+    "neg": "(-{0})",
+    "+": "({0}+{1})",
+    "-": "({0}-{1})",
+    "*": "({0}*{1})",
+    "/": "({0}/{1})",
+    # math.pow raises where ** would return a complex number, and returns
+    # the same float wherever ** returns one.
+    "^": "math.pow({0}, {1})",
+    "sin": "math.sin({0})",
+    "cos": "math.cos({0})",
+    "tan": "math.tan({0})",
+    "exp": "math.exp({0})",
+    "ln": "math.log({0})",
+    "sqrt": "math.sqrt({0})",
+    "abs": "abs({0})",
+    "sign": "_sign({0})",
+}
 
 
 @lru_cache(maxsize=128)
@@ -561,5 +589,192 @@ def _compile_source(body: str):
         "EvalDomainError": EvalDomainError,
         "__builtins__": {},
     }
+    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
+    return namespace["f"]
+
+
+# ---------------------------------------------------------------------------
+# Enclosures (interval arithmetic, R. E. Moore, 1966)
+#
+# An enclosure is a pair (lo, hi) of finite floats holding the float that the
+# compiled function computes for that node, at every x in the input range.
+# IEEE + - * / round monotonically, so the float operation applied to the
+# bounds already bounds the float result at any point between them: those
+# rules need no widening.  sqrt is correctly rounded, hence monotone too.
+# The other math calls are within an ulp or so of the true value, so bounds
+# from them are widened by _SLACK ulps' worth.  A case without a sound rule
+# raises _Undecided, and the whole enclosure is None.
+
+_INF = math.inf
+_SLACK = 2.0**-46  # relative: 64 ulps at the bottom of a binade
+_TINY = 1e-300     # absolute: covers results near zero and subnormal ones
+_TRIG_LIMIT = 1e8  # |x| above which sin and cos get [-1, 1], tan undecided
+_TRIG_MARGIN = 1e-6  # periods; far above the rounding of (x - peak)/period
+
+
+class _Undecided(ArithmeticError):
+    """No rule proves an enclosure here."""
+
+
+def _undecided():
+    raise _Undecided
+
+
+def _checked(lo, hi):
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
+
+
+def _widened(lo, hi):
+    return _checked(lo - (abs(lo) * _SLACK + _TINY), hi + (abs(hi) * _SLACK + _TINY))
+
+
+def _enc_neg(u):
+    return -u[1], -u[0]
+
+
+def _enc_add(u, v):
+    return _checked(u[0] + v[0], u[1] + v[1])
+
+
+def _enc_sub(u, v):
+    return _checked(u[0] - v[1], u[1] - v[0])
+
+
+def _enc_mul(u, v):
+    (a, b), (c, d) = u, v
+    if a >= 0.0 and c >= 0.0:
+        return _checked(a * c, b * d)
+    p = (a * c, a * d, b * c, b * d)
+    return _checked(min(p), max(p))
+
+
+def _enc_div(u, v):
+    (a, b), (c, d) = u, v
+    if not (c > 0.0 or d < 0.0):
+        raise _Undecided  # the divisor may be 0
+    p = (a / c, a / d, b / c, b / d)
+    return _checked(min(p), max(p))
+
+
+def _enc_pow(u, v):
+    (a, b), (p, q) = u, v
+    positive = a > 0.0 or (a == 0.0 and p > 0.0)
+    if p != q:
+        if not positive:
+            raise _Undecided  # a varying power of a base that may be <= 0
+        # monotone in the base and in the exponent: the corners bound it
+        c = (math.pow(a, p), math.pow(a, q), math.pow(b, p), math.pow(b, q))
+        return _widened(min(c), max(c))
+    if p == 0.0:
+        return 1.0, 1.0
+    if not positive and (p != math.floor(p) or (p < 0.0 and b >= 0.0)):
+        raise _Undecided  # a fractional power of a base < 0, or 0 to a power < 0
+    ea, eb = math.pow(a, p), math.pow(b, p)
+    lo, hi = _widened(min(ea, eb), max(ea, eb))  # monotone on [a, b] ...
+    if a < 0.0 < b and p % 2.0 == 0.0:
+        lo = 0.0  # ... unless an even power spans 0
+    return lo, hi
+
+
+def _enc_trig(fn, peak, lo, hi):
+    """fn = sin or cos over [lo, hi], where fn peaks at peak + 2*k*pi."""
+    if hi - lo >= 2.0 * math.pi or lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
+        return -1.0, 1.0
+    # in periods from a peak; a peak or trough near the range counts as in it
+    t0 = (lo - peak) / (2.0 * math.pi) - _TRIG_MARGIN
+    t1 = (hi - peak) / (2.0 * math.pi) + _TRIG_MARGIN
+    has_peak = math.floor(t1) >= t0
+    has_trough = math.floor(t1 - 0.5) + 0.5 >= t0
+    if has_peak and has_trough:
+        return -1.0, 1.0
+    # monotone on [lo, hi], between extrema
+    ea, eb = fn(lo), fn(hi)
+    lo, hi = _widened(min(ea, eb), max(ea, eb))
+    return (-1.0 if has_trough else lo), (1.0 if has_peak else hi)
+
+
+def _enc_sin(u):
+    return _enc_trig(math.sin, 0.5 * math.pi, u[0], u[1])
+
+
+def _enc_cos(u):
+    return _enc_trig(math.cos, 0.0, u[0], u[1])
+
+
+def _enc_tan(u):
+    lo, hi = u
+    if lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
+        raise _Undecided
+    # poles at pi/2 + k*pi; increasing between them
+    t0 = (lo - 0.5 * math.pi) / math.pi - _TRIG_MARGIN
+    t1 = (hi - 0.5 * math.pi) / math.pi + _TRIG_MARGIN
+    if math.floor(t1) >= t0:
+        raise _Undecided
+    return _widened(math.tan(lo), math.tan(hi))
+
+
+def _enc_exp(u):
+    return _widened(math.exp(u[0]), math.exp(u[1]))
+
+
+def _enc_ln(u):
+    if not u[0] > 0.0:
+        raise _Undecided
+    return _widened(math.log(u[0]), math.log(u[1]))
+
+
+def _enc_sqrt(u):
+    if not u[0] >= 0.0:
+        raise _Undecided
+    return math.sqrt(u[0]), math.sqrt(u[1])
+
+
+def _enc_abs(u):
+    lo, hi = u
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _enc_sign(u):
+    return _sign(u[0]), _sign(u[1])  # sign is nondecreasing
+
+
+_ENCLOSURE_OPS = {
+    "const": lambda v: f"({v!r}, {v!r})" if math.isfinite(v) else "_undecided()",
+    "neg": "_enc_neg({0})",
+    "+": "_enc_add({0}, {1})",
+    "-": "_enc_sub({0}, {1})",
+    "*": "_enc_mul({0}, {1})",
+    "/": "_enc_div({0}, {1})",
+    "^": "_enc_pow({0}, {1})",
+    **{fn: f"_enc_{fn}({{0}})" for fn in FUNCTION_NAMES},
+}
+
+
+@lru_cache(maxsize=128)
+def _compile_enclosure_source(body: str):
+    src = (
+        "def f(lo, hi):\n"
+        "    if not -inf < lo <= hi < inf:\n"
+        "        return None\n"
+        "    x = (lo, hi)\n"
+        "    try:\n"
+        f"        return {body}\n"
+        "    except (ArithmeticError, ValueError):\n"
+        "        return None\n"
+    )
+    namespace = {name: value for name, value in globals().items() if name.startswith("_enc_")}
+    namespace.update(
+        inf=math.inf,
+        _undecided=_undecided,
+        ArithmeticError=ArithmeticError,
+        ValueError=ValueError,
+        __builtins__={},
+    )
     exec(src, namespace)  # noqa: S102 - source is generated from our own AST
     return namespace["f"]

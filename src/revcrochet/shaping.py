@@ -25,12 +25,17 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .calculus import LandmarkPlan, PatternSpec, round_half_away
+from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, round_half_away
 from .expression import compile_expr
 
 OP_NONE = "none"
 OP_INCREASE = "increase"
 OP_DECREASE = "decrease"
+
+# Most stitches, summed over all rows, that shape_rows lays out.  A row's
+# k-shift search costs up to about a microsecond per stitch, so the largest
+# pattern shapes in seconds; the running example at scale 30 has 14.3 million.
+MAX_STITCHES = 16_000_000
 
 
 class RowShaping(
@@ -153,8 +158,14 @@ def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
     either end (the surface closes to a point there) is dropped here; the
     cast-on or the closing instruction takes its place.  Each shaped row is
     optimized against the most recent row that actually had shaping ops.
+    A pattern of more than MAX_STITCHES stitches raises SpecValidationError.
     """
     counts = row_counts(spec, plan)
+    if sum(counts) > MAX_STITCHES:
+        raise SpecValidationError(
+            f"the pattern would have more than {MAX_STITCHES} stitches; "
+            "lower the scale or the stitch gauge"
+        )
     start = 1 if counts[0] == 0 and len(counts) > 1 else 0
     end = len(counts) - 1 if counts[-1] == 0 and len(counts) - 1 > start else len(counts)
 

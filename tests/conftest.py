@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 from revcrochet import PatternSpec, build_plan, parse, render_pattern, shape_rows
-from revcrochet.calculus import LANDMARK_XTOL, _arc_integrand, adaptive_simpson, round_landmark
+from revcrochet.calculus import (
+    EXTREMUM_DEDUPE,
+    EXTREMUM_GRID,
+    LANDMARK_XTOL,
+    VALIDATION_GRID,
+    SpecValidationError,
+    _arc_integrand,
+    _bisect_sign_change,
+    _fprime,
+    adaptive_simpson,
+    round_landmark,
+)
 from revcrochet.expression import (
     NAMED_CONSTANTS,
     Binary,
@@ -17,6 +28,7 @@ from revcrochet.expression import (
     NamedConst,
     Neg,
     Var,
+    compile_expr,
 )
 from revcrochet.shaping import _shift_keys
 
@@ -306,6 +318,81 @@ def reference_landmarks(spec, seg):
         xs.append(round_landmark(0.5 * (xl + xr)))
     xs.append(seg.hi)
     return xs
+
+
+# --- grid scan oracles --------------------------------------------------------
+# Every grid point evaluated, in order; validate and find_extrema skip the
+# blocks that enclosures decide, and must raise the same error or return
+# the same floats.
+
+def reference_validate(spec):
+    """PatternSpec.validate's grid scan, without the argument checks."""
+    f = compile_expr(spec.func)
+    fp = _fprime(spec.func)
+    a, n = spec.a, VALIDATION_GRID
+    step = (spec.b - a) / n
+    for i in range(n + 1):
+        x = a + i * step
+        try:
+            y = f(x)
+        except EvalDomainError as exc:
+            raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+        if not math.isfinite(y):
+            raise SpecValidationError(f"f is not finite at x={x!r}")
+        if y < 0:
+            raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
+        if y == 0 and 0 < i < n:
+            raise SpecValidationError(f"f must be positive on the open interval; f({x!r}) = 0")
+        try:
+            dy = fp(x)
+        except EvalDomainError as exc:
+            raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
+        if not math.isfinite(dy):
+            raise SpecValidationError(f"f' is not finite at x={x!r}")
+
+
+def reference_extrema(spec):
+    """find_extrema with f' evaluated at every grid point."""
+    fp = _fprime(spec.func)
+    a, n = spec.a, EXTREMUM_GRID
+    step = (spec.b - a) / n
+
+    def deriv(x):
+        try:
+            v = fp(x)
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+        if not math.isfinite(v):
+            raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
+        return v
+
+    roots = []
+    last_x, last_sign = None, 0
+    for i in range(n + 1):
+        x = a + i * step
+        v = deriv(x)
+        s = (v > 0) - (v < 0)
+        if s == 0:
+            continue
+        if last_sign != 0 and s != last_sign:
+            roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
+        last_x, last_sign = x, s
+    merged = []
+    for r in roots:
+        if merged and r - merged[-1] <= EXTREMUM_DEDUPE:
+            continue
+        if r - spec.a <= EXTREMUM_DEDUPE or spec.b - r <= EXTREMUM_DEDUPE:
+            continue
+        merged.append(r)
+    return merged
+
+
+def outcome(fn, *args):
+    """fn's return value, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
 
 
 def random_valid_spec(rng: random.Random):

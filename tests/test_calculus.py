@@ -33,8 +33,11 @@ from conftest import (
     RUNNING_TEXT,
     SEGMENT_ROW_COUNTS,
     SEGMENT_ROW_LENGTHS,
+    outcome,
     random_valid_spec,
+    reference_extrema,
     reference_landmarks,
+    reference_validate,
 )
 
 
@@ -92,6 +95,58 @@ class TestValidation:
             PatternSpec(parse("x + 1"), 0.0, 1.0, 0, 25, 0.18).validate()
         with pytest.raises(SpecValidationError, match="scale"):
             PatternSpec(parse("x + 1"), 0.0, 1.0, 22, 25, -0.5).validate()
+
+
+BIG = "1" + "0" * 200
+
+# Every spec this file expects the grid scan to reject, with a few that pass.
+SCAN_CASES = [
+    ("x - 10", 0.0, 1.0),
+    ("x^2", -1.0, 1.0),
+    ("sin(x)", 0.0, math.pi),
+    ("sqrt(x)", 0.0, 1.0),
+    ("1/x^2", -1.0, 1.0),
+    (f"{BIG}*({BIG}*x) + 1", 0.0, 1.0),
+    ("2 + (abs(x-0.5) - 0.0001)^1.5", 0.0, 1.0003),
+    ("2 + sin((x - 0.5)^1.5)", 0.0, 1.0),
+    ("1 + 0.5*tan(2*x)", -1.0, 1.0),
+    ("2 + 0.5*sign(x - 0.3)", 0.0, 1.0),
+    ("1.5 + ln(x + 0.2)", 0.0, 2.0),
+    ("2 + 1/(x - 0.25)", 0.0, 1.0),
+    ("2 + sin(20*x)", 0.0, 10.0),
+    ("3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2", -4.0, 4.0),
+    (RUNNING_TEXT, -3.0, 1.0),
+]
+
+
+class TestCertifiedScans:
+    """validate and find_extrema against the scans of every grid point."""
+
+    @pytest.mark.parametrize("text, a, b", SCAN_CASES)
+    def test_listed_specs_match_the_point_by_point_scans(self, text, a, b):
+        spec = make_spec(text, a, b)
+        assert outcome(spec.validate) == outcome(reference_validate, spec)
+        assert outcome(find_extrema, spec) == outcome(reference_extrema, spec)
+
+    def test_seeded_specs_match_the_point_by_point_scans(self):
+        rng = random.Random(77)
+        for _ in range(25):
+            spec = random_valid_spec(rng)
+            assert outcome(spec.validate) == outcome(reference_validate, spec) is None
+            assert find_extrema(spec) == reference_extrema(spec)
+
+    def test_running_example_extrema_skip_most_points(self, running_spec, monkeypatch):
+        fp = calculus._fprime(running_spec.func)
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fp(x)
+
+        monkeypatch.setattr(calculus, "_fprime", lambda func: counted)
+        assert find_extrema(running_spec) == reference_extrema(running_spec)
+        assert calls <= 1000  # 4,137 with every grid point, bisection included
 
 
 class TestArclength:
@@ -324,6 +379,7 @@ class TestBuildPlan:
             return tree.derivative()
 
         monkeypatch.setattr(calculus, "differentiate", differentiate)
+        calculus._derivative.cache_clear()
         calculus._fprime.cache_clear()
         calculus._arc_integrand.cache_clear()
         spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
@@ -332,6 +388,7 @@ class TestBuildPlan:
 
     def test_f_is_compiled_once_per_spec(self):
         expression._compile_source.cache_clear()
+        calculus._derivative.cache_clear()
         calculus._fprime.cache_clear()
         calculus._arc_integrand.cache_clear()
         spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)

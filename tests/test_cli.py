@@ -142,6 +142,45 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "revcrochet: f' undefined at x=-0.7069\n"
 
+    @pytest.mark.parametrize("function, a, b, fmt", [
+        # the point is the second plot sample, between validation samples
+        ("2 + 0*ln(abs(x - 0.0019569471624266144))", "0", "1", "svg"),
+        # the point is a rounded landmark, where a stitch count is taken
+        ("2 + 0*ln(abs(x - 0.5))", "0", "1.0003", "text"),
+    ])
+    def test_f_undefined_past_validation_is_named(self, capsys, function, a, b, fmt):
+        code = run(["--function", function, "--a", a, "--b", b, "--stitch-gauge", "20",
+                    "--row-gauge", "20", "--scale", "2", "--no-extrema", "--format", fmt])
+        assert code == 2
+        point = function.split("x - ")[1].rstrip("))")
+        assert capsys.readouterr().err == f"revcrochet: f is undefined at x={point}\n"
+
+    @pytest.mark.parametrize("b, scale", [("1", "1e300"), ("1", "1e308"), ("1e6", "1")])
+    def test_too_many_rows_exits_2_at_once(self, capsys, b, scale):
+        # 1e300 ran without end, and 1e308 overflowed rows_per_unit to inf
+        code = run(["--function", "2", "--a", "0", "--b", b,
+                    "--stitch-gauge", "20", "--row-gauge", "25", "--scale", scale])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+
+    def test_too_many_stitches_exits_2(self, capsys):
+        code = run(["--function", "2000", "--a", "0", "--b", "1",
+                    "--stitch-gauge", "1000", "--row-gauge", "4", "--scale", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 16000000 stitches; "
+            "lower the scale or the stitch gauge\n"
+        )
+
+    def test_running_example_at_scale_30_is_within_the_caps(self, capsys):
+        args = RUNNING_ARGS[:-1] + ["30"]
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert out.count("\nRow ") == 2694
+
     @pytest.mark.parametrize("function", [
         "(" * 1500 + "x + 1" + ")" * 1500,
         "(" + "+".join(["x"] * 300) + ")/300 + 1",

@@ -8,11 +8,13 @@ from revcrochet.expression import (
     Call,
     Const,
     EvalDomainError,
+    ExpressionError,
     MAX_DEPTH,
     NamedConst,
     Neg,
     ParseError,
     Var,
+    compile_enclosure,
     compile_expr,
     differentiate,
     evaluate,
@@ -101,6 +103,7 @@ class TestDepthLimit:
         assert parse(render(tree)) == tree
         for e in (tree, deriv):
             assert same_float(compile_expr(e)(0.5), reference_evaluate(e, 0.5))
+            assert compile_enclosure(e)(0.5, 0.5) is not None
             assert isinstance(hash(e), int)
 
     @pytest.mark.parametrize("kind", ["sum", "product", "power", "pow_left", "call"])
@@ -164,6 +167,12 @@ class TestEvaluate:
         assert d == Const(math.inf)
         assert evaluate(d, 0.0) == math.inf
         assert math.isnan(evaluate(Binary("+", d, Neg(d)), 0.0))
+
+    def test_non_finite_constant_does_not_render(self):
+        big = "1" + "0" * 200
+        d = differentiate(parse(f"{big}*({big}*x)"))
+        with pytest.raises(ExpressionError, match=r"^cannot render the non-finite constant inf$"):
+            render(d)
 
     def test_signed_zero_constants_compile_apart(self):
         # Const(0.0) == Const(-0.0), yet x*0 and x*-0 differ in sign at x=1
