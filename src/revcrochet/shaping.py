@@ -66,10 +66,21 @@ def stitch_count(spec: PatternSpec, x: float) -> int:
 
 
 def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
-    """Stitch count at every landmark of the plan, in order."""
+    """Stitch count at every landmark of the plan, in order.
+
+    More than MAX_STITCHES stitches in all raises SpecValidationError.
+    """
     f = compile_expr(spec.func)
     factor = 2.0 * math.pi * spec.stitches_per_unit
-    return [round_half_away(factor * f(x)) for x in plan.landmarks]
+    sizes = [factor * f(x) for x in plan.landmarks]
+    # inf and nan, which round_half_away cannot take, are not <= MAX_STITCHES
+    counts = [round_half_away(size) for size in sizes if size <= MAX_STITCHES]
+    if len(counts) < len(sizes) or sum(counts) > MAX_STITCHES:
+        raise SpecValidationError(
+            f"the pattern would have more than {MAX_STITCHES} stitches; "
+            "lower the scale or the stitch gauge"
+        )
+    return counts
 
 
 def _nearest_table(ref_positions: Sequence[int], ref_denom: int, low: int) -> list[int]:
@@ -161,11 +172,6 @@ def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
     A pattern of more than MAX_STITCHES stitches raises SpecValidationError.
     """
     counts = row_counts(spec, plan)
-    if sum(counts) > MAX_STITCHES:
-        raise SpecValidationError(
-            f"the pattern would have more than {MAX_STITCHES} stitches; "
-            "lower the scale or the stitch gauge"
-        )
     start = 1 if counts[0] == 0 and len(counts) > 1 else 0
     end = len(counts) - 1 if counts[-1] == 0 and len(counts) - 1 > start else len(counts)
 

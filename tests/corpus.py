@@ -8,7 +8,6 @@ and re-recording prints how many moved, per class and per exit-code
 transition.
 
     PYTHONPATH=src python tests/corpus.py                    # check every spec
-    PYTHONPATH=src python tests/corpus.py --fast             # the tier-1 subset
     PYTHONPATH=src python tests/corpus.py --record "REASON"  # re-record
 
 `--record` needs the bug fix that justifies it; the reason and the change
@@ -185,10 +184,9 @@ def compare(expected, got):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--fast", action="store_true", help="only the tier-1 subset")
     p.add_argument("--record", metavar="REASON", help="re-record, for this stated bug fix")
     args = p.parse_args(argv)
-    todo = fast_specs() if args.fast and not args.record else specs()
+    todo = specs()
     got = {sid: result_line(sid, cls, a, run_spec(a)) for sid, cls, a in todo}
     header, expected = read_expected() if EXPECTED.exists() else ([], {})
     changed, per_class, transitions = compare(expected, got)

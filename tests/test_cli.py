@@ -166,9 +166,14 @@ class TestRun:
             "lower the scale or the row gauge\n"
         )
 
-    def test_too_many_stitches_exits_2(self, capsys):
-        code = run(["--function", "2000", "--a", "0", "--b", "1",
-                    "--stitch-gauge", "1000", "--row-gauge", "4", "--scale", "5"])
+    @pytest.mark.parametrize("function, stitch_gauge, row_gauge, scale", [
+        ("2000", "1000", "4", "5"),
+        # finite f, but every stitch count overflows to inf before rounding
+        ("1" + "0" * 307, "20", "25", "1"),
+    ])
+    def test_too_many_stitches_exits_2(self, capsys, function, stitch_gauge, row_gauge, scale):
+        code = run(["--function", function, "--a", "0", "--b", "1", "--stitch-gauge",
+                    stitch_gauge, "--row-gauge", row_gauge, "--scale", scale])
         assert code == 2
         assert capsys.readouterr().err == (
             "revcrochet: the pattern would have more than 16000000 stitches; "
