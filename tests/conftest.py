@@ -30,7 +30,7 @@ from revcrochet.expression import (
     Var,
     compile_expr,
 )
-from revcrochet.shaping import _shift_keys
+from revcrochet.shaping import _nearest_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -157,11 +157,28 @@ def ratio_set(positions, denom):
     return tuple(Fraction(p, denom) for p in positions)
 
 
+def _shift_keys(ref_positions, ref_denom, low, n_ops):
+    """Integer (min, sum) nearest-distance key of every shift k = 1 .. q+r.
+
+    The exhaustive scan that shaping's branch-and-bound search must agree
+    with.  Dividing min by ref_denom*low gives d1, and sum by
+    n_ops*ref_denom*low gives d2, so comparing keys compares (d1, d2) exactly.
+    """
+    q, r = divmod(low, n_ops)
+    table = _nearest_table(ref_positions, ref_denom, low)
+    stop = q * n_ops
+    keys = []
+    for k in range(1, q + r + 1):
+        dists = table[k : k + stop : q]
+        keys.append((min(dists), sum(dists)))
+    return keys
+
+
 def placement_candidates(prev_positions, prev_denom, s_prev, s_cur):
     """All k-shift candidates with the kernel's d1/d2 against the reference row.
 
     Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order, with
-    d1 and d2 as Fractions read off shaping._shift_keys.
+    d1 and d2 as Fractions read off _shift_keys.
     """
     n_ops = abs(s_cur - s_prev)
     low = min(s_prev, s_cur)

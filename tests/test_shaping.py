@@ -14,9 +14,13 @@ from revcrochet import (
     stitch_count,
 )
 
+from revcrochet import shaping
+
 from conftest import (
     EXTREMUM_LO,
+    RUNNING_TEXT,
     TABLE_STITCHES,
+    _shift_keys,
     brute_force_placement,
     circular_distance,
     d1,
@@ -297,6 +301,95 @@ class TestKernelMatchesOracle:
     def test_candidates_need_a_reference(self):
         with pytest.raises(ValueError):
             placement_candidates((), 1, 24, 29)
+
+
+def exhaustive_k(prev, prev_denom, s_prev, s_cur):
+    """The earliest k with the largest key when every shift is scored."""
+    keys = _shift_keys(prev, prev_denom, min(s_prev, s_cur), abs(s_cur - s_prev))
+    return keys.index(max(keys)) + 1
+
+
+class TestBranchAndBound:
+    """The pruned search picks the k the exhaustive scorer does, on every row."""
+
+    @staticmethod
+    def check(prev, prev_denom, s_prev, s_cur):
+        row = optimize_placement(prev, prev_denom, s_prev, s_cur)
+        assert row.k == exhaustive_k(prev, prev_denom, s_prev, s_cur)
+        return row
+
+    @staticmethod
+    def draw_row(rng):
+        """(s_prev, s_cur) of a workable row with low up to a few thousand."""
+        while True:
+            low = rng.choice((rng.randint(1, 60), rng.randint(60, 4000)))
+            n_ops = rng.choice((1, low, rng.randint(1, max(1, low // 20)), rng.randint(1, low)))
+            if rng.random() < 0.5:
+                return low, low + n_ops
+            if n_ops < low:
+                return low + n_ops, low
+
+    def test_matches_exhaustive_on_random_subset_references(self):
+        rng = random.Random(808)
+        for _ in range(250):
+            s_prev, s_cur = self.draw_row(rng)
+            prev_denom = rng.randint(1, 4000)
+            size = rng.randint(1, min(prev_denom, rng.choice((8, 200))))
+            prev = tuple(sorted(rng.sample(range(1, prev_denom + 1), size)))
+            self.check(prev, prev_denom, s_prev, s_cur)
+
+    def test_matches_exhaustive_on_remainder_layouts(self):
+        # references laid out by the remainder method, as shape_rows makes them
+        rng = random.Random(809)
+        for _ in range(250):
+            s_prev, s_cur = self.draw_row(rng)
+            prev_denom = rng.randint(1, 4000)
+            ref_ops = rng.randint(1, prev_denom)
+            q, r = divmod(prev_denom, ref_ops)
+            k = rng.randint(1, q + r)
+            self.check(tuple(range(k, k + q * ref_ops, q)), prev_denom, s_prev, s_cur)
+
+    def test_edge_shapes(self):
+        cases = [
+            ((3, 7), 9, 40, 41),                    # n_ops = 1
+            ((3, 7), 9, 41, 40),
+            ((5,), 5, 1000, 1001),                  # n_ops = 1, reference at D
+            ((2, 5), 7, 9, 18),                     # n_ops = low: q = 1, r = 0
+            ((1, 4, 9), 11, 2000, 3999),            # q = 1, r > 0
+            ((7, 12), 12, 48, 55),                  # r > 0, reference at D
+            (tuple(range(1, 41)), 40, 20, 27),      # every entry of the table is 0
+            ((1, 2, 3, 4, 5, 6), 6, 6, 9),          # all shifts tie at (0, 0)
+            ((1,), 3, 3, 4),                        # k = 2 and k = 3 tie
+            ((1, 3), 4, 4, 6),                      # symmetric reference: ties
+        ]
+        for case in cases:
+            self.check(*case)
+        assert optimize_placement((1, 2, 3, 4, 5, 6), 6, 6, 9).k == 1
+        assert optimize_placement(tuple(range(1, 41)), 40, 20, 27).k == 1
+
+    def test_single_candidate_builds_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a row with q + r == 1 has nothing to search")
+
+        monkeypatch.setattr(shaping, "_nearest_table", no_table)
+        row = optimize_placement((2, 5), 7, 9, 18)
+        assert (row.q, row.r, row.k) == (1, 0, 1)
+        assert row.positions == tuple(range(1, 10))
+
+    def test_running_example_at_scale_9_matches_exhaustive(self):
+        spec = PatternSpec(parse(RUNNING_TEXT), -3.0, 1.0, 22, 25, 9.0, RUNNING_TEXT)
+        plan = build_plan(spec)
+        assert plan.total_rows == 808
+        rows = shape_rows(spec, plan)
+        ref, ref_denom, searched = (), 1, 0
+        for prev, row in zip(rows, rows[1:]):
+            if not row.positions:
+                continue
+            if ref:
+                assert row.k == exhaustive_k(ref, ref_denom, prev.stitches, row.stitches)
+                searched += 1
+            ref, ref_denom = row.positions, min(prev.stitches, row.stitches)
+        assert searched > 300
 
 
 class TestCandidates:
