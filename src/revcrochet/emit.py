@@ -201,36 +201,13 @@ def doc_from_json(text: str) -> PatternDoc:
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
     rows = tuple(
-        PatternRow(
-            row=r["row"],
-            x=r["x"],
-            stitches=r["stitches"],
-            op=r["op"],
-            n_ops=r["n_ops"],
-            q=r["q"],
-            r=r["r"],
-            k=r["k"],
-            positions=tuple(r["positions"]),
-            instruction=r["instruction"],
-        )
+        PatternRow._make(tuple(r[f]) if f == "positions" else r[f] for f in PatternRow._fields)
         for r in obj["rows"]
     )
-    return PatternDoc(
-        function=obj["function"],
-        a=obj["a"],
-        b=obj["b"],
-        stitch_gauge=obj["stitch_gauge"],
-        row_gauge=obj["row_gauge"],
-        scale=obj["scale"],
-        prioritize_extrema=obj["prioritize_extrema"],
-        total_rows=obj["total_rows"],
-        closed_start=obj["closed_start"],
-        closed_end=obj["closed_end"],
-        stuffed=obj["stuffed"],
-        warnings=tuple(obj["warnings"]),
-        landmarks=tuple(obj["landmarks"]),
-        rows=rows,
-        finishing=tuple(obj["finishing"]),
+    lists = ("warnings", "landmarks", "finishing")
+    return PatternDoc._make(
+        rows if f == "rows" else tuple(obj[f]) if f in lists else obj[f]
+        for f in PatternDoc._fields
     )
 
 

@@ -16,10 +16,8 @@ table per row holds, for each m in 0..low-1, the circular distance (in
 units of 1/(D*low)) from m/low to the nearest reference ratio, filled gap
 by gap between the sorted reference ratios.  A shift k then scores the
 integer key (min, sum) of its n table entries, which orders candidates
-exactly as (d1, d2) does.  Only the shifts that can still win are scored
-(see _best_shift), so a row costs O(low + |ref|*log|ref| + s*n), where
-s <= q+r counts the shifts whose first op is no nearer than a floor; a
-row with a single shift (q + r == 1) builds no table.
+exactly as (d1, d2) does.  _best_shift scores only the s <= q+r shifts
+that can still win, so a row costs O(low + |ref|*log|ref| + s*n).
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ OP_NONE = "none"
 OP_INCREASE = "increase"
 OP_DECREASE = "decrease"
 
-# Most stitches, summed over all rows, that shape_rows lays out.  Shaping
-# costs up to about 0.1 microseconds per stitch (CPython 3.11, 2-vCPU VM), so
-# the largest pattern shapes in about a second: a 1,700-row cone at 15.1
-# million stitches in 0.5 s.  The running example at scale 30 has 14.3 million.
+# Most stitches, summed over all rows, that shape_rows lays out.  Shaping costs
+# up to about 0.1 us per stitch (CPython 3.11, 2-vCPU VM): a 1,700-row cone of
+# 15.1 million shapes in 0.5 s; the running example at scale 30 has 14.3 million.
 MAX_STITCHES = 16_000_000
 
 
@@ -100,20 +97,12 @@ def _nearest_table(ref_positions: Sequence[int], ref_denom: int, low: int) -> li
     modulus = ref_denom * low
     ref = sorted({p * low % modulus for p in ref_positions})
     points = [ref[-1] - modulus, *ref, ref[0] + modulus]
-    table = []
-    start = 0
+    table, start = [], 0  # each gap starts where the one before it stopped
     for a, b in zip(points, points[1:]):
-        # m in [start, stop) has a <= m*ref_denom < b; below mid, a is nearer.
-        # Only the last gap's stop needs clipping, and the next gap starts
-        # where this one stops.  (Conditionals: min/max calls cost more.)
-        stop = -(-b // ref_denom)
-        if stop > low:
-            stop = low
+        # m in [start, stop) has a <= m*ref_denom < b; below mid, a is nearer
+        stop = min(low, -(-b // ref_denom))
         mid = (a + b) // (2 * ref_denom) + 1
-        if mid < start:
-            mid = start
-        elif mid > stop:
-            mid = stop
+        mid = start if mid < start else stop if mid > stop else mid
         table += range(start * ref_denom - a, mid * ref_denom - a, ref_denom)
         table += range(b - mid * ref_denom, b - stop * ref_denom, -ref_denom)
         start = stop
@@ -170,8 +159,7 @@ def optimize_placement(
     k = 1
     if prev_positions and q + r > 1:
         k = _best_shift(_nearest_table(prev_positions, prev_denom, low), q, r, n_ops)
-    positions = tuple(range(k, k + q * n_ops, q))
-    return RowShaping(index, x, s_cur, op, n_ops, q, r, k, positions)
+    return RowShaping(index, x, s_cur, op, n_ops, q, r, k, tuple(range(k, k + q * n_ops, q)))
 
 
 def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
