@@ -130,20 +130,21 @@ class PatternSpec(
                     raise SpecValidationError(f"f is undefined at x={x!r}") from exc
                 if not math.isfinite(y):
                     raise SpecValidationError(f"f is not finite at x={x!r}")
-                if y < 0:
-                    raise SpecValidationError(
-                        f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}"
-                    )
-                if y == 0 and 0 < i < n:
-                    raise SpecValidationError(
-                        f"f must be positive on the open interval; f({x!r}) = 0"
-                    )
+                check_sign(x, y, 0 < i < n)
                 try:
                     dy = fp(x)
                 except EvalDomainError as exc:
                     raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
                 if not math.isfinite(dy):
                     raise SpecValidationError(f"f' is not finite at x={x!r}")
+
+
+def check_sign(x: float, y: float, interior: bool) -> None:
+    """Raise SpecValidationError if f(x) = y < 0, or y = 0 at an interior x."""
+    if y < 0:
+        raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
+    if y == 0 and interior:
+        raise SpecValidationError(f"f must be positive on the open interval; f({x!r}) = 0")
 
 
 class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
@@ -348,8 +349,9 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
 
     Interior landmark i satisfies rows(seg.lo, x_i) = i * L / row_count,
     with the arclength always accumulated from seg.lo; each is found by
-    bisection (the accumulated arclength is strictly increasing) and then
-    rounded to two decimals.  The segment endpoints are returned unrounded.
+    bisection (the accumulated arclength is strictly increasing), rounded
+    to two decimals and clamped into [a, b], which rounding can leave where
+    a or b is off the 0.01 grid.  The segment endpoints stay unrounded.
 
     A bisection step whose outcome the lower bound "arclength >= width"
     already decides moves the right bracket without running the quadrature,
@@ -382,7 +384,7 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
                 xl, al = mid, amid
             else:
                 xr = mid
-        xs.append(round_landmark(0.5 * (xl + xr)))
+        xs.append(min(max(round_landmark(0.5 * (xl + xr)), spec.a), spec.b))
     xs.append(seg.hi)
     return xs
 

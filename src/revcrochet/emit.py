@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .calculus import LandmarkPlan, PatternSpec
 from .expression import compile_expr
-from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping, stitch_count
+from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping, landmark_heights, stitch_count
 
 SCHEMA_VERSION = 1
 SVG_SAMPLES = 512
@@ -226,7 +226,7 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     a, b, n = spec.a, spec.b, SVG_SAMPLES
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
     ys = [f(x) for x in xs]
-    marks = [(x, f(x)) for x in plan.landmarks]
+    marks = list(zip(plan.landmarks, landmark_heights(spec, plan)))
 
     ymin, ymax = min(ys), max(ys)
     pad_x = 0.05 * (spec.b - spec.a)

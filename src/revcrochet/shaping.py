@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, round_half_away
+from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_sign, round_half_away
 from .expression import compile_expr
 
 OP_NONE = "none"
@@ -66,14 +66,31 @@ def stitch_count(spec: PatternSpec, x: float) -> int:
     return round_half_away(2.0 * math.pi * spec.stitches_per_unit * y)
 
 
+def landmark_heights(spec: PatternSpec, plan: LandmarkPlan) -> list[float]:
+    """f at every landmark, checked as validate checks its grid points.
+
+    A rounded landmark can fall between those points.  A plan whose widest
+    row has 0 stitches raises SpecValidationError too.
+    """
+    f = compile_expr(spec.func)
+    heights = [f(x) for x in plan.landmarks]
+    for x, y in zip(plan.landmarks, heights):
+        check_sign(x, y, spec.a < x < spec.b)
+    widest = 2.0 * math.pi * spec.stitches_per_unit * max(heights)
+    if widest < 1 and round_half_away(widest) == 0:
+        raise SpecValidationError(
+            "every row would have 0 stitches; raise the scale or the stitch gauge"
+        )
+    return heights
+
+
 def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
     """Stitch count at every landmark of the plan, in order.
 
-    More than MAX_STITCHES stitches in all raises SpecValidationError.
+    Checks as landmark_heights; over MAX_STITCHES in all raises SpecValidationError.
     """
-    f = compile_expr(spec.func)
     factor = 2.0 * math.pi * spec.stitches_per_unit
-    sizes = [factor * f(x) for x in plan.landmarks]
+    sizes = [factor * y for y in landmark_heights(spec, plan)]
     # inf and nan, which round_half_away cannot take, are not <= MAX_STITCHES
     counts = [round_half_away(size) for size in sizes if size <= MAX_STITCHES]
     if len(counts) < len(sizes) or sum(counts) > MAX_STITCHES:
@@ -172,8 +189,9 @@ def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
     A pattern of more than MAX_STITCHES stitches raises SpecValidationError.
     """
     counts = row_counts(spec, plan)
-    start = 1 if counts[0] == 0 and len(counts) > 1 else 0
-    end = len(counts) - 1 if counts[-1] == 0 and len(counts) - 1 > start else len(counts)
+    # landmark_heights refuses a plan whose every row has 0 stitches
+    start = 1 if counts[0] == 0 else 0
+    end = len(counts) - 1 if counts[-1] == 0 else len(counts)
 
     xs = plan.landmarks[start:end]
     counts = counts[start:end]

@@ -180,6 +180,45 @@ class TestRun:
             "lower the scale or the stitch gauge\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    @pytest.mark.parametrize("function, message", [
+        # f dips below 0 between validation samples, and landmarks round into the dip
+        ("1 - 2*exp(-((x-0.3)*10000)^2)", "f must be nonnegative on [a, b]; f(0.3) = -1.0"),
+        ("1 - exp(-((x-0.3)*10000)^2)", "f must be positive on the open interval; f(0.3) = 0"),
+    ])
+    def test_landmark_where_f_is_not_positive_exits_2(self, capsys, function, message, fmt):
+        code = run(["--function", function, "--a", "0", "--b", "1", "--stitch-gauge", "20",
+                    "--row-gauge", "25", "--scale", "1", "--format", fmt])
+        assert code == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"revcrochet: {message}\n")
+
+    @pytest.mark.parametrize("args", [
+        # a = 0.004 is off the 0.01 grid, and f is undefined at 0.0
+        ["--function", "10 + ln(x - 0.0039)", "--a", "0.004", "--b", "1", "--stitch-gauge",
+         "20", "--row-gauge", "25", "--scale", "2"],
+        # b = 3.159: the last rows rounded to 3.16
+        ["--function", "0.9332*(x - 0.7121)^2*(x^2 + 0.7861) + 0.5141", "--a", "0.292",
+         "--b", "3.159", "--stitch-gauge", "11", "--row-gauge", "25", "--scale", "0.734",
+         "--no-extrema"],
+    ])
+    def test_rounded_landmarks_stay_in_the_interval(self, capsys, args):
+        assert run(args + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(doc["a"] <= x <= doc["b"] for x in doc["landmarks"])
+        assert all(doc["a"] <= row["x"] <= doc["b"] for row in doc["rows"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    def test_pattern_of_zero_stitch_rows_exits_2(self, capsys, fmt):
+        code = run(["--function", "0.001", "--a", "0", "--b", "1", "--stitch-gauge", "22",
+                    "--row-gauge", "25", "--scale", "1", "--format", fmt])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "revcrochet: every row would have 0 stitches; raise the scale or the stitch gauge\n"
+        )
+
     def test_running_example_at_scale_30_is_within_the_caps(self, capsys):
         args = RUNNING_ARGS[:-1] + ["30"]
         assert run(args) == 0
