@@ -130,7 +130,8 @@ class PatternSpec(
                     raise SpecValidationError(f"f is undefined at x={x!r}") from exc
                 if not math.isfinite(y):
                     raise SpecValidationError(f"f is not finite at x={x!r}")
-                check_sign(x, y, 0 < i < n)
+                if y <= 0:
+                    check_sign(x, y, 0 < i < n)
                 try:
                     dy = fp(x)
                 except EvalDomainError as exc:
@@ -360,7 +361,7 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     arclength and landmark is the same float as with a quadrature per step.
     """
     g = _arc_integrand(spec.func)
-    factor = spec.rows_per_unit
+    factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its accumulated arclength in rows
     for i in range(1, seg.row_count):
@@ -384,7 +385,8 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
                 xl, al = mid, amid
             else:
                 xr = mid
-        xs.append(min(max(round_landmark(0.5 * (xl + xr)), spec.a), spec.b))
+        x = round_landmark(0.5 * (xl + xr))
+        xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
 
