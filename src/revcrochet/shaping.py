@@ -35,7 +35,7 @@ OP_DECREASE = "decrease"
 
 # Most stitches, summed over all rows, that shape_rows lays out.  Shaping costs
 # up to about 0.1 us per stitch (CPython 3.11, 2-vCPU VM): a 1,700-row cone of
-# 15.1 million shapes in 0.5 s; the running example at scale 30 has 14.3 million.
+# 15.1 million shapes in 0.6 s; the running example at scale 30 has 14.3 million.
 MAX_STITCHES = 16_000_000
 
 

@@ -157,7 +157,7 @@ def ratio_set(positions, denom):
     return tuple(Fraction(p, denom) for p in positions)
 
 
-def _shift_keys(ref_positions, ref_denom, low, n_ops):
+def shift_keys(ref_positions, ref_denom, low, n_ops):
     """Integer (min, sum) nearest-distance key of every shift k = 1 .. q+r.
 
     The exhaustive scan that shaping's branch-and-bound search must agree
@@ -178,7 +178,7 @@ def placement_candidates(prev_positions, prev_denom, s_prev, s_cur):
     """All k-shift candidates with the kernel's d1/d2 against the reference row.
 
     Returns (k, positions, d1, d2) tuples for k = 1 .. q+r, in k order, with
-    d1 and d2 as Fractions read off _shift_keys.
+    d1 and d2 as Fractions read off shift_keys.
     """
     n_ops = abs(s_cur - s_prev)
     low = min(s_prev, s_cur)
@@ -195,7 +195,7 @@ def placement_candidates(prev_positions, prev_denom, s_prev, s_cur):
             Fraction(lo, modulus),
             Fraction(total, n_ops * modulus),
         )
-        for k, (lo, total) in enumerate(_shift_keys(prev_positions, prev_denom, low, n_ops), 1)
+        for k, (lo, total) in enumerate(shift_keys(prev_positions, prev_denom, low, n_ops), 1)
     ]
 
 

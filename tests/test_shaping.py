@@ -11,22 +11,21 @@ from revcrochet import (
     parse,
     row_counts,
     shape_rows,
+    shaping,
     stitch_count,
 )
-
-from revcrochet import shaping
 
 from conftest import (
     EXTREMUM_LO,
     RUNNING_TEXT,
     TABLE_STITCHES,
-    _shift_keys,
     brute_force_placement,
     circular_distance,
     d1,
     d2,
     placement_candidates,
     ratio_set,
+    shift_keys,
 )
 
 ROW5_POSITIONS = (7, 11, 15, 19, 23, 27)  # chosen ops of the 29->35 row
@@ -305,7 +304,7 @@ class TestKernelMatchesOracle:
 
 def exhaustive_k(prev, prev_denom, s_prev, s_cur):
     """The earliest k with the largest key when every shift is scored."""
-    keys = _shift_keys(prev, prev_denom, min(s_prev, s_cur), abs(s_cur - s_prev))
+    keys = shift_keys(prev, prev_denom, min(s_prev, s_cur), abs(s_cur - s_prev))
     return keys.index(max(keys)) + 1
 
 
