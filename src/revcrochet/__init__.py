@@ -33,7 +33,6 @@ from .expression import (
     Expr,
     ParseError,
     differentiate,
-    evaluate,
     parse,
     render,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "build_plan",
     "differentiate",
     "doc_from_json",
-    "evaluate",
     "find_extrema",
     "optimize_placement",
     "parse",

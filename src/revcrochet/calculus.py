@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cached_property
 
-from .expression import Expr, EvalDomainError, compile_enclosure, compile_expr, differentiate, render
+from .expression import EvalDomainError, compile_enclosure, compile_expr, differentiate, render
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
@@ -59,6 +59,17 @@ def round_landmark(x: float) -> float:
     return round_half_away(x * 100.0) / 100.0
 
 
+class Curve(namedtuple("Curve", "f fp g f_box fp_box")):
+    """One spec's f, compiled once: what every stage evaluates.
+
+    f and fp are f and f' as callables of x; g is the arclength integrand
+    sqrt(1 + f'(x)^2); f_box and fp_box are the enclosures of f and f'
+    (see expression.compile_enclosure).
+    """
+
+    __slots__ = ()
+
+
 class PatternSpec(
     namedtuple(
         "PatternSpec",
@@ -70,10 +81,30 @@ class PatternSpec(
 
     func is the tree of f over [a, b]; stitch_gauge and row_gauge count
     stitches and rows per 4 inches; scale is inches per x unit; source, if
-    given, is the text f was parsed from.
+    given, is the text f was parsed from.  The fields are read-only; curve
+    is compiled from func on first use and kept with the spec.
     """
 
-    __slots__ = ()
+    @cached_property
+    def curve(self) -> Curve:
+        """f and f', differentiated and compiled on first use."""
+        dfunc = differentiate(self.func)
+        f, fp = compile_expr(self.func), compile_expr(dfunc)
+
+        def g(x: float) -> float:
+            # An undefined f'(x) raises EvalDomainError naming x.  A
+            # non-finite one makes the quadrature that samples g end in
+            # QuadratureError; checking for it here would cost every call.
+            try:
+                d = fp(x)
+            except EvalDomainError as exc:
+                raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+            return math.sqrt(1.0 + d * d)
+
+        return Curve(f, fp, g, compile_enclosure(self.func), compile_enclosure(dfunc))
+
+    def __getstate__(self):
+        return None  # generated functions do not pickle; a copy compiles its own curve
 
     @property
     def function_text(self) -> str:
@@ -108,10 +139,7 @@ class PatternSpec(
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise SpecValidationError("scale must be a positive number")
 
-        f = compile_expr(self.func)
-        fp = _fprime(self.func)
-        f_box = compile_enclosure(self.func)
-        fp_box = compile_enclosure(_derivative(self.func))
+        f, fp, _, f_box, fp_box = self.curve
 
         def certify(lo, hi):
             y = f_box(lo, hi)
@@ -232,43 +260,11 @@ def _grid_blocks(a, step, n, certify):
         first = c1 + 1
 
 
-@lru_cache(maxsize=128)
-def _derivative(func: Expr) -> Expr:
-    """f' as a tree, differentiated once per tree."""
-    return differentiate(func)
-
-
-@lru_cache(maxsize=128)
-def _fprime(func: Expr) -> Callable[[float], float]:
-    """f' as a compiled callable, compiled once per tree."""
-    return compile_expr(_derivative(func))
-
-
-@lru_cache(maxsize=128)
-def _arc_integrand(func: Expr) -> Callable[[float], float]:
-    """sqrt(1 + f'(x)^2) as a compiled callable, cached per tree.
-
-    An undefined f'(x) raises EvalDomainError naming x.  A non-finite one
-    makes the quadrature that samples it end in QuadratureError; checking
-    for it here would cost every call.
-    """
-    fp = _fprime(func)
-
-    def g(x: float) -> float:
-        try:
-            d = fp(x)
-        except EvalDomainError as exc:
-            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
-        return math.sqrt(1.0 + d * d)
-
-    return g
-
-
 def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     """Arclength of f over [lo, hi] converted to row units."""
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
-    return spec.rows_per_unit * adaptive_simpson(_arc_integrand(spec.func), lo, hi)
+    return spec.rows_per_unit * adaptive_simpson(spec.curve.g, lo, hi)
 
 
 def find_extrema(spec: PatternSpec) -> list[float]:
@@ -281,8 +277,7 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     by point, so every bracket bisected, and every extremum, is the same
     float as with a scan of every point.
     """
-    fp = _fprime(spec.func)
-    fp_box = compile_enclosure(_derivative(spec.func))
+    fp, fp_box = spec.curve.fp, spec.curve.fp_box
 
     def certify(lo, hi):
         d = fp_box(lo, hi)
@@ -335,6 +330,8 @@ def find_extrema(spec: PatternSpec) -> list[float]:
 def _bisect_sign_change(deriv, lo, hi, lo_sign):
     while hi - lo > EXTREMUM_XTOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is one ulp wide, wider than EXTREMUM_XTOL
         v = deriv(mid)
         if v == 0.0:
             return mid
@@ -360,7 +357,7 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     that would have gone right are skipped, so every bracket, accumulated
     arclength and landmark is the same float as with a quadrature per step.
     """
-    g = _arc_integrand(spec.func)
+    g = spec.curve.g
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its accumulated arclength in rows
@@ -369,6 +366,8 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         xr = seg.hi
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
+            if not xl < mid < xr:
+                break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
             # g = sqrt(1 + f'^2) >= 1, and each accepted Simpson leaf is off
             # by at most its error estimate; those sum to QUAD_TOL, plus at
             # most QUAD_TOL for leaves at the depth limit; so a returned

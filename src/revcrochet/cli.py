@@ -7,7 +7,7 @@ import sys
 
 from .calculus import PatternSpec, QuadratureError, SpecValidationError, build_plan
 from .emit import render_json, render_pattern, render_svg
-from .expression import MAX_DEPTH, EvalDomainError, ExpressionError, parse
+from .expression import MAX_DEPTH, EvalDomainError, parse
 from .shaping import shape_rows
 
 GRAMMAR_HELP = f"""\
@@ -87,7 +87,8 @@ def run(argv: list[str] | None = None) -> int:
             # Past build_plan, only f itself is evaluated (stitch counts and
             # the plot), at points validation's grid may not have sampled.
             raise SpecValidationError(f"f is {exc}") from exc
-    except (ExpressionError, SpecValidationError, QuadratureError, ValueError) as exc:
+    # ExpressionError and SpecValidationError are ValueErrors
+    except (QuadratureError, ValueError) as exc:
         print(f"revcrochet: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .calculus import LandmarkPlan, PatternSpec
-from .expression import compile_expr
+from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping, landmark_heights, stitch_count
 
 SCHEMA_VERSION = 1
@@ -169,25 +169,12 @@ def render_pattern(
 
 
 def render_json(doc: PatternDoc) -> str:
-    """Serialize the document; key order is fixed by construction."""
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "function": doc.function,
-        "a": doc.a,
-        "b": doc.b,
-        "stitch_gauge": doc.stitch_gauge,
-        "row_gauge": doc.row_gauge,
-        "scale": doc.scale,
-        "prioritize_extrema": doc.prioritize_extrema,
-        "total_rows": doc.total_rows,
-        "closed_start": doc.closed_start,
-        "closed_end": doc.closed_end,
-        "stuffed": doc.stuffed,
-        "warnings": list(doc.warnings),
-        "landmarks": list(doc.landmarks),
-        "rows": [r._asdict() | {"positions": list(r.positions)} for r in doc.rows],
-        "finishing": list(doc.finishing),
-    }
+    """Serialize the document; keys follow schema_version in field order.
+
+    Tuples are written as JSON arrays, and "rows" keeps its place.
+    """
+    obj = {"schema_version": SCHEMA_VERSION, **doc._asdict()}
+    obj["rows"] = [r._asdict() for r in doc.rows]
     import json
 
     return json.dumps(obj, indent=2) + "\n"
@@ -222,7 +209,7 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     bounding box padded by 5% on every side (y is negated so the curve
     reads the usual way up).  Output is deterministic for identical inputs.
     """
-    f = compile_expr(spec.func)
+    f = spec.curve.f
     a, b, n = spec.a, spec.b, SVG_SAMPLES
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
     ys = [f(x) for x in xs]

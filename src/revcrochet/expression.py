@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 
 class ExpressionError(ValueError):
@@ -483,11 +482,6 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate a tree at x; raises EvalDomainError where undefined."""
-    return compile_expr(e)(x)
-
-
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative of e with respect to x."""
     return e.derivative()
@@ -502,28 +496,68 @@ def render(e: Expr) -> str:
 
 
 def compile_expr(e: Expr):
-    """Compile a tree to a plain Python callable of x, cached per tree.
+    """Compile a tree to a plain Python callable of x.
 
     The callable returns a float, or raises EvalDomainError naming x where
     the tree is undefined: a division by zero, a math domain or range
     error, or a fractional power of a negative base.  It never returns a
-    complex number.
+    complex number.  Each call compiles the tree anew; PatternSpec.curve
+    holds a spec's compiled f and f'.
     """
-    # Keyed by the generated source: trees that differ only in the sign of
-    # a zero constant compare equal, yet compute differently signed zeros.
-    return _compile_source(_emit(e, _FLOAT_OPS))
+    src = (
+        "def f(x):\n"
+        "    try:\n"
+        f"        return {_emit(e, _FLOAT_OPS)}\n"
+        "    except (ArithmeticError, ValueError) as exc:\n"
+        "        raise EvalDomainError(f'undefined at x={x!r}') from exc\n"
+    )
+    # Constant folding in differentiate can overflow to inf, and inf - inf
+    # is nan; repr writes those as bare names.
+    namespace = {
+        "math": math,
+        "abs": abs,
+        "_sign": _sign,
+        "inf": math.inf,
+        "nan": math.nan,
+        "ArithmeticError": ArithmeticError,
+        "ValueError": ValueError,
+        "EvalDomainError": EvalDomainError,
+        "__builtins__": {},
+    }
+    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
+    return namespace["f"]
 
 
 def compile_enclosure(e: Expr):
-    """Compile a tree to a callable enclosure(lo, hi), cached per tree.
+    """Compile a tree to a callable enclosure(lo, hi).
 
     It returns (lo', hi') such that, at every float x in [lo, hi], the
     callable compile_expr(e) returns a float in [lo', hi'] and does not
     raise; or None, "undecided", where it cannot prove that.  Every bound
     is finite.  The enclosure is generated from the same tree walk as
-    compile_expr, with an interval operation in place of each float one.
+    compile_expr, with an interval operation in place of each float one,
+    and is compiled anew on each call, as compile_expr is.
     """
-    return _compile_enclosure_source(_emit(e, _ENCLOSURE_OPS))
+    src = (
+        "def f(lo, hi):\n"
+        "    if not -inf < lo <= hi < inf:\n"
+        "        return None\n"
+        "    x = (lo, hi)\n"
+        "    try:\n"
+        f"        return {_emit(e, _ENCLOSURE_OPS)}\n"
+        "    except (ArithmeticError, ValueError):\n"
+        "        return None\n"
+    )
+    namespace = {name: value for name, value in globals().items() if name.startswith("_enc_")}
+    namespace.update(
+        inf=math.inf,
+        _undecided=_undecided,
+        ArithmeticError=ArithmeticError,
+        ValueError=ValueError,
+        __builtins__={},
+    )
+    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
+    return namespace["f"]
 
 
 def _emit(e, ops):
@@ -565,32 +599,6 @@ _FLOAT_OPS = {
     "abs": "abs({0})",
     "sign": "_sign({0})",
 }
-
-
-@lru_cache(maxsize=128)
-def _compile_source(body: str):
-    src = (
-        "def f(x):\n"
-        "    try:\n"
-        f"        return {body}\n"
-        "    except (ArithmeticError, ValueError) as exc:\n"
-        "        raise EvalDomainError(f'undefined at x={x!r}') from exc\n"
-    )
-    # Constant folding in differentiate can overflow to inf, and inf - inf
-    # is nan; repr writes those as bare names.
-    namespace = {
-        "math": math,
-        "abs": abs,
-        "_sign": _sign,
-        "inf": math.inf,
-        "nan": math.nan,
-        "ArithmeticError": ArithmeticError,
-        "ValueError": ValueError,
-        "EvalDomainError": EvalDomainError,
-        "__builtins__": {},
-    }
-    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
-    return namespace["f"]
 
 
 # ---------------------------------------------------------------------------
@@ -754,27 +762,3 @@ _ENCLOSURE_OPS = {
     "^": "_enc_pow({0}, {1})",
     **{fn: f"_enc_{fn}({{0}})" for fn in FUNCTION_NAMES},
 }
-
-
-@lru_cache(maxsize=128)
-def _compile_enclosure_source(body: str):
-    src = (
-        "def f(lo, hi):\n"
-        "    if not -inf < lo <= hi < inf:\n"
-        "        return None\n"
-        "    x = (lo, hi)\n"
-        "    try:\n"
-        f"        return {body}\n"
-        "    except (ArithmeticError, ValueError):\n"
-        "        return None\n"
-    )
-    namespace = {name: value for name, value in globals().items() if name.startswith("_enc_")}
-    namespace.update(
-        inf=math.inf,
-        _undecided=_undecided,
-        ArithmeticError=ArithmeticError,
-        ValueError=ValueError,
-        __builtins__={},
-    )
-    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
-    return namespace["f"]

@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_sign, round_half_away
-from .expression import compile_expr
+from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 
 OP_NONE = "none"
 OP_INCREASE = "increase"
@@ -62,7 +62,7 @@ def stitch_count(spec: PatternSpec, x: float) -> int:
     """Stitches around the surface at landmark x."""
     if not (spec.a <= x <= spec.b):
         raise ValueError(f"x={x!r} outside [{spec.a!r}, {spec.b!r}]")
-    y = compile_expr(spec.func)(x)
+    y = spec.curve.f(x)
     return round_half_away(2.0 * math.pi * spec.stitches_per_unit * y)
 
 
@@ -72,7 +72,7 @@ def landmark_heights(spec: PatternSpec, plan: LandmarkPlan) -> list[float]:
     A rounded landmark can fall between those points.  A plan whose widest
     row has 0 stitches raises SpecValidationError too.
     """
-    f = compile_expr(spec.func)
+    f = spec.curve.f
     heights = [f(x) for x in plan.landmarks]
     if not min(heights) > 0:  # one pass in C when every landmark is fine
         for x, y in zip(plan.landmarks, heights):

@@ -13,9 +13,7 @@ from revcrochet.calculus import (
     LANDMARK_XTOL,
     VALIDATION_GRID,
     SpecValidationError,
-    _arc_integrand,
     _bisect_sign_change,
-    _fprime,
     adaptive_simpson,
     round_landmark,
 )
@@ -305,6 +303,15 @@ def reference_evaluate(e, x):
     return r
 
 
+def evaluate(e, x):
+    """Value of tree e at x by the code compile_expr generates for it.
+
+    Each call compiles e anew; a test that evaluates one tree at many x
+    compiles it once with compile_expr instead.
+    """
+    return compile_expr(e)(x)
+
+
 def same_float(u, v):
     """u and v are the same float: equal with the same sign, or both nan."""
     if math.isnan(u) or math.isnan(v):
@@ -318,7 +325,7 @@ def same_float(u, v):
 # return the same floats.
 
 def reference_landmarks(spec, seg):
-    g = _arc_integrand(spec.func)
+    g = spec.curve.g
     factor = spec.rows_per_unit
     xs = [seg.lo]
     xl, al = seg.lo, 0.0
@@ -344,8 +351,7 @@ def reference_landmarks(spec, seg):
 
 def reference_validate(spec):
     """PatternSpec.validate's grid scan, without the argument checks."""
-    f = compile_expr(spec.func)
-    fp = _fprime(spec.func)
+    f, fp = spec.curve.f, spec.curve.fp
     a, n = spec.a, VALIDATION_GRID
     step = (spec.b - a) / n
     for i in range(n + 1):
@@ -370,7 +376,7 @@ def reference_validate(spec):
 
 def reference_extrema(spec):
     """find_extrema with f' evaluated at every grid point."""
-    fp = _fprime(spec.func)
+    fp = spec.curve.fp
     a, n = spec.a, EXTREMUM_GRID
     step = (spec.b - a) / n
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from revcrochet import (
     SpecValidationError,
     arclength_rows,
     build_plan,
-    evaluate,
     find_extrema,
     parse,
     solve_landmarks,
@@ -19,7 +19,6 @@ from revcrochet.calculus import (
     QUAD_TOL,
     QuadratureError,
     Segment,
-    _arc_integrand,
     adaptive_simpson,
     round_half_away,
     round_landmark,
@@ -135,8 +134,9 @@ class TestCertifiedScans:
             assert outcome(spec.validate) == outcome(reference_validate, spec) is None
             assert find_extrema(spec) == reference_extrema(spec)
 
-    def test_running_example_extrema_skip_most_points(self, running_spec, monkeypatch):
-        fp = calculus._fprime(running_spec.func)
+    def test_running_example_extrema_skip_most_points(self, running_spec):
+        spec = running_spec._replace()  # a curve of its own
+        fp = spec.curve.fp
         calls = 0
 
         def counted(x):
@@ -144,8 +144,8 @@ class TestCertifiedScans:
             calls += 1
             return fp(x)
 
-        monkeypatch.setattr(calculus, "_fprime", lambda func: counted)
-        assert find_extrema(running_spec) == reference_extrema(running_spec)
+        spec.curve = spec.curve._replace(fp=counted)
+        assert find_extrema(spec) == reference_extrema(running_spec)
         assert calls <= 1000  # 4,137 with every grid point, bisection included
 
 
@@ -196,7 +196,7 @@ class TestArclength:
     def test_cusp_converges_to_the_trapezoid_oracle(self, d, p, w):
         # f' ~ |x - d|^(p - 1) near d, so g changes too fast for the halved
         # tolerance on intervals a few ulps wide, at the depth limit
-        g = _arc_integrand(parse(f"3 + abs(x - {d})^{p}*sin({w}*x)"))
+        g = make_spec(f"3 + abs(x - {d})^{p}*sin({w}*x)", -1.4, 1.35).curve.g
         xs = np.linspace(-1.4, 1.35, 2_000_001)
         u = xs - d
         fp = p * np.abs(u) ** (p - 1) * np.sign(u) * np.sin(w * xs)
@@ -293,19 +293,19 @@ class TestSolveLandmarks:
         rng = random.Random(5)
         specs = [random_valid_spec(rng) for _ in range(6)] + [make_spec("5", 0.0, 3.0)]
         for spec in specs:
-            g = _arc_integrand(spec.func)
+            g = spec.curve.g
             for _ in range(60):
                 lo = rng.uniform(spec.a, spec.b)
                 hi = lo + (spec.b - lo) * rng.choice([1.0, rng.random(), 1e-6 * rng.random()])
                 bound = (hi - lo) * (1.0 - 1e-12) - 2.0 * QUAD_TOL
                 assert adaptive_simpson(g, lo, hi) >= bound
 
-    def test_cost_per_landmark_does_not_grow_with_segment_length(self, monkeypatch):
+    def test_cost_per_landmark_does_not_grow_with_segment_length(self):
         spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
         plan = build_plan(spec, prioritize_extrema=False)
         (seg,) = plan.segments
         assert seg.row_count >= 800
-        g = _arc_integrand(spec.func)
+        g = spec.curve.g
         calls = 0
 
         def counted(x):
@@ -313,7 +313,7 @@ class TestSolveLandmarks:
             calls += 1
             return g(x)
 
-        monkeypatch.setattr(calculus, "_arc_integrand", lambda func: counted)
+        spec.curve = spec.curve._replace(g=counted)
         solve_landmarks(spec, seg)
         assert calls / (seg.row_count - 1) <= 60   # 339 with a quadrature per step
 
@@ -359,15 +359,13 @@ class TestBuildPlan:
         # 0.01 * sqrt(1 + f'(x)^2) * rows_per_unit, so the slack must scale
         # with the local integrand (a flat 0.02 rows is unattainable where
         # |f'| is large, e.g. near x = -3 here).
-        deriv = running_spec.func.derivative()
+        deriv = running_spec.curve.fp
         for seg in running_plan.segments:
             pts = solve_landmarks(running_spec, seg)
             share = seg.arclength_rows / seg.row_count
             for u, v in zip(pts, pts[1:]):
                 step = arclength_rows(running_spec, u, v)
-                slope = max(
-                    math.hypot(1.0, evaluate(deriv, u)), math.hypot(1.0, evaluate(deriv, v))
-                )
+                slope = max(math.hypot(1.0, deriv(u)), math.hypot(1.0, deriv(v)))
                 slack = 0.011 * slope * running_spec.rows_per_unit + 0.001
                 assert step == pytest.approx(share, abs=slack)
 
@@ -379,25 +377,30 @@ class TestBuildPlan:
             return tree.derivative()
 
         monkeypatch.setattr(calculus, "differentiate", differentiate)
-        calculus._derivative.cache_clear()
-        calculus._fprime.cache_clear()
-        calculus._arc_integrand.cache_clear()
         spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
         build_plan(spec, prioritize_extrema=True)
         assert derived == [spec.func]
 
-    def test_f_is_compiled_once_per_spec(self):
-        expression._compile_source.cache_clear()
-        calculus._derivative.cache_clear()
-        calculus._fprime.cache_clear()
-        calculus._arc_integrand.cache_clear()
+    def test_spec_with_a_curve_pickles(self):
+        spec = make_spec("2 + sin(3*x)", 0.0, 4.0)
+        plan = build_plan(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and "curve" not in vars(copy)
+        assert build_plan(copy) == plan
+
+    def test_f_is_compiled_once_per_spec(self, monkeypatch):
+        compiled = []
+
+        def compile_expr(tree):
+            compiled.append(tree)
+            return expression.compile_expr(tree)
+
+        monkeypatch.setattr(calculus, "compile_expr", compile_expr)
         spec = make_spec("2 + sin(3*x) + 0.25*x^2", 0.0, 4.0)
         plan = build_plan(spec, prioritize_extrema=True)
-        render_pattern(spec, plan, shape_rows(spec, plan))
+        render_pattern(spec, plan, shape_rows(spec, plan))  # row counts, closure checks
         render_svg(spec, plan)
-        info = expression._compile_source.cache_info()
-        assert info.misses == 2  # f and f'
-        assert info.hits >= 4  # row counts, two closure checks, the plot
+        assert compiled == [spec.func, spec.func.derivative()]  # f and f', once
 
     def test_validates_spec(self):
         with pytest.raises(SpecValidationError):

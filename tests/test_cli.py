@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from revcrochet import doc_from_json
+from revcrochet import calculus, doc_from_json, emit, shaping
 from revcrochet.cli import run
 
 from conftest import golden
@@ -250,6 +250,59 @@ class TestRun:
         assert "expression grammar" in helptext
         assert "2*x, not 2x" in helptext
         assert "nest at most 50 levels" in helptext
+
+
+class TestCompiledOnce:
+    def test_no_module_keeps_a_cache(self):
+        for name, module in list(sys.modules.items()):
+            if name == "revcrochet" or name.startswith("revcrochet."):
+                cached = [k for k, v in vars(module).items() if hasattr(v, "cache_clear")]
+                assert cached == [], name
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    def test_each_format_compiles_the_spec_once(self, monkeypatch, capsys, fmt):
+        calls = dict.fromkeys(["differentiate", "compile_expr", "compile_enclosure"], 0)
+
+        def counted(name):
+            fn = getattr(calculus, name)
+
+            def call(tree):
+                calls[name] += 1
+                return fn(tree)
+
+            return call
+
+        def refuse(tree):
+            raise AssertionError("compiled outside the spec's curve")
+
+        for name in calls:
+            monkeypatch.setattr(calculus, name, counted(name))
+        monkeypatch.setattr(shaping, "compile_expr", refuse)
+        monkeypatch.setattr(emit, "compile_expr", refuse)
+        assert run([*RUNNING_ARGS, "--format", fmt]) == 0
+        assert calls == {"differentiate": 1, "compile_expr": 2, "compile_enclosure": 2}
+
+
+class TestOneUlpBrackets:
+    # Near 1e12 an ulp is wider than LANDMARK_XTOL, and near 1e7 wider than
+    # EXTREMUM_XTOL: each bisection must end once its midpoint rounds onto an end.
+    @pytest.mark.parametrize("args", [
+        ["--function", "2", "--a", "1000000000000", "--b", "1000000000000.01",
+         "--scale", "1000"],
+        ["--function", "2+sin(x)", "--a", "10000000", "--b", "10000010", "--scale", "1"],
+    ])
+    def test_bisection_ends(self, args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "revcrochet.cli", *args,
+             "--stitch-gauge", "20", "--row-gauge", "20"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("Tie off\n")
 
 
 class TestColdImport:

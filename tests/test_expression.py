@@ -17,12 +17,11 @@ from revcrochet.expression import (
     compile_enclosure,
     compile_expr,
     differentiate,
-    evaluate,
     parse,
     render,
 )
 
-from conftest import reference_evaluate, same_float
+from conftest import evaluate, reference_evaluate, same_float
 
 
 class TestParse:
@@ -186,27 +185,28 @@ class TestEvaluate:
         assert evaluate(tree, 1.234) == evaluate(tree, 1.234)
 
 
-def central_difference(tree, x, h=1e-6):
-    return (evaluate(tree, x + h) - evaluate(tree, x - h)) / (2 * h)
+def central_difference(fn, x, h=1e-6):
+    return (fn(x + h) - fn(x - h)) / (2 * h)
 
 
 class TestDifferentiate:
     def test_running_example_matches_closed_form(self):
-        d = differentiate(parse("x^3 + 2*x^2 - 2*x + 4"))
+        d = compile_expr(differentiate(parse("x^3 + 2*x^2 - 2*x + 4")))
         for i in range(21):
             x = -3.0 + i * 0.2
-            assert evaluate(d, x) == pytest.approx(3 * x**2 + 4 * x - 2, abs=1e-9)
+            assert d(x) == pytest.approx(3 * x**2 + 4 * x - 2, abs=1e-9)
 
     def test_constant_rule(self):
         assert differentiate(parse("5")) == Const(0.0)
 
     def test_sin_to_cos_on_grid(self):
-        d = differentiate(parse("sin(x)"))
+        tree = parse("sin(x)")
+        f, d = compile_expr(tree), compile_expr(differentiate(tree))
         for i in range(20):
             x = -2.0 + i * 0.21
-            assert evaluate(d, x) == pytest.approx(math.cos(x), abs=1e-12)
-            fd = central_difference(parse("sin(x)"), x)
-            assert abs(evaluate(d, x) - fd) <= 1e-5 * max(1.0, abs(evaluate(d, x)))
+            assert d(x) == pytest.approx(math.cos(x), abs=1e-12)
+            fd = central_difference(f, x)
+            assert abs(d(x) - fd) <= 1e-5 * max(1.0, abs(d(x)))
 
     def test_abs_derivative_is_sign(self):
         d = differentiate(parse("abs(x)"))
@@ -332,12 +332,12 @@ class TestProperties:
         checked = 0
         for _ in range(50):
             tree = parse(random_tree(rng))
-            deriv = differentiate(tree)
+            f, deriv = compile_expr(tree), compile_expr(differentiate(tree))
             for i in range(20):
                 x = -2.0 + i * (4.0 / 19)
                 try:
-                    sym = evaluate(deriv, x)
-                    fd = central_difference(tree, x)
+                    sym = deriv(x)
+                    fd = central_difference(f, x)
                 except EvalDomainError:
                     continue
                 if abs(sym) > 1e8:  # fd loses precision on huge slopes
@@ -350,28 +350,28 @@ class TestProperties:
         rng = random.Random(77)
         for _ in range(100):
             tree = parse(random_tree(rng))
-            reparsed = parse(render(tree))
+            f, reparsed = compile_expr(tree), compile_expr(parse(render(tree)))
             for _ in range(100):
                 x = rng.uniform(-2, 2)
                 try:
-                    v1 = evaluate(tree, x)
+                    v1 = f(x)
                 except EvalDomainError:
                     continue
-                v2 = evaluate(reparsed, x)
+                v2 = reparsed(x)
                 assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-300)
 
     def test_roundtrip_of_derivatives(self):
         rng = random.Random(79)
         for _ in range(50):
             tree = differentiate(parse(random_tree(rng)))
-            reparsed = parse(render(tree))
+            f, reparsed = compile_expr(tree), compile_expr(parse(render(tree)))
             for _ in range(40):
                 x = rng.uniform(-2, 2)
                 try:
-                    v1 = evaluate(tree, x)
+                    v1 = f(x)
                 except EvalDomainError:
                     continue
-                assert evaluate(reparsed, x) == pytest.approx(v1, rel=1e-12, abs=1e-300)
+                assert reparsed(x) == pytest.approx(v1, rel=1e-12, abs=1e-300)
 
     def test_compiled_matches_tree_eval_bitwise(self):
         rng = random.Random(81)
