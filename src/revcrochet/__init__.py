@@ -21,7 +21,6 @@ from .calculus import (
 from .emit import (
     PatternDoc,
     PatternRow,
-    doc_from_json,
     render_json,
     render_pattern,
     render_row,
@@ -34,7 +33,6 @@ from .expression import (
     ParseError,
     differentiate,
     parse,
-    render,
 )
 from .shaping import (
     RowShaping,
@@ -62,11 +60,9 @@ __all__ = [
     "arclength_rows",
     "build_plan",
     "differentiate",
-    "doc_from_json",
     "find_extrema",
     "optimize_placement",
     "parse",
-    "render",
     "render_json",
     "render_pattern",
     "render_row",

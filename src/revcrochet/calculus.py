@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
 
-from .expression import EvalDomainError, compile_enclosure, compile_expr, differentiate, render
+from .expression import EvalDomainError, compile_enclosure, compile_expr, differentiate
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
@@ -70,19 +70,13 @@ class Curve(namedtuple("Curve", "f fp g f_box fp_box")):
     __slots__ = ()
 
 
-class PatternSpec(
-    namedtuple(
-        "PatternSpec",
-        "func a b stitch_gauge row_gauge scale source",
-        defaults=(None,),
-    )
-):
+class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge scale source")):
     """The six user inputs: f, its interval, gauge, and physical scale.
 
     func is the tree of f over [a, b]; stitch_gauge and row_gauge count
-    stitches and rows per 4 inches; scale is inches per x unit; source, if
-    given, is the text f was parsed from.  The fields are read-only; curve
-    is compiled from func on first use and kept with the spec.
+    stitches and rows per 4 inches; scale is inches per x unit; source is
+    the text f was parsed from.  The fields are read-only; curve is
+    compiled from func on first use and kept with the spec.
     """
 
     @cached_property
@@ -107,10 +101,6 @@ class PatternSpec(
         return None  # generated functions do not pickle; a copy compiles its own curve
 
     @property
-    def function_text(self) -> str:
-        return self.source if self.source is not None else render(self.func)
-
-    @property
     def rows_per_unit(self) -> float:
         return self.scale * self.row_gauge / 4.0
 
@@ -132,6 +122,8 @@ class PatternSpec(
             raise SpecValidationError("a and b must be finite")
         if not self.a < self.b:
             raise SpecValidationError("a must be less than b")
+        if not math.isfinite(self.b - self.a):
+            raise SpecValidationError("b - a must be finite")
         if not isinstance(self.stitch_gauge, int) or self.stitch_gauge < 1:
             raise SpecValidationError("stitch gauge must be a positive integer")
         if not isinstance(self.row_gauge, int) or self.row_gauge < 1:
@@ -156,10 +148,8 @@ class PatternSpec(
                     y = f(x)
                 except EvalDomainError as exc:
                     raise SpecValidationError(f"f is undefined at x={x!r}") from exc
-                if not math.isfinite(y):
-                    raise SpecValidationError(f"f is not finite at x={x!r}")
-                if y <= 0:
-                    check_sign(x, y, 0 < i < n)
+                if not 0 < y < math.inf:
+                    check_height(x, y, 0 < i < n)
                 try:
                     dy = fp(x)
                 except EvalDomainError as exc:
@@ -168,8 +158,10 @@ class PatternSpec(
                     raise SpecValidationError(f"f' is not finite at x={x!r}")
 
 
-def check_sign(x: float, y: float, interior: bool) -> None:
-    """Raise SpecValidationError if f(x) = y < 0, or y = 0 at an interior x."""
+def check_height(x: float, y: float, interior: bool) -> None:
+    """Raise SpecValidationError if f(x) = y is not finite or < 0, or is 0 at an interior x."""
+    if not math.isfinite(y):
+        raise SpecValidationError(f"f is not finite at x={x!r}")
     if y < 0:
         raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
     if y == 0 and interior:

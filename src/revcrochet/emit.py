@@ -12,19 +12,22 @@ A shaped row with ops at {q*j + k} renders as the split-first form
 zero-length Sc runs are omitted, the starred group is omitted when n = 1,
 and the k = q, t = 0 case collapses to "*Sc(q-1), Op* (n times)".
 Warning notes go at the top of the pattern; stuffing and closing lines at
-the bottom.  The JSON export carries the full structure (schema_version 1)
-and the SVG export plots the curve with one marker per row landmark.
+the bottom.  The JSON export carries the full structure (schema_version 1),
+from which the text can be rebuilt, and the SVG export plots the curve
+with one marker per row landmark.
 
 PatternRow and PatternDoc are immutable namedtuples; a row's JSON object
-lists its fields in their declared order.  json is imported by the two
-functions that use it, so importing this module stays cheap.
+lists its fields in their declared order.  json is imported by
+render_json, the one function that uses it, so importing this module
+stays cheap.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .calculus import LandmarkPlan, PatternSpec
+from .calculus import LandmarkPlan, PatternSpec, check_height
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping, landmark_heights, stitch_count
 
@@ -150,7 +153,7 @@ def render_pattern(
     finishing.append(CLOSING_LINE if closed_end else TIE_OFF_LINE)
 
     return PatternDoc(
-        function=spec.function_text,
+        function=spec.source,
         a=spec.a,
         b=spec.b,
         stitch_gauge=spec.stitch_gauge,
@@ -180,24 +183,6 @@ def render_json(doc: PatternDoc) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def doc_from_json(text: str) -> PatternDoc:
-    """Rebuild a PatternDoc from render_json output (exact roundtrip)."""
-    import json
-
-    obj = json.loads(text)
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
-    rows = tuple(
-        PatternRow._make(tuple(r[f]) if f == "positions" else r[f] for f in PatternRow._fields)
-        for r in obj["rows"]
-    )
-    lists = ("warnings", "landmarks", "finishing")
-    return PatternDoc._make(
-        rows if f == "rows" else tuple(obj[f]) if f in lists else obj[f]
-        for f in PatternDoc._fields
-    )
-
-
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -207,12 +192,17 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
 
     The curve is sampled at SVG_SAMPLES points; the viewBox is the data
     bounding box padded by 5% on every side (y is negated so the curve
-    reads the usual way up).  Output is deterministic for identical inputs.
+    reads the usual way up).  A sample or landmark where f is not finite
+    raises SpecValidationError.  Output is deterministic for identical inputs.
     """
     f = spec.curve.f
     a, b, n = spec.a, spec.b, SVG_SAMPLES
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
     ys = [f(x) for x in xs]
+    if not math.isfinite(sum(ys)):  # one pass in C when every sample is finite
+        for x, y in zip(xs, ys):
+            if not math.isfinite(y):
+                check_height(x, y, False)
     marks = list(zip(plan.landmarks, landmark_heights(spec, plan)))
 
     ymin, ymax = min(ys), max(ys)

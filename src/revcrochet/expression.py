@@ -8,22 +8,23 @@ Grammar (infix, whitespace-insensitive, no implicit multiplication):
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := sin | cos | tan | exp | ln | sqrt | abs | sign
-    NUMBER := digits with an optional decimal point (no exponent notation)
+    NUMBER := ASCII digits with an optional decimal point (no exponent notation)
 
-Unary minus binds looser than '^', so -x^2 means -(x^2).  A numeral too
-large for a float, or a tree more than MAX_DEPTH levels deep or with more
-than that many parentheses open at once, is a ParseError.  Trees are
-immutable and hashable.  A tree is evaluated by the function compile_expr
-generates for it; evaluation is deterministic for a given tree and x.
-compile_enclosure generates, from the same emitter, a function that bounds
-what that evaluator returns over a range of x.
+Unary minus binds looser than '^', so -x^2 means -(x^2).  pi and e parse
+to Const(math.pi) and Const(math.e).  A numeral too large for a float, or
+a tree more than MAX_DEPTH levels deep or with more than that many
+parentheses open at once, is a ParseError.  Trees are immutable and
+hashable.  A tree is evaluated by the function compile_expr generates for
+it; evaluation is deterministic for a given tree and x.  compile_enclosure
+generates, from the same emitter, a function that bounds what that
+evaluator returns over a range of x.
 
 Each node class is a namedtuple, so two trees compare equal, and hash
 equal, when their fields do.  A namedtuple also equals any tuple with equal
 fields, whatever its class, yet no two node classes can hold equal fields:
-Const holds a float, NamedConst a str and Neg an Expr (one field each),
-while Var, Call and Binary have 0, 2 and 3 fields.  So equal trees are
-trees of the same shape and classes, as with one class per node kind.
+Const holds a float and Neg an Expr (one field each), while Var, Call and
+Binary have 0, 2 and 3 fields.  So equal trees are trees of the same shape
+and classes, as with one class per node kind.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class EvalDomainError(ExpressionError):
 # levels, whose generated source nests 196 parentheses (one per node, as in
 # math.pow(u, v)), and 197 in an enclosure, whose constants are pairs:
 # within CPython's limit of 200, and far within the recursion limit that
-# hashing, rendering, differentiating and compiling a tree use.
+# hashing, differentiating and compiling a tree use.
 MAX_DEPTH = 50
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
@@ -65,19 +66,12 @@ def _sign(v: float) -> float:
 
 
 class Expr:
-    """Base node; concrete nodes implement derivative/render."""
+    """Base node; concrete nodes implement derivative."""
 
     __slots__ = ()
 
     def derivative(self) -> "Expr":
         raise NotImplementedError
-
-    # Rendering precedence: 1 add/sub, 2 mul/div, 3 unary minus, 4 pow, 5 atoms.
-    def render(self) -> str:
-        raise NotImplementedError
-
-    def precedence(self) -> int:
-        return 5
 
 
 class Const(namedtuple("Const", "value"), Expr):
@@ -86,45 +80,12 @@ class Const(namedtuple("Const", "value"), Expr):
     def derivative(self):
         return Const(0.0)
 
-    def render(self):
-        v = self.value
-        if not math.isfinite(v):
-            # differentiate's constant folding can overflow; no numeral says inf
-            raise ExpressionError(f"cannot render the non-finite constant {v!r}")
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        text = repr(v)
-        if "e" not in text:
-            return text
-        # The grammar has no exponent notation: 1e-07 renders as 0.0000001.
-        from decimal import Decimal
-
-        return format(Decimal(text), "f")
-
-    def precedence(self):
-        return 5 if self.value >= 0 else 3
-
-
-class NamedConst(namedtuple("NamedConst", "name"), Expr):
-    """The constant pi or e, by name ('pi' or 'e')."""
-
-    __slots__ = ()
-
-    def derivative(self):
-        return Const(0.0)
-
-    def render(self):
-        return self.name
-
 
 class Var(namedtuple("Var", ()), Expr):
     __slots__ = ()
 
     def derivative(self):
         return Const(1.0)
-
-    def render(self):
-        return "x"
 
 
 class Call(namedtuple("Call", "fn arg"), Expr):
@@ -151,28 +112,12 @@ class Call(namedtuple("Call", "fn arg"), Expr):
             return Const(0.0)
         raise ExpressionError(f"no derivative rule for {self.fn}")
 
-    def render(self):
-        return f"{self.fn}({self.arg.render()})"
-
 
 class Neg(namedtuple("Neg", "arg"), Expr):
     __slots__ = ()
 
     def derivative(self):
         return _neg(self.arg.derivative())
-
-    def render(self):
-        inner = self.arg.render()
-        # Unary minus binds tighter than * and /: -(x*y) is not -x*y.
-        if self.arg.precedence() < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-
-    def precedence(self):
-        return 3
-
-
-_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 class Binary(namedtuple("Binary", "op left right"), Expr):
@@ -199,31 +144,9 @@ class Binary(namedtuple("Binary", "op left right"), Expr):
             _add(_mul(dv, Call("ln", u)), _div(_mul(v, du), u)),
         )
 
-    def render(self):
-        prec = _BINARY_PRECEDENCE[self.op]
-        left, right = self.left.render(), self.right.render()
-        if self.op == "^":
-            if self.left.precedence() <= 4:
-                left = f"({left})"
-            if self.right.precedence() < 5:
-                right = f"({right})"
-            return f"{left}^{right}"
-        if self.left.precedence() < prec:
-            left = f"({left})"
-        # The parser groups + - * / to the left, so a same-precedence rhs
-        # keeps its parentheses: x+(2+x) must not re-parse as (x+2)+x.
-        if self.right.precedence() <= prec:
-            right = f"({right})"
-        if prec == 1:
-            return f"{left} {self.op} {right}"
-        return f"{left}{self.op}{right}"
-
-    def precedence(self):
-        return _BINARY_PRECEDENCE[self.op]
-
 
 def _is_constant(e: Expr) -> bool:
-    if isinstance(e, (Const, NamedConst)):
+    if isinstance(e, Const):
         return True
     if isinstance(e, Var):
         return False
@@ -319,6 +242,11 @@ class _Token:
         self.pos = pos
 
 
+# str.isdigit would also take digits such as '²' and '٣', which float()
+# refuses or reads as 2 and 3.
+_DIGITS = "0123456789"
+
+
 def _tokenize(text):
     tokens = []
     i, n = 0, len(text)
@@ -331,13 +259,13 @@ def _tokenize(text):
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or c == ".":
+        if c in _DIGITS or c == ".":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if text[i:j] == ".":
                 raise ParseError("bare '.' is not a number", i)
@@ -456,7 +384,7 @@ class _Parser:
             if name == "x":
                 return Var(), 1
             if name in NAMED_CONSTANTS:
-                return NamedConst(name), 1
+                return Const(NAMED_CONSTANTS[name]), 1
             if name in FUNCTION_NAMES:
                 self.expect("(")
                 arg, depth = self.nested(self.expr, tok)
@@ -485,14 +413,6 @@ def parse(text: str) -> Expr:
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative of e with respect to x."""
     return e.derivative()
-
-
-def render(e: Expr) -> str:
-    """Render a tree back to parseable text.
-
-    parse(render(t)) == t for every tree that parse() returns.
-    """
-    return e.render()
 
 
 def compile_expr(e: Expr):
@@ -568,8 +488,6 @@ def _emit(e, ops):
     """
     if isinstance(e, Const):
         return ops["const"](e.value)
-    if isinstance(e, NamedConst):
-        return ops["const"](NAMED_CONSTANTS[e.name])
     if isinstance(e, Var):
         return "x"
     if isinstance(e, Neg):

@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_sign, round_half_away
+from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_height, round_half_away
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 
 OP_NONE = "none"
@@ -74,9 +74,11 @@ def landmark_heights(spec: PatternSpec, plan: LandmarkPlan) -> list[float]:
     """
     f = spec.curve.f
     heights = [f(x) for x in plan.landmarks]
-    if not min(heights) > 0:  # one pass in C when every landmark is fine
+    # Two passes in C when every landmark is fine; min skips a nan that is
+    # not first, the sum does not.
+    if not (min(heights) > 0 and math.isfinite(sum(heights))):
         for x, y in zip(plan.landmarks, heights):
-            check_sign(x, y, spec.a < x < spec.b)
+            check_height(x, y, spec.a < x < spec.b)
     widest = 2.0 * math.pi * spec.stitches_per_unit * max(heights)
     if widest < 1 and round_half_away(widest) == 0:
         raise SpecValidationError(

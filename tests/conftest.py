@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,12 +19,10 @@ from revcrochet.calculus import (
     round_landmark,
 )
 from revcrochet.expression import (
-    NAMED_CONSTANTS,
     Binary,
     Call,
     Const,
     EvalDomainError,
-    NamedConst,
     Neg,
     Var,
     compile_expr,
@@ -265,8 +264,6 @@ def reference_evaluate(e, x):
     """Value of tree e at x; EvalDomainError where e is undefined or not real."""
     if isinstance(e, Const):
         return e.value
-    if isinstance(e, NamedConst):
-        return NAMED_CONSTANTS[e.name]
     if isinstance(e, Var):
         return x
     if isinstance(e, Neg):
@@ -310,6 +307,71 @@ def evaluate(e, x):
     compiles it once with compile_expr instead.
     """
     return compile_expr(e)(x)
+
+
+# --- reference renderer -------------------------------------------------------
+# A tree back to text with the fewest parentheses the grammar needs, so that
+# parse(render(t)) == t for every tree parse returns.  The package never
+# turns a tree into text; this exists only to feed the parser.
+
+# 1 add/sub, 2 mul/div, 3 unary minus, 4 pow, 5 atoms
+_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _precedence(e):
+    if isinstance(e, Binary):
+        return _BINARY_PRECEDENCE[e.op]
+    if isinstance(e, Neg) or (isinstance(e, Const) and e.value < 0):
+        return 3
+    return 5
+
+
+def _numeral(v):
+    if not math.isfinite(v):
+        # differentiate's constant folding can overflow; no numeral says inf
+        raise ValueError(f"cannot render the non-finite constant {v!r}")
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    text = repr(v)
+    # The grammar has no exponent notation: 1e-07 renders as 0.0000001.
+    return text if "e" not in text else format(Decimal(text), "f")
+
+
+def render(e):
+    """Text that parses back to tree e."""
+    if isinstance(e, Const):
+        return _numeral(e.value)
+    if isinstance(e, Var):
+        return "x"
+    if isinstance(e, Call):
+        return f"{e.fn}({render(e.arg)})"
+    if isinstance(e, Neg):
+        # Unary minus binds tighter than * and /: -(x*y) is not -x*y.
+        inner = render(e.arg)
+        return f"-({inner})" if _precedence(e.arg) < 3 else f"-{inner}"
+    left, right = render(e.left), render(e.right)
+    if e.op == "^":
+        if _precedence(e.left) <= 4:
+            left = f"({left})"
+        if _precedence(e.right) < 5:
+            right = f"({right})"
+        return f"{left}^{right}"
+    prec = _BINARY_PRECEDENCE[e.op]
+    if _precedence(e.left) < prec:
+        left = f"({left})"
+    # The parser groups + - * / to the left, so a same-precedence rhs
+    # keeps its parentheses: x+(2+x) must not re-parse as (x+2)+x.
+    if _precedence(e.right) <= prec:
+        right = f"({right})"
+    return f"{left} {e.op} {right}" if prec == 1 else f"{left}{e.op}{right}"
+
+
+def text_from_json(obj):
+    """The text pattern rebuilt from a parsed JSON document alone."""
+    lines = [f"Note: {w}" for w in obj["warnings"]]
+    lines += [row["instruction"] for row in obj["rows"]]
+    lines += obj["finishing"]
+    return "\n".join(lines) + "\n"
 
 
 def same_float(u, v):

@@ -91,9 +91,9 @@ class TestValidation:
 
     def test_gauge_types(self):
         with pytest.raises(SpecValidationError, match="stitch gauge"):
-            PatternSpec(parse("x + 1"), 0.0, 1.0, 0, 25, 0.18).validate()
+            PatternSpec(parse("x + 1"), 0.0, 1.0, 0, 25, 0.18, "x + 1").validate()
         with pytest.raises(SpecValidationError, match="scale"):
-            PatternSpec(parse("x + 1"), 0.0, 1.0, 22, 25, -0.5).validate()
+            PatternSpec(parse("x + 1"), 0.0, 1.0, 22, 25, -0.5, "x + 1").validate()
 
 
 BIG = "1" + "0" * 200

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from revcrochet import calculus, doc_from_json, emit, shaping
+from revcrochet import calculus, emit, shaping
 from revcrochet.cli import run
 
-from conftest import golden
+from conftest import golden, text_from_json
+
+BIG = "1" + "0" * 200
 
 RUNNING_ARGS = [
     "--function", "x^3 + 2*x^2 - 2*x + 4",
@@ -62,7 +64,7 @@ class TestRun:
         json_text = capsys.readouterr().out
         assert run(RUNNING_ARGS) == 0
         plain_text = capsys.readouterr().out
-        assert doc_from_json(json_text).to_text() == plain_text
+        assert text_from_json(json.loads(json_text)) == plain_text
 
     def test_deterministic_output(self, capsys):
         assert run(RUNNING_ARGS) == 0
@@ -154,6 +156,33 @@ class TestRun:
         assert code == 2
         point = function.split("x - ")[1].rstrip("))")
         assert capsys.readouterr().err == f"revcrochet: f is undefined at x={point}\n"
+
+    @pytest.mark.parametrize("kind", ["inf", "nan"])
+    @pytest.mark.parametrize("point, fmt", [
+        # a plot sample (100/511), neither a validation sample nor a landmark;
+        # the SVG said viewBox="-0.05 -inf 1.1 inf"
+        ("0.19569471624266144", "svg"),
+        # a landmark: the SVG said cy="-inf", text and json "more than
+        # 16000000 stitches"
+        ("0.4", "svg"), ("0.4", "text"), ("0.4", "json"),
+    ])
+    def test_f_not_finite_past_validation_exits_2(self, capsys, point, fmt, kind):
+        spike = f"{BIG}*({BIG}*exp(0-((x - {point})*1000000)^2))"
+        # inf - inf is nan, which min skips unless it comes first
+        function = f"2 + {spike}" if kind == "inf" else f"2 + ({spike} - {spike})"
+        code = run(["--function", function, "--a", "0", "--b", "1", "--stitch-gauge", "20",
+                    "--row-gauge", "20", "--scale", "1", "--format", fmt])
+        assert code == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"revcrochet: f is not finite at x={point}\n")
+
+    @pytest.mark.parametrize("function", ["2", "2 + sin(x)"])
+    def test_interval_too_wide_for_a_float_exits_2(self, capsys, function):
+        # b - a overflowed to inf: "more than 10000 rows", or "not finite at x=nan"
+        code = run(["--function", function, "--a=-1e308", "--b=1e308", "--stitch-gauge", "20",
+                    "--row-gauge", "20", "--scale", "1e-300"])
+        assert code == 2
+        assert capsys.readouterr().err == "revcrochet: b - a must be finite\n"
 
     @pytest.mark.parametrize("b, scale", [("1", "1e300"), ("1", "1e308"), ("1e6", "1")])
     def test_too_many_rows_exits_2_at_once(self, capsys, b, scale):

@@ -18,7 +18,6 @@ from revcrochet.expression import (
     Call,
     Const,
     EvalDomainError,
-    NamedConst,
     Neg,
     Var,
     compile_enclosure,
@@ -35,7 +34,7 @@ CONSTS = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
     st.floats(min_value=0.0, max_value=1e3),
 ).map(Const)
-LEAVES = st.one_of(st.just(Var()), st.sampled_from([NamedConst("pi"), NamedConst("e")]), CONSTS)
+LEAVES = st.one_of(st.just(Var()), st.sampled_from([Const(math.pi), Const(math.e)]), CONSTS)
 
 
 def _nodes(children):

@@ -8,9 +8,7 @@ from revcrochet.expression import (
     Call,
     Const,
     EvalDomainError,
-    ExpressionError,
     MAX_DEPTH,
-    NamedConst,
     Neg,
     ParseError,
     Var,
@@ -18,10 +16,9 @@ from revcrochet.expression import (
     compile_expr,
     differentiate,
     parse,
-    render,
 )
 
-from conftest import evaluate, reference_evaluate, same_float
+from conftest import evaluate, reference_evaluate, render, same_float
 
 
 class TestParse:
@@ -54,6 +51,13 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, position", [("²", 0), ("2 + ٣*x", 4)])
+    def test_numerals_are_ascii_digits(self, text, position):
+        # str.isdigit takes both; float() refuses '²' and reads '٣' as 3
+        with pytest.raises(ParseError, match="^unexpected character") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse("2x")
@@ -71,6 +75,7 @@ class TestParse:
         assert evaluate(parse("-x^2"), 3.0) == -9.0
 
     def test_named_constants(self):
+        assert parse("pi") == Const(math.pi) and parse("e") == Const(math.e)
         assert evaluate(parse("pi"), 0.0) == math.pi
         assert evaluate(parse("e"), 0.0) == math.e
 
@@ -167,12 +172,6 @@ class TestEvaluate:
         assert evaluate(d, 0.0) == math.inf
         assert math.isnan(evaluate(Binary("+", d, Neg(d)), 0.0))
 
-    def test_non_finite_constant_does_not_render(self):
-        big = "1" + "0" * 200
-        d = differentiate(parse(f"{big}*({big}*x)"))
-        with pytest.raises(ExpressionError, match=r"^cannot render the non-finite constant inf$"):
-            render(d)
-
     def test_signed_zero_constants_compile_apart(self):
         # Const(0.0) == Const(-0.0), yet x*0 and x*-0 differ in sign at x=1
         pos, neg = Binary("*", Var(), Const(0.0)), Binary("*", Var(), Const(-0.0))
@@ -261,7 +260,7 @@ def random_parsed_tree(rng, depth):
         if kind < 0.4:
             return Var()
         if kind < 0.5:
-            return NamedConst(rng.choice(["pi", "e"]))
+            return Const(rng.choice([math.pi, math.e]))
         digits = rng.randint(0, 9)
         return Const(float(f"{rng.uniform(0, 10) * 10.0 ** rng.randint(-8, 3):.{digits}f}"))
     kind = rng.random()
@@ -314,6 +313,9 @@ class TestProperties:
                 with pytest.raises(AttributeError):
                     setattr(t, name, Var())
 
+    # The reference renderer in conftest.py: the identity test above shows
+    # its parentheses suffice, these cases that it adds none the parser does
+    # not need.
     @pytest.mark.parametrize("tree, text", [
         (Binary("+", Var(), Binary("+", Const(2.0), Binary("^", Var(), Const(2.0)))),
          "x + (2 + x^2)"),
@@ -346,33 +348,6 @@ class TestProperties:
                 checked += 1
         assert checked > 600
 
-    def test_render_parse_roundtrip(self):
-        rng = random.Random(77)
-        for _ in range(100):
-            tree = parse(random_tree(rng))
-            f, reparsed = compile_expr(tree), compile_expr(parse(render(tree)))
-            for _ in range(100):
-                x = rng.uniform(-2, 2)
-                try:
-                    v1 = f(x)
-                except EvalDomainError:
-                    continue
-                v2 = reparsed(x)
-                assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-300)
-
-    def test_roundtrip_of_derivatives(self):
-        rng = random.Random(79)
-        for _ in range(50):
-            tree = differentiate(parse(random_tree(rng)))
-            f, reparsed = compile_expr(tree), compile_expr(parse(render(tree)))
-            for _ in range(40):
-                x = rng.uniform(-2, 2)
-                try:
-                    v1 = f(x)
-                except EvalDomainError:
-                    continue
-                assert reparsed(x) == pytest.approx(v1, rel=1e-12, abs=1e-300)
-
     def test_compiled_matches_tree_eval_bitwise(self):
         rng = random.Random(81)
         for _ in range(60):
@@ -394,7 +369,7 @@ class TestProperties:
         allowed_calls = {"sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign"}
 
         def walk(e):
-            if isinstance(e, (Const, NamedConst, Var)):
+            if isinstance(e, (Const, Var)):
                 return
             if isinstance(e, Neg):
                 walk(e.arg)

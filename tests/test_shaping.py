@@ -55,7 +55,7 @@ class TestStitchCount:
         assert stitch_count(running_spec, EXTREMUM_LO) == 51
 
     def test_zero_radius(self):
-        spec = PatternSpec(parse("sin(x)"), 0.0, math.pi, 22, 25, 2.0)
+        spec = PatternSpec(parse("sin(x)"), 0.0, math.pi, 22, 25, 2.0, "sin(x)")
         assert stitch_count(spec, 0.0) == 0
 
     def test_rejects_outside_interval(self, running_spec):
@@ -69,13 +69,13 @@ class TestRowCounts:
 
     def test_constant_function(self):
         # [2*pi * 1 * (20/4) * 2] = [62.83] = 63 in every row
-        spec = PatternSpec(parse("2"), 0.0, 1.0, 20, 8, 1.0)
+        spec = PatternSpec(parse("2"), 0.0, 1.0, 20, 8, 1.0, "2")
         plan = build_plan(spec)
         counts = row_counts(spec, plan)
         assert counts and all(c == 63 for c in counts)
 
     def test_monotone_function_gives_nondecreasing_counts(self):
-        spec = PatternSpec(parse("x"), 1.0, 2.0, 22, 25, 0.4)
+        spec = PatternSpec(parse("x"), 1.0, 2.0, 22, 25, 0.4, "x")
         plan = build_plan(spec, prioritize_extrema=False)
         counts = row_counts(spec, plan)
         assert counts == sorted(counts)
@@ -430,7 +430,7 @@ class TestShapeRows:
     def test_lookback_skips_plain_rows(self):
         # constant middle section: the reference row for the last increase
         # is the most recent row that had ops, not the plain row before it
-        spec = PatternSpec(parse("2"), 0.0, 1.0, 20, 8, 1.0)
+        spec = PatternSpec(parse("2"), 0.0, 1.0, 20, 8, 1.0, "2")
         plan = build_plan(spec)
         counts = row_counts(spec, plan)
         assert all(c == 63 for c in counts)
@@ -438,7 +438,7 @@ class TestShapeRows:
         assert all(r.op == "none" for r in rows[1:])
 
     def test_zero_endpoint_rows_are_dropped(self):
-        spec = PatternSpec(parse("sin(x)"), 0.0, math.pi, 22, 25, 2.0)
+        spec = PatternSpec(parse("sin(x)"), 0.0, math.pi, 22, 25, 2.0, "sin(x)")
         plan = build_plan(spec)
         rows = shape_rows(spec, plan)
         assert rows[0].stitches > 0
