@@ -24,8 +24,7 @@ QUAD_MAX_DEPTH = 50
 LANDMARK_XTOL = 1e-4      # bisection bracket width; finer than the 0.01 reporting step
 EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
-EXTREMUM_GRID = 4096      # subintervals scanned for f' sign changes
-VALIDATION_GRID = 2048    # subintervals sampled for positivity / f' definedness
+EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
 # landmark bisection (tens of microseconds), so 10,000 rows take about a
 # second; the running example at scale 30 has 2,694.
@@ -112,50 +111,11 @@ class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge sca
         """Check the invariants; raises SpecValidationError.
 
         f >= 0 at the endpoints, f > 0 on the open interval, and f'
-        defined on [a, b] are checked by dense sampling (VALIDATION_GRID
-        subintervals), which is as strong a guarantee as sampling can give.
-        A block of grid points where enclosures prove f > 0 and f' defined
-        and finite is not evaluated point by point; the first failing grid
-        point, and its message, are the same either way.
+        defined and finite on [a, b] are checked at every other point of
+        the EXTREMUM_GRID walk (see _walk), which is as strong a guarantee
+        as sampling can give.
         """
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise SpecValidationError("a and b must be finite")
-        if not self.a < self.b:
-            raise SpecValidationError("a must be less than b")
-        if not math.isfinite(self.b - self.a):
-            raise SpecValidationError("b - a must be finite")
-        if not isinstance(self.stitch_gauge, int) or self.stitch_gauge < 1:
-            raise SpecValidationError("stitch gauge must be a positive integer")
-        if not isinstance(self.row_gauge, int) or self.row_gauge < 1:
-            raise SpecValidationError("row gauge must be a positive integer")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise SpecValidationError("scale must be a positive number")
-
-        f, fp, _, f_box, fp_box = self.curve
-
-        def certify(lo, hi):
-            y = f_box(lo, hi)
-            return y is not None and y[0] > 0 and fp_box(lo, hi) is not None
-
-        a, n = self.a, VALIDATION_GRID
-        step = (self.b - a) / n
-        for i0, i1, proved in _grid_blocks(a, step, n, certify):
-            if proved:
-                continue
-            for i in range(i0, i1 + 1):
-                x = a + i * step
-                try:
-                    y = f(x)
-                except EvalDomainError as exc:
-                    raise SpecValidationError(f"f is undefined at x={x!r}") from exc
-                if not 0 < y < math.inf:
-                    check_height(x, y, 0 < i < n)
-                try:
-                    dy = fp(x)
-                except EvalDomainError as exc:
-                    raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
-                if not math.isfinite(dy):
-                    raise SpecValidationError(f"f' is not finite at x={x!r}")
+        _walk(self, extrema=False)
 
 
 def check_height(x: float, y: float, interior: bool) -> None:
@@ -228,30 +188,6 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
     ) + _simpson_step(g, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
 
 
-def _grid_blocks(a, step, n, certify):
-    """Split the grid points a + i*step, i = 0..n, into blocks, left to right.
-
-    Yields (i0, i1, verdict) for the points i0..i1, each point in exactly
-    one block.  verdict is what certify(lo, hi) returned for a range of
-    cells holding the block; a falsy one means "evaluate these points",
-    and comes only for ranges of at most SCAN_LEAF_CELLS cells.  A range
-    certify does not decide is halved, left half first.  lo and hi are the
-    floats a + i*step at the range's ends, and float rounding is monotone,
-    so every grid point of the range lies between them.
-    """
-    ranges = [(0, n)]
-    first = 0
-    while ranges:
-        c0, c1 = ranges.pop()
-        verdict = certify(a + c0 * step, a + c1 * step)
-        if not verdict and c1 - c0 > SCAN_LEAF_CELLS:
-            mid = (c0 + c1) // 2
-            ranges += [(mid, c1), (c0, mid)]
-            continue
-        yield first, c1, verdict
-        first = c1 + 1
-
-
 def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     """Arclength of f over [lo, hi] converted to row units."""
     if not (spec.a <= lo < hi <= spec.b):
@@ -262,54 +198,13 @@ def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
 def find_extrema(spec: PatternSpec) -> list[float]:
     """x values in (a, b) where f' changes sign, sorted ascending.
 
-    Sign changes are detected on a uniform grid of EXTREMUM_GRID
-    subintervals and then located by bisection to EXTREMUM_XTOL; results
-    closer together than EXTREMUM_DEDUPE are merged.  A block of grid
-    points where an enclosure proves the sign of f' is not evaluated point
-    by point, so every bracket bisected, and every extremum, is the same
-    float as with a scan of every point.
+    The same walk of the grid (see _walk) validates the spec as
+    PatternSpec.validate does.  Sign changes of f' between grid points are
+    located by bisection to EXTREMUM_XTOL; results closer together than
+    EXTREMUM_DEDUPE are merged.
     """
-    fp, fp_box = spec.curve.fp, spec.curve.fp_box
-
-    def certify(lo, hi):
-        d = fp_box(lo, hi)
-        if d is None:
-            return 0
-        return (d[0] > 0) - (d[1] < 0)
-
-    a, n = spec.a, EXTREMUM_GRID
-    step = (spec.b - a) / n
-
-    def deriv(x):
-        try:
-            v = fp(x)
-        except EvalDomainError as exc:
-            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
-        if not math.isfinite(v):
-            raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
-        return v
-
-    roots = []
-    last_x = None
-    last_sign = 0
-    for i0, i1, sign in _grid_blocks(a, step, n, certify):
-        if sign:
-            # The block's first cell starts at the last point scanned, of
-            # this sign too, so the block holds no sign change.
-            last_x, last_sign = a + i1 * step, sign
-            continue
-        for i in range(i0, i1 + 1):
-            x = a + i * step
-            v = deriv(x)
-            s = (v > 0) - (v < 0)
-            if s == 0:
-                continue
-            if last_sign != 0 and s != last_sign:
-                roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
-            last_x, last_sign = x, s
-
     merged = []
-    for r in roots:
+    for r in _walk(spec, extrema=True):
         if merged and r - merged[-1] <= EXTREMUM_DEDUPE:
             continue
         # extrema essentially at a or b belong to the endpoints, not the interior
@@ -317,6 +212,98 @@ def find_extrema(spec: PatternSpec) -> list[float]:
             continue
         merged.append(r)
     return merged
+
+
+def _walk(spec, extrema):
+    """Check the spec on the grid a + i*step, i = 0..EXTREMUM_GRID, left to right.
+
+    Each even point gets validate's checks: f, then f'.  With extrema, f'
+    at every point also feeds a sign scan, and each sign change is bisected
+    as soon as it is found; the bisected x values are returned.  The first
+    grid point or bisection midpoint that fails raises SpecValidationError.
+
+    Ranges of cells are halved, left half first, until enclosures decide
+    them or they have at most SCAN_LEAF_CELLS cells.  A range where
+    enclosures prove f > 0 and f' defined and finite is valid, and so are
+    its halves: its even points need no checks.  With extrema, a range
+    where the enclosure of f' fixes the sign holds no sign change: its
+    points need no scan.  lo and hi are the floats a + i*step at the
+    range's ends, and float rounding is monotone, so every grid point of
+    the range lies between them.  The first failure, every bracket and
+    every root are the same floats as with every point evaluated.
+    """
+    if not (math.isfinite(spec.a) and math.isfinite(spec.b)):
+        raise SpecValidationError("a and b must be finite")
+    if not spec.a < spec.b:
+        raise SpecValidationError("a must be less than b")
+    if not math.isfinite(spec.b - spec.a):
+        raise SpecValidationError("b - a must be finite")
+    if not isinstance(spec.stitch_gauge, int) or spec.stitch_gauge < 1:
+        raise SpecValidationError("stitch gauge must be a positive integer")
+    if not isinstance(spec.row_gauge, int) or spec.row_gauge < 1:
+        raise SpecValidationError("row gauge must be a positive integer")
+    if not (math.isfinite(spec.scale) and spec.scale > 0):
+        raise SpecValidationError("scale must be a positive number")
+
+    f, fp, _, f_box, fp_box = spec.curve
+    a, n = spec.a, EXTREMUM_GRID
+    step = (spec.b - a) / n
+
+    def deriv(x):
+        try:
+            v = fp(x)
+        except EvalDomainError as exc:
+            raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
+        if not math.isfinite(v):
+            raise SpecValidationError(f"f' is not finite at x={x!r}")
+        return v
+
+    roots = []
+    last_x, last_sign = None, 0
+    ranges = [(0, n, False)]
+    first = 0  # the first grid point no range has covered yet
+    while ranges:
+        c0, c1, valid = ranges.pop()
+        lo, hi = a + c0 * step, a + c1 * step
+        sign = 0
+        if extrema:
+            d = fp_box(lo, hi)
+            if d is not None:
+                sign = (d[0] > 0) - (d[1] < 0)
+                if not valid:
+                    y = f_box(lo, hi)
+                    valid = y is not None and y[0] > 0
+        else:
+            y = f_box(lo, hi)
+            valid = y is not None and y[0] > 0 and fp_box(lo, hi) is not None
+        scan = extrema and not sign
+        if scan or not valid:
+            if c1 - c0 > SCAN_LEAF_CELLS:
+                mid = (c0 + c1) // 2
+                ranges += [(mid, c1, valid), (c0, mid, valid)]
+                continue
+            stride = 1 if scan else 2
+            for i in range(first + first % stride, c1 + 1, stride):
+                x = a + i * step
+                if not (valid or i % 2):
+                    try:
+                        y = f(x)
+                    except EvalDomainError as exc:
+                        raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+                    if not 0 < y < math.inf:
+                        check_height(x, y, 0 < i < n)
+                v = deriv(x)
+                s = (v > 0) - (v < 0)
+                if scan and s:
+                    if last_sign and s != last_sign:
+                        roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
+                    last_x, last_sign = x, s
+        if sign:
+            # The range's first cell starts at the last point scanned, of
+            # this sign too, so the range holds no sign change.
+            last_x, last_sign = hi, sign
+        first = c1 + 1
+    return roots
 
 
 def _bisect_sign_change(deriv, lo, hi, lo_sign):
@@ -391,11 +378,11 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     are concatenated.  A plan of more than MAX_ROWS rows is refused with
     SpecValidationError before any landmark is placed.
     """
-    spec.validate()
-    bounds = [spec.a]
     if prioritize_extrema:
-        bounds.extend(find_extrema(spec))
-    bounds.append(spec.b)
+        bounds = [spec.a, *find_extrema(spec), spec.b]
+    else:
+        spec.validate()
+        bounds = [spec.a, spec.b]
 
     spans = list(zip(bounds, bounds[1:]))
     lengths = [arclength_rows(spec, lo, hi) for lo, hi in spans]

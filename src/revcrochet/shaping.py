@@ -185,16 +185,17 @@ def optimize_placement(
 def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
     """Shaping decisions for every row of the plan, in crochet order.
 
-    Row 0 is the cast-on at the first landmark.  A zero-stitch landmark at
-    either end (the surface closes to a point there) is dropped here; the
-    cast-on or the closing instruction takes its place.  Each shaped row is
-    optimized against the most recent row that actually had shaping ops.
+    Row 0 is the cast-on at the first landmark with stitches.  The run of
+    zero-stitch landmarks at either end (the surface closes to a point
+    there) is dropped here; the cast-on or the closing instruction takes
+    its place.  Each shaped row is optimized against the most recent row
+    that actually had shaping ops.
     A pattern of more than MAX_STITCHES stitches raises SpecValidationError.
     """
     counts = row_counts(spec, plan)
     # landmark_heights refuses a plan whose every row has 0 stitches
-    start = 1 if counts[0] == 0 else 0
-    end = len(counts) - 1 if counts[-1] == 0 else len(counts)
+    start = next(i for i, c in enumerate(counts) if c)
+    end = len(counts) - next(i for i, c in enumerate(reversed(counts)) if c)
 
     xs = plan.landmarks[start:end]
     counts = counts[start:end]

@@ -12,7 +12,6 @@ from revcrochet.calculus import (
     EXTREMUM_DEDUPE,
     EXTREMUM_GRID,
     LANDMARK_XTOL,
-    VALIDATION_GRID,
     SpecValidationError,
     _bisect_sign_change,
     adaptive_simpson,
@@ -406,39 +405,16 @@ def reference_landmarks(spec, seg):
     return xs
 
 
-# --- grid scan oracles --------------------------------------------------------
-# Every grid point evaluated, in order; validate and find_extrema skip the
-# blocks that enclosures decide, and must raise the same error or return
+# --- grid walk oracles --------------------------------------------------------
+# Every grid point evaluated, in scan order: an even point gets the checks of
+# f and then of f', an odd point (extrema only) those of f', and a sign
+# change of f' is bisected where it is found.  validate and find_extrema skip
+# the ranges that enclosures decide, and must raise the same error or return
 # the same floats.
 
-def reference_validate(spec):
-    """PatternSpec.validate's grid scan, without the argument checks."""
+def reference_walk(spec, extrema):
+    """The bisected sign changes of f' (with extrema) of a walk of every grid point."""
     f, fp = spec.curve.f, spec.curve.fp
-    a, n = spec.a, VALIDATION_GRID
-    step = (spec.b - a) / n
-    for i in range(n + 1):
-        x = a + i * step
-        try:
-            y = f(x)
-        except EvalDomainError as exc:
-            raise SpecValidationError(f"f is undefined at x={x!r}") from exc
-        if not math.isfinite(y):
-            raise SpecValidationError(f"f is not finite at x={x!r}")
-        if y < 0:
-            raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
-        if y == 0 and 0 < i < n:
-            raise SpecValidationError(f"f must be positive on the open interval; f({x!r}) = 0")
-        try:
-            dy = fp(x)
-        except EvalDomainError as exc:
-            raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
-        if not math.isfinite(dy):
-            raise SpecValidationError(f"f' is not finite at x={x!r}")
-
-
-def reference_extrema(spec):
-    """find_extrema with f' evaluated at every grid point."""
-    fp = spec.curve.fp
     a, n = spec.a, EXTREMUM_GRID
     step = (spec.b - a) / n
 
@@ -446,24 +422,45 @@ def reference_extrema(spec):
         try:
             v = fp(x)
         except EvalDomainError as exc:
-            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+            raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
         if not math.isfinite(v):
-            raise EvalDomainError(f"f' is not a finite real number at x={x!r}")
+            raise SpecValidationError(f"f' is not finite at x={x!r}")
         return v
 
     roots = []
     last_x, last_sign = None, 0
-    for i in range(n + 1):
+    for i in range(0, n + 1, 1 if extrema else 2):
         x = a + i * step
+        if i % 2 == 0:
+            try:
+                y = f(x)
+            except EvalDomainError as exc:
+                raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+            if not math.isfinite(y):
+                raise SpecValidationError(f"f is not finite at x={x!r}")
+            if y < 0:
+                raise SpecValidationError(f"f must be nonnegative on [a, b]; f({x!r}) = {y!r}")
+            if y == 0 and 0 < i < n:
+                raise SpecValidationError(f"f must be positive on the open interval; f({x!r}) = 0")
         v = deriv(x)
         s = (v > 0) - (v < 0)
-        if s == 0:
+        if not extrema or s == 0:
             continue
         if last_sign != 0 and s != last_sign:
             roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
         last_x, last_sign = x, s
+    return roots
+
+
+def reference_validate(spec):
+    """PatternSpec.validate's grid checks, without the argument checks."""
+    reference_walk(spec, extrema=False)
+
+
+def reference_extrema(spec):
+    """find_extrema with every grid point evaluated."""
     merged = []
-    for r in roots:
+    for r in reference_walk(spec, extrema=True):
         if merged and r - merged[-1] <= EXTREMUM_DEDUPE:
             continue
         if r - spec.a <= EXTREMUM_DEDUPE or spec.b - r <= EXTREMUM_DEDUPE:

@@ -11,13 +11,16 @@ transition.
     PYTHONPATH=src python tests/corpus.py --record "REASON"  # re-record
 
 `--record` needs the bug fix that justifies it; the reason and the change
-counts are appended to the file's header.  tests/test_corpus.py runs the
-fast subset (the first FAST_PER_CLASS specs of every class).
+counts are appended to the file's header.  Both list every changed spec
+with its old -> new exit code and the first line of each stderr.
+tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
+of every class).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import random
@@ -182,6 +185,17 @@ def compare(expected, got):
     return changed, per_class, transitions
 
 
+def moved_line(spec_id, old, new):
+    """'id: exit A -> B, stdout same|changed, stderr OLD -> NEW' for a changed spec."""
+    def fields(line):  # exit code, stdout sha256, first line of stderr
+        f = line.split("\t") if line else ["", "", "", "new", "", "''"]
+        return f[3], f[4], ast.literal_eval(f[5]).split("\n", 1)[0]
+
+    (code0, out0, err0), (code1, out1, err1) = fields(old), fields(new)
+    stdout = "same" if out0 == out1 else "changed"
+    return f"  {spec_id}: exit {code0} -> {code1}, stdout {stdout}, stderr {err0!r} -> {err1!r}"
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--record", metavar="REASON", help="re-record, for this stated bug fix")
@@ -195,6 +209,8 @@ def main(argv=None):
         print(f"  class {key}: {n}")
     for key, n in sorted(transitions.items()):
         print(f"  exit {key}: {n}")
+    for sid in changed:
+        print(moved_line(sid, expected.get(sid), got[sid]))
     if args.record:
         header = header or ["# id\tclass\targv digest\texit\tstdout sha256\tstderr"]
         classes = ", ".join(f"{k} {n}" for k, n in sorted(per_class.items()))
@@ -203,8 +219,6 @@ def main(argv=None):
         body = [got[sid] for sid, _, _ in specs()]
         EXPECTED.write_text("\n".join(header + body) + "\n", encoding="utf-8")
         return 0
-    for sid in changed[:20]:
-        print(f"  {sid}: expected {expected.get(sid)!r}\n  {' ' * len(sid)}  got      {got[sid]!r}")
     return 1 if changed else 0
 
 

@@ -38,6 +38,7 @@ from conftest import (
     reference_landmarks,
     reference_validate,
 )
+from corpus import _draw as corpus_draw
 
 
 def make_spec(text, a, b, stitch_gauge=22, row_gauge=25, scale=0.18):
@@ -119,7 +120,7 @@ SCAN_CASES = [
 
 
 class TestCertifiedScans:
-    """validate and find_extrema against the scans of every grid point."""
+    """validate and find_extrema against the walk of every grid point."""
 
     @pytest.mark.parametrize("text, a, b", SCAN_CASES)
     def test_listed_specs_match_the_point_by_point_scans(self, text, a, b):
@@ -133,6 +134,28 @@ class TestCertifiedScans:
             spec = random_valid_spec(rng)
             assert outcome(spec.validate) == outcome(reference_validate, spec) is None
             assert find_extrema(spec) == reference_extrema(spec)
+
+    @pytest.mark.parametrize("cls", ["complex-kink", "pole", "tan", "ln", "sign", "sqrt-abs"])
+    def test_seeded_corpus_specs_match_the_point_by_point_walk(self, cls):
+        # 21 of these 48 specs are rejected, none of the sqrt-abs ones
+        rng = random.Random(f"walk:{cls}")
+        for _ in range(8):
+            spec = make_spec(*corpus_draw(cls, rng))
+            assert outcome(find_extrema, spec) == outcome(reference_extrema, spec)
+            assert outcome(spec.validate) == outcome(reference_validate, spec)
+
+    def test_plan_evaluates_f_prime_at_no_x_twice(self):
+        # f(0) = 0 and f'(0) = 0 leave the ranges at 0 undecided
+        spec = make_spec("x^2", 0.0, 1.0)
+        fp, xs = spec.curve.fp, []
+
+        def recorded(x):
+            xs.append(x)
+            return fp(x)
+
+        spec.curve = spec.curve._replace(fp=recorded)
+        build_plan(spec)
+        assert xs and len(set(xs)) == len(xs)
 
     def test_running_example_extrema_skip_most_points(self, running_spec):
         spec = running_spec._replace()  # a curve of its own

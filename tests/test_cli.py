@@ -248,6 +248,40 @@ class TestRun:
             "revcrochet: every row would have 0 stitches; raise the scale or the stitch gauge\n"
         )
 
+    def test_cast_on_skips_every_leading_zero_stitch_row(self, capsys):
+        # x^4 rounds to 0 stitches at x = 0 and at the landmark x = 0.2 too
+        code = run(["--function", "x^4", "--a", "0", "--b", "1", "--stitch-gauge", "20",
+                    "--row-gauge", "20", "--scale", "1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "Row 0: Create a magic ring with 1 stitches." in lines
+
+    def test_first_failure_in_scan_order_is_reported(self, capsys):
+        # f' is undefined at grid point 3,581 of 4,096, f at point 3,582:
+        # the walk reports the odd point, which it reaches first
+        code = run(["--function", "1.8748 + (abs(x - 1.3612) - 0.0072)^1.5",
+                    "--a=0.306", "--b=1.505", "--stitch-gauge", "12", "--row-gauge", "25",
+                    "--scale=0.58"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "revcrochet: f' is undefined at x=1.354246826171875\n"
+
+    @pytest.mark.parametrize("function", ["x^2 + 1", "sqrt(x)", "1/x", "x"])
+    def test_subnormal_grid_step_ends_in_one_outcome(self, capsys, function):
+        # (b - a)/4096 is subnormal, so a + 2i*((b - a)/4096) is not a +
+        # i*((b - a)/2048) at 2,048 of the 2,049 even grid points
+        assert sum(2 * i * (1e-310 / 4096) != i * (1e-310 / 2048) for i in range(2049)) == 2048
+        code = run(["--function", function, "--a", "0", "--b", "1e-310", "--stitch-gauge",
+                    "20", "--row-gauge", "20", "--scale", "1"])
+        out = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out.out == ""
+            assert len(out.err.splitlines()) == 1 and out.err.startswith("revcrochet: ")
+        else:
+            assert out.err == "" and out.out.endswith("Tie off\n")
+
     def test_running_example_at_scale_30_is_within_the_caps(self, capsys):
         args = RUNNING_ARGS[:-1] + ["30"]
         assert run(args) == 0
