@@ -238,10 +238,13 @@ def _walk(spec, extrema):
         raise SpecValidationError("a must be less than b")
     if not math.isfinite(spec.b - spec.a):
         raise SpecValidationError("b - a must be finite")
-    if not isinstance(spec.stitch_gauge, int) or spec.stitch_gauge < 1:
-        raise SpecValidationError("stitch gauge must be a positive integer")
-    if not isinstance(spec.row_gauge, int) or spec.row_gauge < 1:
-        raise SpecValidationError("row gauge must be a positive integer")
+    for name, gauge in (("stitch", spec.stitch_gauge), ("row", spec.row_gauge)):
+        if not isinstance(gauge, int) or gauge < 1:
+            raise SpecValidationError(f"{name} gauge must be a positive integer")
+        try:
+            float(gauge)  # stitches_per_unit and rows_per_unit multiply by it
+        except OverflowError:
+            raise SpecValidationError(f"{name} gauge is too large") from None
     if not (math.isfinite(spec.scale) and spec.scale > 0):
         raise SpecValidationError("scale must be a positive number")
 

@@ -66,13 +66,17 @@ class PatternDoc(
         return "\n".join(lines) + "\n"
 
 
+def _stitches(n: int) -> str:
+    return "1 stitch" if n == 1 else f"{n} stitches"
+
+
 def _op_word(op: str) -> str:
     return "Inc" if op == OP_INCREASE else "Dec"
 
 
 def render_row(shaping: RowShaping) -> str:
     """Instruction text for one row, ending with its stitch total."""
-    total = f" ({shaping.stitches} stitches)"
+    total = f" ({_stitches(shaping.stitches)})"
     if shaping.op == OP_NONE:
         return f"Sc{shaping.stitches}.{total}"
     if shaping.steep:
@@ -116,7 +120,7 @@ def render_pattern(
     for i, sh in enumerate(rows):
         if i == 0:
             if closed_start:
-                body = f"Create a magic ring with {sh.stitches} stitches."
+                body = f"Create a magic ring with {_stitches(sh.stitches)}."
             else:
                 body = f"Chain {sh.stitches}. join work, and Sc{sh.stitches}."
             line = f"Row 0: {body}"

@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 import re
@@ -17,6 +18,7 @@ from revcrochet.calculus import (
     adaptive_simpson,
     round_landmark,
 )
+from revcrochet.cli import GRAMMAR_HELP
 from revcrochet.expression import (
     Binary,
     Call,
@@ -195,10 +197,48 @@ def placement_candidates(prev_positions, prev_denom, s_prev, s_cur):
     ]
 
 
+# --- command-line oracle ----------------------------------------------------
+# The argparse parser that revcrochet.cli used before its own table-driven
+# parser; tests/test_cli.py checks that parser against this one.
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="revcrochet",
+        description=(
+            "Generate a row-by-row crochet pattern for the surface obtained by "
+            "revolving f(x) about the x-axis over [a, b]."
+        ),
+        epilog=GRAMMAR_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("--function", required=True, help="f(x), e.g. \"x^2 + 1\"")
+    p.add_argument("--a", required=True, type=float, help="start of the interval, in units")
+    p.add_argument("--b", required=True, type=float, help="end of the interval, in units")
+    p.add_argument(
+        "--stitch-gauge", required=True, type=int, help="stitches per 4 inches of fabric"
+    )
+    p.add_argument("--row-gauge", required=True, type=int, help="rows per 4 inches of fabric")
+    p.add_argument("--scale", required=True, type=float, help="inches per unit")
+    p.add_argument(
+        "--format",
+        choices=("text", "json", "svg"),
+        default="text",
+        help="output format (default: text)",
+    )
+    p.add_argument(
+        "--no-extrema",
+        dest="prioritize_extrema",
+        action="store_false",
+        help="space rows evenly over [a, b] instead of aligning rows to local extrema",
+    )
+    p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    return p
+
+
 # --- instruction parser -----------------------------------------------------
 
 _CAST_ON_CHAIN = r"^Chain (\d+)\. join work, and Sc\1\.$"
-_CAST_ON_RING = r"^Create a magic ring with (\d+) stitches\.$"
+_CAST_ON_RING = r"^Create a magic ring with (\d+) stitch(?:es)?\.$"
 _TOKEN = r"\*([^*]*)\* \((\d+) times\)|Sc(\d+)|Inc|Dec"
 
 
@@ -209,7 +249,7 @@ def instruction_totals(line):
     rows consume 0.  Used to check stitch conservation row by row.
     """
     body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
-    body = re.sub(r" \(\d+ stitches\)$", "", body)
+    body = re.sub(r" \(\d+ stitch(?:es)?\)$", "", body)
     for cast_on in (_CAST_ON_CHAIN, _CAST_ON_RING):
         m = re.match(cast_on, body)
         if m:

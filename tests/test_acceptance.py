@@ -185,7 +185,7 @@ def test_criterion_6_conservation_property_suite():
 
 def _count_ops(line):
     body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
-    body = re.sub(r" \(\d+ stitches\)$", "", body)
+    body = re.sub(r" \(\d+ stitch(?:es)?\)$", "", body)
     total = 0
     for m in re.finditer(r"\*([^*]*)\* \((\d+) times\)|Inc|Dec", body):
         if m.group(2) is not None:

@@ -1,15 +1,21 @@
+import io
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from revcrochet import calculus, emit, shaping
-from revcrochet.cli import run
+from revcrochet.cli import _parse_args, run
 
-from conftest import golden, text_from_json
+from conftest import _build_parser, golden, text_from_json
 
 BIG = "1" + "0" * 200
 
@@ -209,6 +215,16 @@ class TestRun:
             "lower the scale or the stitch gauge\n"
         )
 
+    @pytest.mark.parametrize("gauge", ["stitch", "row"])
+    def test_gauge_too_large_for_a_float_exits_2(self, capsys, gauge):
+        # int * float raised OverflowError in stitches_per_unit / rows_per_unit
+        other = "row" if gauge == "stitch" else "stitch"
+        code = run(["--function", "x+1", "--a", "0", "--b", "1", f"--{gauge}-gauge",
+                    "1" + "0" * 400, f"--{other}-gauge", "20", "--scale", "1"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"revcrochet: {gauge} gauge is too large\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
     @pytest.mark.parametrize("function, message", [
         # f dips below 0 between validation samples, and landmarks round into the dip
@@ -254,7 +270,7 @@ class TestRun:
                     "--row-gauge", "20", "--scale", "1"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "Row 0: Create a magic ring with 1 stitches." in lines
+        assert "Row 0: Create a magic ring with 1 stitch." in lines
 
     def test_first_failure_in_scan_order_is_reported(self, capsys):
         # f' is undefined at grid point 3,581 of 4,096, f at point 3,582:
@@ -300,19 +316,157 @@ class TestRun:
         assert err.startswith("revcrochet: expression nests deeper than 50 levels")
         assert err.count("\n") == 1
 
-    def test_missing_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["--function", "x"])
-        assert exc.value.code == 2
+    def test_missing_flag_exits_2(self, capsys):
+        assert run(["--function", "x"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "revcrochet: the following arguments are required: "
+            "--a, --b, --stitch-gauge, --row-gauge, --scale\n"
+        )
 
     def test_help_documents_grammar(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["--help"])
-        assert exc.value.code == 0
-        helptext = capsys.readouterr().out
+        assert run(["--help"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        helptext = out.out
+        assert helptext.startswith("usage: revcrochet --function F --a A --b B ")
         assert "expression grammar" in helptext
         assert "2*x, not 2x" in helptext
         assert "nest at most 50 levels" in helptext
+        assert "  --no-extrema    space rows evenly over [a, b]" in helptext
+
+
+class TestArgs:
+    """The table-driven parser against the argparse parser it replaced."""
+
+    FLAGS = ("--function", "--a", "--b", "--stitch-gauge", "--row-gauge", "--scale",
+             "--format", "--no-extrema", "--output", "--help")
+    # values argparse takes in either spelling, then ones that fail in one or both
+    FLOATS = ("0.5", "2", "-3", "-.5", "-0", "1e3", "1_0", "nan", "-٣")
+    INTS = ("22", "7", "-3", "٣", " 8 ")
+    GOOD = {
+        "--function": ("x^2 + 1", "2 + sin(x)", "-x + 1", "x", "-3", ""),
+        "--a": FLOATS, "--b": FLOATS, "--scale": FLOATS,
+        "--stitch-gauge": INTS, "--row-gauge": INTS,
+        "--format": ("text", "json", "svg"),
+        "--output": ("pattern.txt", "-"),
+    }
+    BAD = ("-1e3", "-inf", "3.5", "one", "", "pdf", "-x", "--", "-h", "--sc", "--s")
+    STRAY = ("x", "--", "-h", "--help", "--he", "-x", "--zzz", "--zzz=1", "-", "-1e3", "-3",
+             "--no-extrema=1", "--no-extrema=", "--f", "--s=1", "--=x", "---a", "-hh")
+
+    def spellings(self, flag):
+        """Unique prefixes of flag, the flag itself included."""
+        return [flag[:n] for n in range(3, len(flag) + 1)
+                if sum(f.startswith(flag[:n]) for f in self.FLAGS) == 1]
+
+    def random_argv(self, rng):
+        """An argv of every flag in random order and spelling, half of them
+        with one or two faults: a missing, ambiguous or doubled flag, a bad
+        value, a stray token; and -h at any position now and then."""
+        faults = rng.choice((0, 0, 1, 2))
+        flags = rng.sample(self.FLAGS[:-1], len(self.FLAGS) - 1)
+        flags += rng.sample(flags, rng.choice((0, 0, 1, 2)))  # repeated: the last one counts
+        argv, kinds = [], [rng.choice(("missing", "ambiguous", "value", "stray"))
+                           for _ in range(faults)]
+        if "missing" in kinds:
+            flags.remove(rng.choice(flags))
+        for flag in flags:
+            name = flag if rng.random() < 0.6 else rng.choice(self.spellings(flag))
+            if "ambiguous" in kinds and rng.random() < 0.2:
+                name = rng.choice(("--f", "--s"))
+            if flag == "--no-extrema":
+                argv.append(name)
+                continue
+            bad = "value" in kinds and rng.random() < 0.3
+            value = rng.choice(self.BAD if bad else self.GOOD[flag])
+            # argparse strips "--" from "--b=--" and stores b = [], a defect
+            # the table does not copy (see test_usage_errors_are_one_line)
+            joined = value != "--" and rng.random() < 0.4
+            argv += [f"{name}={value}"] if joined else [name, value]
+        if "stray" in kinds:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(self.STRAY))
+        if rng.random() < 0.15:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(("-h", "--help", "--he")))
+        return argv
+
+    @staticmethod
+    def oracle(argv):
+        """("ok", namespace dict), ("help", None) or ("error", None) from argparse."""
+        parser = _build_parser()
+        # The table keeps the negative-number rule of the argparse it replaced
+        # (Python 3.10 to 3.13.0): pinned, so the oracle does not depend on
+        # the Python version running the tests.
+        parser._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                return "ok", vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("help" if exc.code == 0 else "error"), None
+
+    def test_agrees_with_argparse(self, capsys):
+        rng = random.Random(13)
+        seen = Counter()
+        for _ in range(1500):
+            argv = self.random_argv(rng)
+            verdict, expected = self.oracle(argv)
+            seen[verdict] += 1
+            if verdict == "ok":
+                got = _parse_args(argv)
+                assert got is not None, argv
+                assert {k: repr(v) for k, v in got.items()} == {
+                    k: repr(v) for k, v in expected.items()}, argv
+                continue
+            code = run(argv)
+            out = capsys.readouterr()
+            if verdict == "help":
+                assert (code, out.err) == (0, ""), argv
+                assert "expression grammar" in out.out
+            else:
+                assert code == 2 and out.out == "", argv
+                assert out.err.startswith("revcrochet: ") and out.err.count("\n") == 1, argv
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--func", "x", "--sc=2", "--a", "-3", "--b=-1e3", "--st", "٣", "--row-g", "4"],
+         {"function": "x", "scale": 2.0, "a": -3.0, "b": -1000.0, "stitch_gauge": 3,
+          "row_gauge": 4}),
+        (["--function", "-x + 1", "--a", "-.5", "--b", "1", "--a", "0", "--stitch-gauge", "2",
+          "--row-gauge", "2", "--scale", "1", "--fo", "svg", "--no", "--output", "-"],
+         {"function": "-x + 1", "a": 0.0, "b": 1.0, "stitch_gauge": 2, "row_gauge": 2,
+          "scale": 1.0, "format": "svg", "prioritize_extrema": False, "output": "-"}),
+        (["--function=--", "--a=-1e3", "--b=-inf", "--stitch-gauge=-3", "--row-gauge", "-٣",
+          "--scale=nan"],
+         {"function": "--", "a": -1000.0, "b": -math.inf, "stitch_gauge": -3, "row_gauge": -3,
+          "scale": math.nan}),
+    ])
+    def test_prefixes_repeats_and_negative_numbers(self, argv, expected):
+        expected = {"format": "text", "prioritize_extrema": True, "output": None, **expected}
+        assert repr(sorted(_parse_args(argv).items())) == repr(sorted(expected.items()))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--f", "x"], "ambiguous option: --f could match --function, --format"),
+        (RUNNING_ARGS + ["--a", "-1e3"], "argument --a: expected one argument"),
+        (RUNNING_ARGS + ["--a", "-inf"], "argument --a: expected one argument"),
+        (RUNNING_ARGS + ["--no-extrema=1"], "argument --no-extrema: ignored explicit argument '1'"),
+        (RUNNING_ARGS + ["--format", "pdf"],
+         "argument --format: invalid choice: 'pdf' (choose from text, json, svg)"),
+        (RUNNING_ARGS + ["--row-gauge", "3.5"], "argument --row-gauge: invalid int value: '3.5'"),
+        (RUNNING_ARGS + ["x", "--", "--a"], "unrecognized arguments: 'x' '--' '--a'"),
+        # argparse stored b = [] here, and run raised TypeError
+        (RUNNING_ARGS + ["--b=--"], "argument --b: invalid float value: '--'"),
+        (["-x", "--help"], None),
+        (["--a", "one", "--help"], "argument --a: invalid float value: 'one'"),
+        (["--help", "--s"], "ambiguous option: --s could match --stitch-gauge, --scale"),
+    ])
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        code = run(argv)
+        out = capsys.readouterr()
+        if message is None:  # --help after an unknown option, which argparse defers
+            assert code == 0 and out.out.startswith("usage: ")
+        else:
+            assert (code, out.out, out.err) == (2, "", f"revcrochet: {message}\n")
 
 
 class TestCompiledOnce:
@@ -382,7 +536,8 @@ class TestColdImport:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "revcrochet.cli" in loaded
-        heavy = {"dataclasses", "inspect", "ast", "decimal", "fractions", "json", "typing"}
+        heavy = {"dataclasses", "inspect", "ast", "decimal", "fractions", "json", "typing",
+                 "argparse", "gettext", "re", "enum"}
         assert heavy & loaded == set()
 
 

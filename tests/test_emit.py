@@ -48,6 +48,11 @@ class TestRenderRow:
         sh = RowShaping(4, 0.5, 35, "none")
         assert render_row(sh) == "Sc35. (35 stitches)"
 
+    def test_one_stitch_is_singular(self):
+        assert render_row(RowShaping(4, 0.5, 1, "none")) == "Sc1. (1 stitch)"
+        sh = RowShaping(5, 0.6, 1, "decrease", n_ops=1, q=2, r=0, k=1, positions=(1,))
+        assert render_row(sh) == "Dec, Sc1. (1 stitch)"
+
     def test_star_group_omitted_for_single_op(self):
         sh = RowShaping(2, 0.1, 11, "increase", n_ops=1, q=10, r=0, k=4, positions=(4,))
         assert render_row(sh) == "Sc3, Inc, Sc6. (11 stitches)"
@@ -143,6 +148,8 @@ class TestConservation:
 
     def test_magic_ring_totals(self):
         assert instruction_totals("Row 0: Create a magic ring with 4 stitches.") == (0, 4)
+        assert instruction_totals("Row 0: Create a magic ring with 1 stitch.") == (0, 1)
+        assert instruction_totals("Row 3:  Dec, Sc1. (1 stitch)") == (3, 2)
 
     def test_chain_totals(self):
         assert instruction_totals("Row 0: Chain 6. join work, and Sc6.") == (0, 6)
@@ -150,7 +157,7 @@ class TestConservation:
 
 def _expand_ops(line):
     body = re.sub(r"^Row \d+: {1,2}", "", line.strip())
-    body = re.sub(r" \(\d+ stitches\)$", "", body)
+    body = re.sub(r" \(\d+ stitch(?:es)?\)$", "", body)
     total = 0
     for m in re.finditer(r"\*([^*]*)\* \((\d+) times\)|Inc|Dec", body):
         if m.group(2) is not None:
