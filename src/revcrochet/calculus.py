@@ -333,16 +333,21 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     to two decimals and clamped into [a, b], which rounding can leave where
     a or b is off the 0.01 grid.  The segment endpoints stay unrounded.
 
-    A bisection step whose outcome the lower bound "arclength >= width"
-    already decides moves the right bracket without running the quadrature,
-    so the cost per landmark does not grow with segment length.  Only steps
-    that would have gone right are skipped, so every bracket, accumulated
-    arclength and landmark is the same float as with a quadrature per step.
+    A bisection step whose outcome a lower bound on the arclength already
+    decides moves the right bracket without running the quadrature, so the
+    cost per landmark does not grow with segment length.  The bound is the
+    width times the least g: 1 anywhere, or sqrt(1 + m^2) on a box where
+    the enclosure of f' proves |f'| >= m.  Only steps that would have gone
+    right are skipped, so every bracket, accumulated arclength and landmark
+    is the same float as with a quadrature per step.  A skipped step's
+    quadrature is never run, so it cannot raise QuadratureError.
     """
-    g = spec.curve.g
+    g, fp_box = spec.curve.g, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its accumulated arclength in rows
+    # The last enclosed box of f' and sqrt(1 + m^2) for it; kept across landmarks.
+    box_lo, box_hi, least_g = math.inf, -math.inf, 1.0
     for i in range(1, seg.row_count):
         target = i * seg.arclength_rows / seg.row_count
         xr = seg.hi
@@ -350,17 +355,25 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
                 break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-            # g = sqrt(1 + f'^2) >= 1, and each accepted Simpson leaf is off
-            # by at most its error estimate; those sum to QUAD_TOL, plus at
-            # most QUAD_TOL for leaves at the depth limit; so a returned
-            # adaptive_simpson(g, xl, mid) is at least this bound (the
-            # relative slack covers rounding over QUAD_MAX_DEPTH levels).
-            # Float * and + round monotonically, so if the bound reaches the
-            # target, amid would too and the step would set xr = mid.
-            bound = (mid - xl) * (1.0 - 1e-12) - 2.0 * QUAD_TOL
+            # Each value adaptive_simpson accepts, left + right + delta/15,
+            # is Boole's rule on its five samples, with the positive weights
+            # (7, 32, 12, 32, 7)/90; so the result is at least the width
+            # times the least g sampled, up to rounding that the relative
+            # slack covers.  Float *, + and sqrt round monotonically, so
+            # g(x) = sqrt(1 + f'(x)^2) >= sqrt(1 + m*m) at every float x
+            # where |f'(x)| >= m, and if the bound reaches the target, amid
+            # would too and the step would set xr = mid.
+            bound = (mid - xl) * (1.0 - 1e-12)
             if al + factor * bound >= target:
                 xr = mid
                 continue
+            if not (box_lo <= xl and mid <= box_hi):
+                box_lo, box_hi, least_g = xl, mid, _least_g(fp_box(xl, mid))
+            if least_g > 1.0:
+                bound = (mid - xl) * least_g * (1.0 - 1e-12)
+                if al + factor * bound >= target:
+                    xr = mid
+                    continue
             amid = al + factor * adaptive_simpson(g, xl, mid)
             if amid < target:
                 xl, al = mid, amid
@@ -370,6 +383,14 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
+
+
+def _least_g(box):
+    """sqrt(1 + m*m) for the least |f'| = m that an enclosure of f' proves; 1 if none."""
+    if box is None:
+        return 1.0
+    m = box[0] if box[0] > 0 else -box[1] if box[1] < 0 else 0.0
+    return math.sqrt(1.0 + m * m)
 
 
 def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPlan:

@@ -9,10 +9,14 @@ transition.
 
     PYTHONPATH=src python tests/corpus.py                    # check every spec
     PYTHONPATH=src python tests/corpus.py --record "REASON"  # re-record
+    PYTHONPATH=src python tests/corpus.py --against REV      # compare with commit REV
 
 `--record` needs the bug fix that justifies it; the reason and the change
-counts are appended to the file's header.  Both list every changed spec
-with its old -> new exit code and the first line of each stderr.
+counts are appended to the file's header.  `--against` checks REV out with
+`git worktree add --detach` in a temporary directory, runs the same specs
+against its src/ in a subprocess, and removes the worktree again; it never
+re-records.  Each mode lists every changed spec with its old -> new exit
+code and the first line of each stderr.
 tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
 of every class).
 """
@@ -23,8 +27,12 @@ import argparse
 import ast
 import hashlib
 import io
+import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -154,6 +162,37 @@ def run_spec(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()
 
 
+# Run in a subprocess by results_at: the specs arrive as JSON on stdin, and
+# one result line per spec goes to stdout.
+_RUN_SPECS = """\
+import json, sys
+from corpus import result_line, run_spec
+for spec_id, cls, argv in json.load(sys.stdin):
+    print(result_line(spec_id, cls, argv, run_spec(argv)))
+"""
+
+
+def results_at(rev, todo):
+    """Result line of every spec in todo, by id, run against commit rev's src/.
+
+    rev is checked out in a temporary git worktree, which is removed again.
+    """
+    root = Path(__file__).resolve().parent.parent
+    git = ["git", "-C", str(root)]
+    with tempfile.TemporaryDirectory(prefix="corpus-") as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run([*git, "worktree", "add", "--quiet", "--detach", str(tree), rev],
+                       check=True)
+        try:
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(tree / "src"), str(Path(__file__).resolve().parent)]))
+            out = subprocess.run([sys.executable, "-c", _RUN_SPECS], input=json.dumps(todo),
+                                 capture_output=True, text=True, env=env, check=True).stdout
+        finally:
+            subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=True)
+    return {line.split("\t", 1)[0]: line for line in out.splitlines()}
+
+
 def result_line(spec_id, cls, argv, result):
     code, digest, err = result
     return "\t".join((spec_id, cls, argv_digest(argv), str(code), digest, repr(err)))
@@ -198,13 +237,20 @@ def moved_line(spec_id, old, new):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--record", metavar="REASON", help="re-record, for this stated bug fix")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--record", metavar="REASON", help="re-record, for this stated bug fix")
+    mode.add_argument("--against", metavar="REV",
+                      help="compare with the results of commit REV, not the recording")
     args = p.parse_args(argv)
     todo = specs()
     got = {sid: result_line(sid, cls, a, run_spec(a)) for sid, cls, a in todo}
-    header, expected = read_expected() if EXPECTED.exists() else ([], {})
+    if args.against:
+        header, expected, source = [], results_at(args.against, todo), args.against
+    else:
+        header, expected = read_expected() if EXPECTED.exists() else ([], {})
+        source = EXPECTED.name
     changed, per_class, transitions = compare(expected, got)
-    print(f"{len(got)} specs, {len(changed)} differ from {EXPECTED.name}")
+    print(f"{len(got)} specs, {len(changed)} differ from {source}")
     for key, n in sorted(per_class.items()):
         print(f"  class {key}: {n}")
     for key, n in sorted(transitions.items()):

@@ -16,7 +16,6 @@ from revcrochet import (
 )
 from revcrochet import calculus, expression, render_pattern, render_svg, shape_rows
 from revcrochet.calculus import (
-    QUAD_TOL,
     QuadratureError,
     Segment,
     adaptive_simpson,
@@ -39,6 +38,9 @@ from conftest import (
     reference_validate,
 )
 from corpus import _draw as corpus_draw
+
+
+DEEP_TEXT = "3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2"
 
 
 def make_spec(text, a, b, stitch_gauge=22, row_gauge=25, scale=0.18):
@@ -114,7 +116,7 @@ SCAN_CASES = [
     ("1.5 + ln(x + 0.2)", 0.0, 2.0),
     ("2 + 1/(x - 0.25)", 0.0, 1.0),
     ("2 + sin(20*x)", 0.0, 10.0),
-    ("3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2", -4.0, 4.0),
+    (DEEP_TEXT, -4.0, 4.0),
     (RUNNING_TEXT, -3.0, 1.0),
 ]
 
@@ -311,34 +313,70 @@ class TestSolveLandmarks:
     def test_long_single_segments_match_reference_exactly(self, text, a, b, scale):
         self.assert_matches_reference(make_spec(text, a, b, scale=scale), False)
 
-    def test_quadrature_is_at_least_the_skip_bound(self):
-        # the lower bound solve_landmarks uses to skip a bisection step
-        rng = random.Random(5)
-        specs = [random_valid_spec(rng) for _ in range(6)] + [make_spec("5", 0.0, 3.0)]
-        for spec in specs:
-            g = spec.curve.g
-            for _ in range(60):
-                lo = rng.uniform(spec.a, spec.b)
-                hi = lo + (spec.b - lo) * rng.choice([1.0, rng.random(), 1e-6 * rng.random()])
-                bound = (hi - lo) * (1.0 - 1e-12) - 2.0 * QUAD_TOL
-                assert adaptive_simpson(g, lo, hi) >= bound
+    @pytest.mark.parametrize("text, a, b, scale", [
+        ("2 + sin(20*x)", 0.0, 10.0, 0.3),        # the ripple anchor; 255 rows
+        (DEEP_TEXT, -4.0, 4.0, 0.5),              # the deep anchor; 75 rows
+        ("1 + 0.001*tan(x)", 1.0, 1.5707935, 0.05),  # near a pole: |f'| up to 1.3e8
+        # the enclosure of x^2 - 2*x + 1.01 reaches below 0 on wide boxes
+        # around x = 1, so the one of f' stays undecided there
+        ("2 + sqrt(x^2 - 2*x + 1.01)", 0.0, 2.0, 2.0),
+    ])
+    def test_specs_with_extrema_match_reference_exactly(self, text, a, b, scale):
+        self.assert_matches_reference(make_spec(text, a, b, scale=scale), True)
 
-    def test_cost_per_landmark_does_not_grow_with_segment_length(self):
+    def test_quadrature_is_at_least_the_skip_bound(self):
+        # the lower bounds solve_landmarks uses to skip a bisection step:
+        # the width anywhere, and the width times sqrt(1 + m*m) where the
+        # enclosure of f' proves |f'| >= m > 0
+        rng = random.Random(5)
+        specs = [random_valid_spec(rng) for _ in range(6)] + [
+            make_spec("5", 0.0, 3.0),                # g is exactly 1
+            make_spec("2 + 3*x", 0.0, 3.0),          # g is exactly sqrt(10)
+            make_spec("2 + sin(20*x)", 0.0, 10.0),   # the ripple anchor
+            make_spec(DEEP_TEXT, -4.0, 4.0),         # the deep anchor
+            make_spec("2 + abs(x - 0.3)", 0.0, 1.0),  # the kink anchor
+        ]
+        proved = 0
+        for spec in specs:
+            g, fp_box = spec.curve.g, spec.curve.fp_box
+            for _ in range(200):
+                lo = rng.uniform(spec.a, spec.b)
+                hi = lo + (spec.b - lo) * 10.0 ** -rng.uniform(0.0, 7.0)
+                got = adaptive_simpson(g, lo, hi)
+                assert got >= (hi - lo) * (1.0 - 1e-12)
+                box = fp_box(lo, hi)
+                m = 0.0 if box is None else max(box[0], -box[1], 0.0)
+                if m > 0.0:
+                    proved += 1
+                    assert got >= (hi - lo) * math.sqrt(1.0 + m * m) * (1.0 - 1e-12)
+        assert proved >= 1000
+
+    def test_cost_per_landmark_does_not_grow_with_segment_length(self, monkeypatch):
         spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
         plan = build_plan(spec, prioritize_extrema=False)
         (seg,) = plan.segments
         assert seg.row_count >= 800
         g = spec.curve.g
-        calls = 0
+        calls = quadratures = 0
 
         def counted(x):
             nonlocal calls
             calls += 1
             return g(x)
 
+        def counted_simpson(*args):
+            nonlocal quadratures
+            quadratures += 1
+            return adaptive_simpson(*args)
+
         spec.curve = spec.curve._replace(g=counted)
+        monkeypatch.setattr(calculus, "adaptive_simpson", counted_simpson)
         solve_landmarks(spec, seg)
-        assert calls / (seg.row_count - 1) <= 60   # 339 with a quadrature per step
+        landmarks = seg.row_count - 1
+        # measured: 18.5 calls of g and 3.71 quadratures per landmark; 39
+        # and 7.8 with the slope-1 skip alone, 339 with a quadrature per step
+        assert calls / landmarks <= 22
+        assert quadratures / landmarks <= 4.5
 
 
 class TestBuildPlan:

@@ -6,11 +6,19 @@ with `python tests/corpus.py`, in about 35 s.  Each must reproduce its
 recorded line: exit code, SHA-256 of stdout, and stderr.
 """
 
+import hashlib
+import shutil
+import subprocess
+from pathlib import Path
+
 import pytest
 
-from corpus import fast_specs, read_expected, result_line, run_spec
+from corpus import fast_specs, read_expected, result_line, results_at, run_spec
+
+from conftest import GOLDEN_DIR
 
 _, RECORDED = read_expected()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
@@ -18,3 +26,23 @@ _, RECORDED = read_expected()
 )
 def test_fast_subset_matches_the_recording(spec_id, cls, argv):
     assert result_line(spec_id, cls, argv, run_spec(argv)) == RECORDED[spec_id]
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or _git("rev-parse", "--verify", "HEAD").returncode != 0,
+    reason="needs a git checkout with a commit",
+)
+def test_results_at_runs_a_commit_in_a_worktree_and_removes_it():
+    worktrees = _git("worktree", "list").stdout
+    argv = ["--function", "x^3 + 2*x^2 - 2*x + 4", "--a", "-3", "--b", "1",
+            "--stitch-gauge", "22", "--row-gauge", "25", "--scale", "0.18"]
+    got = results_at("HEAD", [("running", "golden", argv)])
+    golden = (GOLDEN_DIR / "running_example.txt").read_bytes()
+    assert list(got) == ["running"]
+    _, _, _, code, digest, err = got["running"].split("\t")
+    assert (code, digest, err) == ("0", hashlib.sha256(golden).hexdigest(), "''")
+    assert _git("worktree", "list").stdout == worktrees
