@@ -131,7 +131,7 @@ def render_pattern(
             if sh.steep:
                 prev = rows[i - 1].stitches
                 warnings.append(
-                    f"Row {sh.index} goes from {prev} to {sh.stitches} stitches, "
+                    f"Row {sh.index} goes from {prev} to {_stitches(sh.stitches)}, "
                     "which more than doubles or more than halves the row; single "
                     "increases or decreases cannot work that change. Add a positive "
                     "constant to the function or adjust the scale."

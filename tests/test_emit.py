@@ -114,6 +114,13 @@ class TestRenderPattern:
         assert text.startswith("Note: Row 1 ")
         assert "cannot be worked with single increases" in text
 
+    def test_steep_change_warning_to_one_stitch_is_singular(self):
+        _, _, doc = build_doc("(x - 0.5)^2 + 0.02", 0.0, 1.0, 20, 10, 1.0)
+        assert [w.split(",")[0] for w in doc.warnings] == [
+            "Row 1 goes from 8 to 1 stitch",
+            "Row 2 goes from 1 to 8 stitches",
+        ]
+
     def test_adding_constant_removes_warning(self):
         _, _, doc = build_doc("x^2 + 2.05", 0.0, 1.0, 40, 10, 1.0)
         assert doc.warnings == ()
