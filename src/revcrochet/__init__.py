@@ -39,7 +39,6 @@ from .shaping import (
     optimize_placement,
     row_counts,
     shape_rows,
-    stitch_count,
 )
 
 __version__ = "0.1.0"
@@ -70,5 +69,4 @@ __all__ = [
     "row_counts",
     "shape_rows",
     "solve_landmarks",
-    "stitch_count",
 ]

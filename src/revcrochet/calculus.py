@@ -21,6 +21,11 @@ from .expression import EvalDomainError, compile_enclosure, compile_expr, differ
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
+# Most subintervals one adaptive_simpson call may split, which bounds its
+# time.  The test corpus needs at most 202,532 (sqrt-abs-14), the benchmark
+# operations 169.  Unbounded, a pole at a segment end, or an arclength of
+# 7e12 rows that the row cap sees only after the quadrature, ran for minutes.
+QUAD_MAX_SPLITS = 2**20
 LANDMARK_XTOL = 1e-4      # bisection bracket width; finer than the 0.01 reporting step
 EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
@@ -120,6 +125,14 @@ class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge sca
         _walk(self, extrema=False)
 
 
+def eval_height(f: Callable[[float], float], x: float) -> float:
+    """f(x); where f is undefined, SpecValidationError names x."""
+    try:
+        return f(x)
+    except EvalDomainError as exc:
+        raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+
+
 def check_height(x: float, y: float, interior: bool) -> None:
     """Raise SpecValidationError if f(x) = y is not finite or < 0, or is 0 at an interior x."""
     if not math.isfinite(y):
@@ -136,8 +149,8 @@ class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
     __slots__ = ()
 
 
-class LandmarkPlan(namedtuple("LandmarkPlan", "segments landmarks total_rows")):
-    """Ordered segments plus the merged landmark list x_0 .. x_n."""
+class LandmarkPlan(namedtuple("LandmarkPlan", "segments landmarks total_rows heights")):
+    """Ordered segments, the merged landmark list x_0 .. x_n, and f at each landmark."""
 
     __slots__ = ()
 
@@ -157,14 +170,16 @@ def adaptive_simpson(
     max_depth levels.  Such subintervals share a second allowance of tol:
     each is accepted while its error estimate fits in what is left of it,
     so the result is within 2*tol by the estimates.  A subinterval that
-    does not fit raises QuadratureError.
+    does not fit raises QuadratureError, and so does a call that splits more
+    than QUAD_MAX_SPLITS subintervals, which bounds its time.
     """
     if hi == lo:
         return 0.0
     mid = 0.5 * (lo + hi)
     fa, fm, fb = g(lo), g(mid), g(hi)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth, [tol])
+    # what is left of the second allowance, and the splits made so far
+    return _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth, [tol, 0])
 
 
 def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
@@ -183,6 +198,11 @@ def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
             return left + right + delta / 15.0
         raise QuadratureError(
             f"quadrature did not converge on [{lo!r}, {hi!r}] after the depth limit"
+        )
+    allowance[1] += 1
+    if allowance[1] > QUAD_MAX_SPLITS:
+        raise QuadratureError(
+            f"quadrature did not converge on [{lo!r}, {hi!r}] within {QUAD_MAX_SPLITS} splits"
         )
     half = 0.5 * tol
     return _simpson_step(
@@ -225,13 +245,14 @@ def _walk(spec, extrema):
     grid point or bisection midpoint that fails raises SpecValidationError.
 
     Ranges of cells are halved, left half first, until enclosures decide
-    them or they have at most SCAN_LEAF_CELLS cells.  A range where
-    enclosures prove f > 0 and f' defined and finite is valid, and so are
-    its halves: its even points need no checks.  With extrema, a range
-    where the enclosure of f' fixes the sign holds no sign change: its
-    points need no scan.  lo and hi are the floats a + i*step at the
-    range's ends, and float rounding is monotone, so every grid point of
-    the range lies between them.  The first failure, every bracket and
+    them or they have at most SCAN_LEAF_CELLS cells.  Each range gets an
+    enclosure of f', and of f too where f' has one and the range is not yet
+    valid.  A range where they prove f' defined and finite and f > 0 is
+    valid, and so are its halves: its even points need no checks.  With
+    extrema, a range where the enclosure of f' fixes the sign holds no sign
+    change: its points need no scan.  lo and hi are the floats a + i*step
+    at the range's ends, and float rounding is monotone, so every grid
+    point of the range lies between them.  The first failure, every bracket and
     every root are the same floats as with every point evaluated.
     """
     if not (math.isfinite(spec.a) and math.isfinite(spec.b)):
@@ -271,16 +292,13 @@ def _walk(spec, extrema):
         c0, c1, valid = ranges.pop()
         lo, hi = a + c0 * step, a + c1 * step
         sign = 0
-        if extrema:
-            d = fp_box(lo, hi)
-            if d is not None:
+        d = fp_box(lo, hi)
+        if d is not None:
+            if extrema:
                 sign = (d[0] > 0) - (d[1] < 0)
-                if not valid:
-                    y = f_box(lo, hi)
-                    valid = y is not None and y[0] > 0
-        else:
-            y = f_box(lo, hi)
-            valid = y is not None and y[0] > 0 and fp_box(lo, hi) is not None
+            if not valid:
+                y = f_box(lo, hi)
+                valid = y is not None and y[0] > 0
         scan = extrema and not sign
         if scan or not valid:
             if c1 - c0 > SCAN_LEAF_CELLS:
@@ -291,10 +309,7 @@ def _walk(spec, extrema):
             for i in range(first + first % stride, c1 + 1, stride):
                 x = a + i * step
                 if not (valid or i % 2):
-                    try:
-                        y = f(x)
-                    except EvalDomainError as exc:
-                        raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+                    y = eval_height(f, x)
                     if not 0 < y < math.inf:
                         check_height(x, y, 0 < i < n)
                 v = deriv(x)
@@ -396,13 +411,15 @@ def _least_g(box):
 
 
 def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPlan:
-    """Segment the interval and place one landmark per crochet row.
+    """Segment the interval, place one landmark per crochet row, and take f there.
 
     With prioritize_extrema, segment boundaries are {a, extrema.., b} so
     every local extremum lands exactly on a row; otherwise [a, b] is one
     segment.  Shared boundary landmarks are deduplicated when segments
-    are concatenated.  A plan of more than MAX_ROWS rows is refused with
-    SpecValidationError before any landmark is placed.
+    are concatenated.  Raises SpecValidationError for a plan of more than
+    MAX_ROWS rows, before any landmark is placed, and for one whose widest
+    row rounds to 0 stitches.  f at every landmark is checked as the grid
+    walk checks its points, since a rounded landmark can fall between them.
     """
     if prioritize_extrema:
         bounds = [spec.a, *find_extrema(spec), spec.b]
@@ -428,4 +445,17 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     for seg in segments:
         pts = solve_landmarks(spec, seg)
         landmarks.extend(pts if not landmarks else pts[1:])
-    return LandmarkPlan(tuple(segments), tuple(landmarks), total)
+
+    f = spec.curve.f
+    heights = [eval_height(f, x) for x in landmarks]
+    # Two passes in C when every landmark is fine; min skips a nan that is
+    # not first, the sum does not.
+    if not (min(heights) > 0 and math.isfinite(sum(heights))):
+        for x, y in zip(landmarks, heights):
+            check_height(x, y, spec.a < x < spec.b)
+    widest = 2.0 * math.pi * spec.stitches_per_unit * max(heights)
+    if widest < 1 and round_half_away(widest) == 0:
+        raise SpecValidationError(
+            "every row would have 0 stitches; raise the scale or the stitch gauge"
+        )
+    return LandmarkPlan(tuple(segments), tuple(landmarks), total, tuple(heights))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import sys
 
-from .calculus import PatternSpec, QuadratureError, SpecValidationError, build_plan
+from .calculus import PatternSpec, QuadratureError, build_plan
 from .emit import render_json, render_pattern, render_svg
-from .expression import MAX_DEPTH, EvalDomainError, parse
+from .expression import MAX_DEPTH, parse
 from .shaping import shape_rows
 
 GRAMMAR_HELP = f"""\
@@ -155,17 +155,12 @@ def run(argv: list[str] | None = None) -> int:
         )
         extrema = args["prioritize_extrema"]
         plan = build_plan(spec, prioritize_extrema=extrema)
-        try:
-            if args["format"] == "svg":
-                out = render_svg(spec, plan)
-            else:
-                rows = shape_rows(spec, plan)
-                doc = render_pattern(spec, plan, rows, prioritize_extrema=extrema)
-                out = render_json(doc) if args["format"] == "json" else doc.to_text()
-        except EvalDomainError as exc:
-            # Past build_plan, only f itself is evaluated (stitch counts and
-            # the plot), at points validation's grid may not have sampled.
-            raise SpecValidationError(f"f is {exc}") from exc
+        if args["format"] == "svg":
+            out = render_svg(spec, plan)
+        else:
+            rows = shape_rows(spec, plan)
+            doc = render_pattern(spec, plan, rows, prioritize_extrema=extrema)
+            out = render_json(doc) if args["format"] == "json" else doc.to_text()
     # usage errors, ExpressionError and SpecValidationError are ValueErrors
     except (QuadratureError, ValueError) as exc:
         print(f"revcrochet: {exc}", file=sys.stderr)

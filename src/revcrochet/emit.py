@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .calculus import LandmarkPlan, PatternSpec, check_height
+from .calculus import LandmarkPlan, PatternSpec, check_height, eval_height
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
-from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping, landmark_heights, stitch_count
+from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping
 
 SCHEMA_VERSION = 1
 SVG_SAMPLES = 512
@@ -108,11 +108,13 @@ def render_pattern(
     """Assemble the full document from shaping decisions.
 
     rows[0] is the cast-on row (see shaping.shape_rows): a chain when the
-    surface is open at the start, a magic ring when f reaches zero there.
-    Steep rows produce a note at the top naming the row.
+    surface is open at the start, a magic ring when it closes there.
+    shape_rows drops exactly the 0-stitch landmarks at each end, and the
+    plan's first and last landmarks are a and b, so an end is closed when
+    its row is gone.  Steep rows produce a note at the top naming the row.
     """
-    closed_start = stitch_count(spec, spec.a) == 0
-    closed_end = stitch_count(spec, spec.b) == 0
+    closed_start = rows[0].x != spec.a
+    closed_end = rows[-1].x != spec.b
     stuffed = closed_start and closed_end
 
     warnings = []
@@ -196,18 +198,18 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
 
     The curve is sampled at SVG_SAMPLES points; the viewBox is the data
     bounding box padded by 5% on every side (y is negated so the curve
-    reads the usual way up).  A sample or landmark where f is not finite
-    raises SpecValidationError.  Output is deterministic for identical inputs.
+    reads the usual way up), and the markers sit at plan.heights.  A sample
+    where f is undefined or not finite raises SpecValidationError.  Output
+    is deterministic for identical inputs.
     """
     f = spec.curve.f
     a, b, n = spec.a, spec.b, SVG_SAMPLES
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
-    ys = [f(x) for x in xs]
+    ys = [eval_height(f, x) for x in xs]
     if not math.isfinite(sum(ys)):  # one pass in C when every sample is finite
         for x, y in zip(xs, ys):
             if not math.isfinite(y):
                 check_height(x, y, False)
-    marks = list(zip(plan.landmarks, landmark_heights(spec, plan)))
 
     ymin, ymax = min(ys), max(ys)
     pad_x = 0.05 * (spec.b - spec.a)
@@ -231,7 +233,7 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
         f'<polyline fill="none" stroke="#336699" stroke-width="{_fmt(stroke)}" '
         f'points="{points}"/>',
     ]
-    for x, y in marks:
+    for x, y in zip(plan.landmarks, plan.heights):
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(radius)}" fill="#cc3333"/>'
         )

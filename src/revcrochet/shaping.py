@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_height, round_half_away
+from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, round_half_away
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 
 OP_NONE = "none"
@@ -58,42 +58,13 @@ class RowShaping(
     __slots__ = ()
 
 
-def stitch_count(spec: PatternSpec, x: float) -> int:
-    """Stitches around the surface at landmark x."""
-    if not (spec.a <= x <= spec.b):
-        raise ValueError(f"x={x!r} outside [{spec.a!r}, {spec.b!r}]")
-    y = spec.curve.f(x)
-    return round_half_away(2.0 * math.pi * spec.stitches_per_unit * y)
-
-
-def landmark_heights(spec: PatternSpec, plan: LandmarkPlan) -> list[float]:
-    """f at every landmark, checked as validate checks its grid points.
-
-    A rounded landmark can fall between those points.  A plan whose widest
-    row has 0 stitches raises SpecValidationError too.
-    """
-    f = spec.curve.f
-    heights = [f(x) for x in plan.landmarks]
-    # Two passes in C when every landmark is fine; min skips a nan that is
-    # not first, the sum does not.
-    if not (min(heights) > 0 and math.isfinite(sum(heights))):
-        for x, y in zip(plan.landmarks, heights):
-            check_height(x, y, spec.a < x < spec.b)
-    widest = 2.0 * math.pi * spec.stitches_per_unit * max(heights)
-    if widest < 1 and round_half_away(widest) == 0:
-        raise SpecValidationError(
-            "every row would have 0 stitches; raise the scale or the stitch gauge"
-        )
-    return heights
-
-
 def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
-    """Stitch count at every landmark of the plan, in order.
+    """Stitch count at every landmark of the plan, in order, from plan.heights.
 
-    Checks as landmark_heights; over MAX_STITCHES in all raises SpecValidationError.
+    Over MAX_STITCHES in all raises SpecValidationError.
     """
     factor = 2.0 * math.pi * spec.stitches_per_unit
-    sizes = [factor * y for y in landmark_heights(spec, plan)]
+    sizes = [factor * y for y in plan.heights]
     # inf and nan, which round_half_away cannot take, are not <= MAX_STITCHES
     counts = [round_half_away(size) for size in sizes if size <= MAX_STITCHES]
     if len(counts) < len(sizes) or sum(counts) > MAX_STITCHES:
@@ -193,7 +164,7 @@ def shape_rows(spec: PatternSpec, plan: LandmarkPlan) -> list[RowShaping]:
     A pattern of more than MAX_STITCHES stitches raises SpecValidationError.
     """
     counts = row_counts(spec, plan)
-    # landmark_heights refuses a plan whose every row has 0 stitches
+    # build_plan refuses a plan whose every row has 0 stitches
     start = next(i for i, c in enumerate(counts) if c)
     end = len(counts) - next(i for i, c in enumerate(reversed(counts)) if c)
 

@@ -247,6 +247,26 @@ class TestArclength:
         with pytest.raises(QuadratureError, match="did not converge"):
             adaptive_simpson(lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0)
 
+    def test_splits_past_the_bound_raise(self, monkeypatch):
+        # g is called 3 times, then twice per step; each split adds two steps
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.sqrt(1.0 + math.cos(7.0 * x) ** 2)
+
+        whole = adaptive_simpson(g, 0.0, 3.0)
+        splits = (len(calls) - 5) // 4
+        assert len(calls) == 5 + 4 * splits and splits > 100
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits)
+        assert adaptive_simpson(g, 0.0, 3.0) == whole
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits - 1)
+        with pytest.raises(QuadratureError, match=f"within {splits - 1} splits$"):
+            adaptive_simpson(g, 0.0, 3.0)
+        # an interval accepted without a split counts none
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 0)
+        assert adaptive_simpson(lambda x: 2.0, 0.0, 3.0) == 6.0
+
 
 class TestFindExtrema:
     def test_running_example(self, running_spec):
@@ -466,3 +486,19 @@ class TestBuildPlan:
     def test_validates_spec(self):
         with pytest.raises(SpecValidationError):
             build_plan(make_spec("x", 1.0, 0.0))
+
+    def test_heights_are_f_at_the_landmarks(self, running_spec, running_plan, running_plan_even):
+        f = running_spec.curve.f
+        for plan in (running_plan, running_plan_even):
+            assert plan.heights == tuple(f(x) for x in plan.landmarks)
+
+    def test_f_undefined_at_a_landmark_is_named(self):
+        # 0.5 is a rounded landmark between the grid walk's points
+        spec = make_spec("2 + 0*ln(abs(x - 0.5))", 0.0, 1.0003, 20, 20, 2.0)
+        with pytest.raises(SpecValidationError, match=r"^f is undefined at x=0\.5$"):
+            build_plan(spec, prioritize_extrema=False)
+
+    @pytest.mark.parametrize("extrema", [True, False])
+    def test_plan_of_zero_stitch_rows_is_refused(self, extrema):
+        with pytest.raises(SpecValidationError, match="^every row would have 0 stitches;"):
+            build_plan(make_spec("0.001", 0.0, 1.0, 22, 25, 1.0), prioritize_extrema=extrema)

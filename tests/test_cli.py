@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -155,12 +156,15 @@ class TestRun:
         ("2 + 0*ln(abs(x - 0.0019569471624266144))", "0", "1", "svg"),
         # the point is a rounded landmark, where a stitch count is taken
         ("2 + 0*ln(abs(x - 0.5))", "0", "1.0003", "text"),
+        # undefined at that landmark and at the second plot sample too:
+        # build_plan checks the landmarks before render_svg samples the plot
+        ("2 + 0*ln(abs(x - 0.5)) + 0*ln(abs(x - 0.0019575342465753425))", "0", "1.0003", "svg"),
     ])
     def test_f_undefined_past_validation_is_named(self, capsys, function, a, b, fmt):
         code = run(["--function", function, "--a", a, "--b", b, "--stitch-gauge", "20",
                     "--row-gauge", "20", "--scale", "2", "--no-extrema", "--format", fmt])
         assert code == 2
-        point = function.split("x - ")[1].rstrip("))")
+        point = function.split("x - ")[1].split(")")[0]
         assert capsys.readouterr().err == f"revcrochet: f is undefined at x={point}\n"
 
     @pytest.mark.parametrize("kind", ["inf", "nan"])
@@ -263,6 +267,28 @@ class TestRun:
         assert out.err == (
             "revcrochet: every row would have 0 stitches; raise the scale or the stitch gauge\n"
         )
+
+    @pytest.mark.parametrize("args", [
+        # f' changes sign across the pole at -0.13, so the walk makes the pole
+        # an extremum, and the segment quadrature runs into it
+        ["--function", "1 + abs(sign(pi)/(x+0.13))", "--a=-2.22", "--b=0.9",
+         "--stitch-gauge", "8", "--row-gauge", "17", "--scale", "1.97"],
+        # the arclength is about 7e12 rows; the row cap sees it only after the quadrature
+        ["--function", "1 + (x+1)^exp(x)", "--a=1.2", "--b=3.01",
+         "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"],
+    ])
+    def test_quadrature_without_end_exits_2(self, capsys, monkeypatch, args):
+        # each ran past 150 s without the split bound, and takes 10 to 16 s
+        # with QUAD_MAX_SPLITS = 2**20; 2**12 keeps this test fast
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 2**12)
+        start = time.perf_counter()
+        code = run(args)
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert re.fullmatch(r"revcrochet: quadrature did not converge on \[\S+, \S+\] "
+                            r"within 4096 splits\n", out.err)
+        assert elapsed < 5.0
 
     def test_cast_on_skips_every_leading_zero_stitch_row(self, capsys):
         # x^4 rounds to 0 stitches at x = 0 and at the landmark x = 0.2 too

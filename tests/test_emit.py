@@ -17,6 +17,8 @@ from revcrochet import (
     row_counts,
     shape_rows,
 )
+from revcrochet.calculus import round_half_away
+from revcrochet.emit import SVG_SAMPLES
 
 from conftest import LANDMARKS_EVEN, golden, instruction_totals, text_from_json
 
@@ -216,6 +218,42 @@ class TestRenderJson:
         assert row0["op"] == "cast-on"
         assert row0["q"] is None and row0["r"] is None and row0["k"] is None
         assert row0["positions"] == []
+
+
+class TestFEvaluatedOnlyByBuildPlan:
+    @pytest.mark.parametrize("text, a, b, scale, extrema", [
+        ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 0.18, True),
+        ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 0.18, False),
+        ("sin(x)", 0.0, math.pi, 2.0, True),  # closed at both ends
+        ("x^4", 0.0, 1.0, 1.0, True),  # leading 0-stitch landmarks dropped
+    ])
+    def test_shaping_and_emit_do_not_call_f(self, text, a, b, scale, extrema):
+        spec = PatternSpec(parse(text), a, b, 20, 20, scale, source=text)
+        plan = build_plan(spec, prioritize_extrema=extrema)
+        calls = []
+        f = spec.curve.f
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        spec.curve = spec.curve._replace(f=counted)
+        doc = render_pattern(spec, plan, shape_rows(spec, plan), extrema)
+        render_json(doc)
+        doc.to_text()
+        assert calls == []
+        render_svg(spec, plan)
+        assert len(calls) == SVG_SAMPLES
+
+    def test_closure_flags_match_f_at_the_ends(self):
+        for text, a, b in [("sin(x)", 0.0, math.pi), ("x^4", 0.0, 1.0), ("x^4", -1.0, 0.0),
+                           ("x^4 + 1", 0.0, 1.0), ("x^2", 0.004, 1.0)]:
+            spec = PatternSpec(parse(text), a, b, 20, 20, 1.0, source=text)
+            plan = build_plan(spec)
+            doc = render_pattern(spec, plan, shape_rows(spec, plan))
+            factor = 2.0 * math.pi * spec.stitches_per_unit
+            ends = [round_half_away(factor * spec.curve.f(x)) == 0 for x in (a, b)]
+            assert [doc.closed_start, doc.closed_end] == ends, text
 
 
 class TestRenderSvg:

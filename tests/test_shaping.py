@@ -12,7 +12,6 @@ from revcrochet import (
     row_counts,
     shape_rows,
     shaping,
-    stitch_count,
 )
 
 from conftest import (
@@ -48,19 +47,25 @@ ROW6_TABLE = [
 
 
 class TestStitchCount:
-    def test_rounded_landmark(self, running_spec):
-        assert stitch_count(running_spec, -2.84) == 18
+    """Stitch counts from the f values that build_plan takes at the landmarks."""
 
-    def test_at_local_extremum(self, running_spec):
-        assert stitch_count(running_spec, EXTREMUM_LO) == 51
+    def test_rounded_landmark(self, running_spec, running_plan):
+        i = running_plan.landmarks.index(-2.84)
+        assert running_plan.heights[i] == running_spec.curve.f(-2.84)
+        assert row_counts(running_spec, running_plan)[i] == 18
+
+    def test_at_local_extremum(self, running_spec, running_plan):
+        i = min(range(len(running_plan.landmarks)),
+                key=lambda j: abs(running_plan.landmarks[j] - EXTREMUM_LO))
+        assert running_plan.landmarks[i] == pytest.approx(EXTREMUM_LO, abs=1e-8)
+        assert running_plan.heights[i] == running_spec.curve.f(running_plan.landmarks[i])
+        assert row_counts(running_spec, running_plan)[i] == 51
 
     def test_zero_radius(self):
         spec = PatternSpec(parse("sin(x)"), 0.0, math.pi, 22, 25, 2.0, "sin(x)")
-        assert stitch_count(spec, 0.0) == 0
-
-    def test_rejects_outside_interval(self, running_spec):
-        with pytest.raises(ValueError):
-            stitch_count(running_spec, 2.0)
+        plan = build_plan(spec)
+        assert (plan.landmarks[0], plan.heights[0]) == (0.0, 0.0)
+        assert row_counts(spec, plan)[0] == 0
 
 
 class TestRowCounts:
