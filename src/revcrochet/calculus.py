@@ -17,14 +17,14 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
 
-from .expression import EvalDomainError, compile_enclosure, compile_expr, differentiate
+from .expression import Call, EvalDomainError, Expr, compile_enclosure, compile_expr, differentiate
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
 # Most subintervals one adaptive_simpson call may split, which bounds its
 # time.  The test corpus needs at most 202,532 (sqrt-abs-14), the benchmark
-# operations 169.  Unbounded, a pole at a segment end, or an arclength of
-# 7e12 rows that the row cap sees only after the quadrature, ran for minutes.
+# operations 169.  Unbounded, a pole at a segment end ran for minutes, and so
+# did an arclength of 7e12 rows before the chord bound refused it up front.
 QUAD_MAX_SPLITS = 2**20
 LANDMARK_XTOL = 1e-4      # bisection bracket width; finer than the 0.01 reporting step
 EXTREMUM_XTOL = 1e-9
@@ -36,6 +36,9 @@ EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sig
 # 2 vCPUs), so 10,000 rows take under half a second; the running example at
 # scale 30 has 2,694.
 MAX_ROWS = 10_000
+# Relative slack of the chord bound on the row count (see _chord_rows), far
+# above the quadrature's error on any arclength near the cap.
+CHORD_MARGIN = 1e-3
 # Grid cells at or below which an undecided range is evaluated point by
 # point rather than halved again.  An enclosure of f' costs as much as 10 to
 # 25 point evaluations (3 us for the running example's f', 20 us for
@@ -410,6 +413,38 @@ def _least_g(box):
     return math.sqrt(1.0 + m * m)
 
 
+def _chord_rows(spec: PatternSpec, spans) -> float:
+    """Sum over the spans of the chord from (lo, f(lo)) to (hi, f(hi)), in rows.
+
+    Where f is continuous, a chord is no longer than the arc, so a sum
+    over MAX_ROWS (with CHORD_MARGIN and half a row per segment for the
+    rounding of its count) proves the cap passed without a quadrature.
+    sign is the grammar's one jump: f' is 0 across it, so the arclength
+    leaves it out while a chord crosses it, and a spec that calls sign
+    gets 0.  A span whose end value is undefined or not finite adds 0,
+    and the quadrature reports its error as before.
+    """
+    if _calls_sign(spec.func):
+        return 0.0
+    f = spec.curve.f
+    total = 0.0
+    for lo, hi in spans:
+        try:
+            rise = f(hi) - f(lo)
+        except EvalDomainError:
+            continue
+        if math.isfinite(rise):
+            total += math.hypot(hi - lo, rise)
+    return spec.rows_per_unit * total
+
+
+def _calls_sign(e) -> bool:
+    """Whether the tree e calls sign anywhere."""
+    if isinstance(e, Call) and e.fn == "sign":
+        return True
+    return any(isinstance(c, Expr) and _calls_sign(c) for c in e)
+
+
 def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPlan:
     """Segment the interval, place one landmark per crochet row, and take f there.
 
@@ -417,7 +452,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     every local extremum lands exactly on a row; otherwise [a, b] is one
     segment.  Shared boundary landmarks are deduplicated when segments
     are concatenated.  Raises SpecValidationError for a plan of more than
-    MAX_ROWS rows, before any landmark is placed, and for one whose widest
+    MAX_ROWS rows, before any landmark is placed (before any quadrature
+    where the chords prove it, see _chord_rows), and for one whose widest
     row rounds to 0 stitches.  f at every landmark is checked as the grid
     walk checks its points, since a rounded landmark can fall between them.
     """
@@ -428,14 +464,17 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
         bounds = [spec.a, spec.b]
 
     spans = list(zip(bounds, bounds[1:]))
+    too_many = SpecValidationError(
+        f"the pattern would have more than {MAX_ROWS} rows; lower the scale or the row gauge"
+    )
+    if _chord_rows(spec, spans) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
+        raise too_many
     lengths = [arclength_rows(spec, lo, hi) for lo, hi in spans]
     # inf and nan, which round_half_away cannot take, are not <= MAX_ROWS
     counts = [max(1, round_half_away(length)) for length in lengths if length <= MAX_ROWS]
     total = sum(counts)
     if len(counts) < len(lengths) or total > MAX_ROWS:
-        raise SpecValidationError(
-            f"the pattern would have more than {MAX_ROWS} rows; lower the scale or the row gauge"
-        )
+        raise too_many
     segments = [
         Segment(lo, hi, length, count)
         for (lo, hi), length, count in zip(spans, lengths, counts)

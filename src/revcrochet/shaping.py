@@ -11,20 +11,27 @@ distance d2.
 
 The search is exact integer arithmetic.  With the reference row over D
 instructions and this row over low = min(s_prev, s_cur), every ratio is a
-multiple of 1/(D*low), and every candidate position is some m/low.  One
-table per row holds, for each m in 0..low-1, the circular distance (in
-units of 1/(D*low)) from m/low to the nearest reference ratio, filled gap
-by gap between the sorted reference ratios.  A shift k then scores the
-integer key (min, sum) of its n table entries, which orders candidates
-exactly as (d1, d2) does.  _best_shift scores only the s <= q+r shifts
-that can still win, so a row costs O(low + |ref|*log|ref| + s*n).
+multiple of 1/(D*low), so a shift k scores the integer key (min, sum) of
+its n ops' distances to the nearest reference ratio, in units of
+1/(D*low), which orders candidates exactly as (d1, d2) does.  The min key
+of every shift comes from one sorted list of obstacles: the points that
+put some op of k on a reference ratio.  The shift nearest the middle of
+each gap between them is the best of that gap, so a row costs
+O(m log m) for its m = O(|ref| * (1 + r/q)) obstacles, independent of
+low.  Only the shifts tied at the best min get a sum, by a bisect per op.
+Two cases cost O(low log|ref| + (q+r)*n) instead, and score every shift
+from each position's distance: a best min of 0, which ties every shift,
+and a row whose obstacles would outnumber its positions twice over (q
+small against r, as when a row nearly doubles).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain, repeat
 
 from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, round_half_away
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
@@ -33,9 +40,13 @@ OP_NONE = "none"
 OP_INCREASE = "increase"
 OP_DECREASE = "decrease"
 
-# Most stitches, summed over all rows, that shape_rows lays out.  Shaping costs
-# up to about 0.1 us per stitch (CPython 3.11, 2-vCPU VM): a 1,700-row cone of
-# 15.1 million shapes in 0.6 s; the running example at scale 30 has 14.3 million.
+# Most stitches, summed over all rows, that shape_rows lays out.  Since the
+# search is by gaps (see _best_shift), shaping cost follows the ops, not the
+# stitches: the running example shapes 808 rows (1.28 million stitches) in
+# 11 ms and 2,694 rows at scale 30 (14.3 million) in 31 ms, and a 1,715-row
+# cone of 15.1 million in 20 ms, where the table scan took 50, 141 and 900 ms
+# (CPython 3.11, 2-vCPU VM).  Only rows that nearly double still cost
+# O(low) each.  Raising the cap changes which specs exit 2.
 MAX_STITCHES = 16_000_000
 
 
@@ -75,51 +86,98 @@ def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
     return counts
 
 
-def _nearest_table(ref_positions: Sequence[int], ref_denom: int, low: int) -> list[int]:
-    """Circular distance from m/low to the nearest ref_positions/ref_denom ratio.
+def _nearest(points: list[int], values: Sequence[int]) -> list[int]:
+    """Distance from each value to the nearest of the sorted points.
 
-    Entry m, for m in 0..low, is that distance in units of 1/(ref_denom*low);
-    entry low repeats entry 0, so position low (ratio 1) looks up directly.
-    On the integer circle of ref_denom*low points, the candidates m*ref_denom
-    that fall in the gap between two neighboring reference points a < b are
-    nearest to a up to the gap's midpoint and nearest to b after it, so
-    each half gap is one arithmetic run of distances.
+    Every value v must have points[0] <= v < points[-1].
     """
-    modulus = ref_denom * low
-    ref = sorted({p * low % modulus for p in ref_positions})
+    return [
+        min(v - points[i - 1], points[i] - v)
+        for v, i in zip(values, map(bisect_right, repeat(points), values))
+    ]
+
+
+def _first_best(shifts: Sequence[int], ref: list[int], d: int, low: int, n_ops: int) -> int:
+    """The earliest of the ascending shifts with the largest (min, sum) key.
+
+    ref holds the sorted reference points p*low, in units of 1/(d*low).
+    Scoring every op of every shift takes a bisect per op; when that is
+    more ops than positions, each position's distance is taken once instead.
+    """
+    modulus = d * low
     points = [ref[-1] - modulus, *ref, ref[0] + modulus]
-    table, start = [], 0  # each gap starts where the one before it stopped
-    for a, b in zip(points, points[1:]):
-        # m in [start, stop) has a <= m*ref_denom < b; below mid, a is nearer
-        stop = min(low, -(-b // ref_denom))
-        mid = (a + b) // (2 * ref_denom) + 1
-        mid = start if mid < start else stop if mid > stop else mid
-        table += range(start * ref_denom - a, mid * ref_denom - a, ref_denom)
-        table += range(b - mid * ref_denom, b - stop * ref_denom, -ref_denom)
-        start = stop
-    table.append(table[0])
-    return table
+    q = low // n_ops
+    stop = q * n_ops
+    if len(shifts) * n_ops > low:
+        dist = _nearest(points, range(0, modulus + 1, d))
+
+        def ops(k):
+            return dist[k : k + stop : q]
+    else:
+
+        def ops(k):
+            return _nearest(points, range(k * d, (k + stop) * d, q * d))
+
+    def key(k):
+        s = ops(k)
+        return min(s), sum(s)
+
+    return max(shifts, key=key)  # max keeps the first of equal keys
 
 
-def _best_shift(table: list[int], q: int, r: int, n_ops: int) -> int:
+def _best_shift(ref_positions: Sequence[int], d: int, low: int, n_ops: int) -> int:
     """The earliest k in 1 .. q+r with the largest (min, sum) key of its ops.
 
-    Shift k puts its ops at table entries k + q*j, 0 <= j < n_ops.  The first
-    shift whose first op lies farthest from the reference is the incumbent,
-    and its min is a floor: a shift whose first op is nearer than the floor
-    has a smaller min, so it can neither win nor tie.  Only the shifts left
-    get a min, and only those whose min is the best get a sum.
+    On the integer circle of d*low points, op j of shift k sits at
+    (k + q*j)*d and reference position p at p*low, so the min key of k is
+    the distance from k*d to the nearest obstacle p*low + t*d*low - q*j*d
+    (t in -1, 0, 1).  One reference's obstacles are never more than
+    (q+r)*d apart, so only those in [(1-(q+r))*d, 2*(q+r)*d] can bound a
+    gap that meets [d, (q+r)*d]; each reference gives them as a few ranges.
+    In each such gap the best shift is the one nearest the gap's middle.
+    Only the shifts that reach the best min get a sum.  A row whose window
+    would hold more than 2*low obstacles scores every shift instead.
     """
-    firsts = table[1 : q + r + 1]
-    incumbent = firsts.index(max(firsts)) + 1
-    stop = q * n_ops
-    floor = min(table[incumbent : incumbent + stop : q])
-    survivors = [k for k, d in enumerate(firsts, 1) if d >= floor]
-    mins = [min(table[k : k + stop : q]) for k in survivors]
-    best = max(mins)
-    ties = [k for k, lo in zip(survivors, mins) if lo == best]
-    # max keeps the first of equal sums, and the ties ascend in k
-    return max(ties, key=lambda k: sum(table[k : k + stop : q]))
+    q, r = divmod(low, n_ops)
+    span = q + r
+    modulus = d * low
+    ref = sorted([p * low for p in ref_positions])
+    if len(ref) * (3 * span // q + 2) > 2 * low:
+        return _first_best(range(1, span + 1), ref, d, low, n_ops)
+    step = q * d  # from one op of a shift to the next
+    last = modulus - span * d  # from the first op to the last
+    lo_edge, hi_edge = d - span * d, 2 * span * d
+    ends = [u - modulus for u in ref[bisect_left(ref, modulus + lo_edge) :]]
+    ends += ref
+    ends += [u + modulus for u in ref[: bisect_right(ref, span * d)]]
+    # end e's obstacles are e - j*step, 0 <= j < n_ops: those in the window
+    points = sorted(chain.from_iterable([
+        range(
+            e if e <= hi_edge else hi_edge - (hi_edge - e) % step,
+            (e - last if e - last >= lo_edge else lo_edge + (e - lo_edge) % step) - 1,
+            -step,
+        )
+        for e in ends
+    ]))
+    i = bisect_right(points, d) - 1
+    j = bisect_left(points, span * d, i)
+    best, ties = -1, []
+    for a, b in zip(points[i:j], points[i + 1 : j + 1]):
+        if b - a < 2 * best:  # no shift in this gap gets more than half of it
+            continue
+        m = (a + b) // (2 * d)  # shifts m and m + 1 flank the gap's middle
+        for k in (m, m + 1):
+            k = 1 if k < 1 else span if k > span else k
+            lo, hi = k * d - a, b - k * d  # one < 0: k*d lies outside the gap
+            if hi < lo:
+                lo = hi
+            if lo > best:
+                best, ties = lo, [k]
+            elif lo == best and k != ties[-1]:
+                ties.append(k)
+    if best == 0:  # every shift puts an op on an obstacle
+        ties = range(1, span + 1)
+    return ties[0] if len(ties) == 1 else _first_best(ties, ref, d, low, n_ops)
 
 
 def optimize_placement(
@@ -149,7 +207,7 @@ def optimize_placement(
     q, r = divmod(low, n_ops)
     k = 1
     if prev_positions and q + r > 1:
-        k = _best_shift(_nearest_table(prev_positions, prev_denom, low), q, r, n_ops)
+        k = _best_shift(prev_positions, prev_denom, low, n_ops)
     return RowShaping(index, x, s_cur, op, n_ops, q, r, k, tuple(range(k, k + q * n_ops, q)))
 
 

@@ -28,7 +28,6 @@ from revcrochet.expression import (
     Var,
     compile_expr,
 )
-from revcrochet.shaping import _nearest_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -155,15 +154,41 @@ def ratio_set(positions, denom):
     return tuple(Fraction(p, denom) for p in positions)
 
 
+def nearest_table(ref_positions, ref_denom, low):
+    """Circular distance from m/low to the nearest ref_positions/ref_denom ratio.
+
+    Entry m, for m in 0..low, is that distance in units of 1/(ref_denom*low);
+    entry low repeats entry 0, so position low (ratio 1) looks up directly.
+    On the integer circle of ref_denom*low points, the candidates m*ref_denom
+    that fall in the gap between two neighboring reference points a < b are
+    nearest to a up to the gap's midpoint and nearest to b after it, so
+    each half gap is one arithmetic run of distances.
+    """
+    modulus = ref_denom * low
+    ref = sorted({p * low % modulus for p in ref_positions})
+    points = [ref[-1] - modulus, *ref, ref[0] + modulus]
+    table, start = [], 0  # each gap starts where the one before it stopped
+    for a, b in zip(points, points[1:]):
+        # m in [start, stop) has a <= m*ref_denom < b; below mid, a is nearer
+        stop = min(low, -(-b // ref_denom))
+        mid = (a + b) // (2 * ref_denom) + 1
+        mid = start if mid < start else stop if mid > stop else mid
+        table += range(start * ref_denom - a, mid * ref_denom - a, ref_denom)
+        table += range(b - mid * ref_denom, b - stop * ref_denom, -ref_denom)
+        start = stop
+    table.append(table[0])
+    return table
+
+
 def shift_keys(ref_positions, ref_denom, low, n_ops):
     """Integer (min, sum) nearest-distance key of every shift k = 1 .. q+r.
 
-    The exhaustive scan that shaping's branch-and-bound search must agree
-    with.  Dividing min by ref_denom*low gives d1, and sum by
+    The exhaustive scan over one nearest-distance table that shaping's gap
+    search must agree with.  Dividing min by ref_denom*low gives d1, and sum by
     n_ops*ref_denom*low gives d2, so comparing keys compares (d1, d2) exactly.
     """
     q, r = divmod(low, n_ops)
-    table = _nearest_table(ref_positions, ref_denom, low)
+    table = nearest_table(ref_positions, ref_denom, low)
     stop = q * n_ops
     keys = []
     for k in range(1, q + r + 1):

@@ -16,7 +16,9 @@ counts are appended to the file's header.  `--against` checks REV out with
 `git worktree add --detach` in a temporary directory, runs the same specs
 against its src/ in a subprocess, and removes the worktree again; it never
 re-records.  Each mode lists every changed spec with its old -> new exit
-code and the first line of each stderr.
+code and the first line of each stderr, and names the slowest spec: its
+id, class, exit code and seconds in this process, the number a bound on
+the time of every spec is checked against.
 tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
 of every class).
 """
@@ -33,6 +35,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -243,7 +246,13 @@ def main(argv=None):
                       help="compare with the results of commit REV, not the recording")
     args = p.parse_args(argv)
     todo = specs()
-    got = {sid: result_line(sid, cls, a, run_spec(a)) for sid, cls, a in todo}
+    got, slowest = {}, (-1.0,)
+    for sid, cls, a in todo:
+        start = time.perf_counter()
+        result = run_spec(a)
+        seconds = time.perf_counter() - start
+        got[sid] = result_line(sid, cls, a, result)
+        slowest = max(slowest, (seconds, sid, cls, result[0]))
     if args.against:
         header, expected, source = [], results_at(args.against, todo), args.against
     else:
@@ -251,6 +260,8 @@ def main(argv=None):
         source = EXPECTED.name
     changed, per_class, transitions = compare(expected, got)
     print(f"{len(got)} specs, {len(changed)} differ from {source}")
+    seconds, sid, cls, code = slowest
+    print(f"slowest: {sid} ({cls}), exit {code}, {seconds:.2f} s in-process")
     for key, n in sorted(per_class.items()):
         print(f"  class {key}: {n}")
     for key, n in sorted(transitions.items()):

@@ -205,6 +205,30 @@ class TestRun:
             "lower the scale or the row gauge\n"
         )
 
+    def test_chords_past_the_row_cap_refuse_before_any_quadrature(self, capsys, monkeypatch):
+        # about 7e12 rows by its chord; the quadrature spent its whole split
+        # budget first (11 s) and said "quadrature did not converge"
+        def no_quadrature(*args):
+            raise AssertionError("the chord already passes the row cap")
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", no_quadrature)
+        code = run(["--function", "1 + (x+1)^exp(x)", "--a", "1.2", "--b", "3.01",
+                    "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+
+    def test_a_jump_of_f_does_not_count_toward_the_row_cap(self, capsys):
+        # f' is 0 across the jump, so the arclength is 1 unit, 53 rows, while
+        # the chord across the jump is 10,500 rows
+        code = run(["--function", "101 + 100*sign(x - 0.5)", "--a", "0", "--b", "1",
+                    "--stitch-gauge", "2", "--row-gauge", "30", "--scale", "7",
+                    "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["total_rows"] == 53
+
     @pytest.mark.parametrize("function, stitch_gauge, row_gauge, scale", [
         ("2000", "1000", "4", "5"),
         # finite f, but every stitch count overflows to inf before rounding
@@ -273,13 +297,14 @@ class TestRun:
         # an extremum, and the segment quadrature runs into it
         ["--function", "1 + abs(sign(pi)/(x+0.13))", "--a=-2.22", "--b=0.9",
          "--stitch-gauge", "8", "--row-gauge", "17", "--scale", "1.97"],
-        # the arclength is about 7e12 rows; the row cap sees it only after the quadrature
-        ["--function", "1 + (x+1)^exp(x)", "--a=1.2", "--b=3.01",
-         "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"],
+        # about 80,000 rows in a million oscillations, which the chord (a
+        # quarter row) cannot see; the quadrature spends its split budget
+        ["--function", "2 + sin(1000000*x)/2", "--a=0", "--b=1",
+         "--stitch-gauge", "10", "--row-gauge", "10", "--scale", "0.1", "--no-extrema"],
     ])
     def test_quadrature_without_end_exits_2(self, capsys, monkeypatch, args):
-        # each ran past 150 s without the split bound, and takes 10 to 16 s
-        # with QUAD_MAX_SPLITS = 2**20; 2**12 keeps this test fast
+        # with QUAD_MAX_SPLITS = 2**20 these take about 16 s and 3 s (the
+        # first ran past 150 s without the bound); 2**12 keeps this test fast
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 2**12)
         start = time.perf_counter()
         code = run(args)

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -314,7 +316,7 @@ def exhaustive_k(prev, prev_denom, s_prev, s_cur):
 
 
 class TestBranchAndBound:
-    """The pruned search picks the k the exhaustive scorer does, on every row."""
+    """The gap search picks the k the exhaustive scorer does, on every row."""
 
     @staticmethod
     def check(prev, prev_denom, s_prev, s_cur):
@@ -372,10 +374,10 @@ class TestBranchAndBound:
         assert optimize_placement(tuple(range(1, 41)), 40, 20, 27).k == 1
 
     def test_single_candidate_builds_no_table(self, monkeypatch):
-        def no_table(*args):
+        def no_search(*args):
             raise AssertionError("a row with q + r == 1 has nothing to search")
 
-        monkeypatch.setattr(shaping, "_nearest_table", no_table)
+        monkeypatch.setattr(shaping, "_best_shift", no_search)
         row = optimize_placement((2, 5), 7, 9, 18)
         assert (row.q, row.r, row.k) == (1, 0, 1)
         assert row.positions == tuple(range(1, 10))
@@ -394,6 +396,87 @@ class TestBranchAndBound:
                 searched += 1
             ref, ref_denom = row.positions, min(prev.stitches, row.stitches)
         assert searched > 300
+
+
+class TestGapSearch:
+    """The gap search against shift_keys on seeded rows of every shape."""
+
+    @staticmethod
+    def draw(rng, progression):
+        """(ref, ref_denom, low, n_ops) of one row that has shifts to search."""
+        while True:
+            low = rng.choice((rng.randint(2, 40), rng.randint(2, 400), rng.randint(400, 3000)))
+            few = rng.choice((1, rng.randint(1, max(1, low // 25))))
+            many = rng.choice(((low + 1) // 2, rng.randint(1, low)))  # q small, r up to n - 1
+            # many ops over a long row cost the oracle O(low**2)
+            n_ops = many if rng.random() < (0.5 if low <= 400 else 0.02) else few
+            q, r = divmod(low, n_ops)
+            if q + r > 1:
+                break
+        ref_denom = rng.choice((rng.randint(1, 40), rng.randint(1, 3000), low, 2 * low))
+        if progression:
+            # laid out by the remainder method, as shape_rows makes them
+            ref_ops = rng.choice(
+                (1, rng.randint(1, ref_denom), rng.randint(1, max(1, ref_denom // 25)))
+            )
+            rq, rr = divmod(ref_denom, ref_ops)
+            k = rng.randint(1, rq + rr)
+            ref = tuple(range(k, k + rq * ref_ops, rq))
+        else:
+            size = rng.randint(1, min(ref_denom, rng.choice((1, 3, 30, 300))))
+            ref = tuple(sorted(rng.sample(range(1, ref_denom + 1), size)))
+        return ref, ref_denom, low, n_ops
+
+    def test_matches_shift_keys_on_seeded_rows(self):
+        rng = random.Random(1616)
+        seen = Counter()
+        for i in range(9000):
+            ref, ref_denom, low, n_ops = self.draw(rng, progression=i % 2 == 0)
+            keys = shift_keys(ref, ref_denom, low, n_ops)
+            best = max(keys)
+            assert shaping._best_shift(ref, ref_denom, low, n_ops) == keys.index(best) + 1
+            q, r = divmod(low, n_ops)
+            seen.update({
+                "n' = 1": len(ref) == 1,
+                "n = 1": n_ops == 1,
+                "q = 1": q == 1,
+                "r > 0": r > 0,
+                "r' > 0": i % 2 == 0 and ref_denom % len(ref) > 0,
+                "reference at D": ref[-1] == ref_denom,
+                "best min 0": best[0] == 0,
+                "3 shifts tie": best[0] > 0 and sum(key[0] == best[0] for key in keys) >= 3,
+            })
+        # every shape the search treats apart is drawn, and more than once
+        assert min(seen.values()) >= 20, seen
+
+    def test_running_example_at_scale_30_matches_shift_keys(self):
+        spec = PatternSpec(parse(RUNNING_TEXT), -3.0, 1.0, 22, 25, 30.0, RUNNING_TEXT)
+        plan = build_plan(spec)
+        assert plan.total_rows == 2694
+        rows = shape_rows(spec, plan)
+        ref, ref_denom, searched = (), 1, 0
+        for prev, row in zip(rows, rows[1:]):
+            if not row.positions:
+                continue
+            if ref and row.q + row.r > 1:
+                keys = shift_keys(ref, ref_denom, min(prev.stitches, row.stitches), row.n_ops)
+                assert row.k == keys.index(max(keys)) + 1
+                searched += 1
+            ref, ref_denom = row.positions, min(prev.stitches, row.stitches)
+        assert searched > 350
+
+    def test_huge_row_needs_no_memory_per_stitch(self):
+        # 7 ops over a million stitches against a 5-op reference row
+        ref, ref_denom, low, n_ops = (3, 11, 19, 27, 35), 38, 1_000_000, 7
+        keys = shift_keys(ref, ref_denom, low, n_ops)
+        tracemalloc.start()
+        try:
+            k = shaping._best_shift(ref, ref_denom, low, n_ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == keys.index(max(keys)) + 1
+        assert peak < 1_000_000
 
 
 class TestCandidates:
