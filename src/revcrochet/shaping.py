@@ -89,18 +89,19 @@ def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:
 def _nearest(points: list[int], values: Sequence[int]) -> list[int]:
     """Distance from each value to the nearest of the sorted points.
 
-    Every value v must have points[0] <= v < points[-1].
+    Every value v must have points[0] < v <= points[-1].
     """
     return [
         min(v - points[i - 1], points[i] - v)
-        for v, i in zip(values, map(bisect_right, repeat(points), values))
+        for v, i in zip(values, map(bisect_left, repeat(points), values))
     ]
 
 
 def _first_best(shifts: Sequence[int], ref: list[int], d: int, low: int, n_ops: int) -> int:
     """The earliest of the ascending shifts with the largest (min, sum) key.
 
-    ref holds the sorted reference points p*low, in units of 1/(d*low).
+    ref holds the sorted reference points p*low mod d*low, in units of
+    1/(d*low).
     Scoring every op of every shift takes a bisect per op; when that is
     more ops than positions, each position's distance is taken once instead.
     """
@@ -141,7 +142,7 @@ def _best_shift(ref_positions: Sequence[int], d: int, low: int, n_ops: int) -> i
     q, r = divmod(low, n_ops)
     span = q + r
     modulus = d * low
-    ref = sorted([p * low for p in ref_positions])
+    ref = sorted([p * low % modulus for p in ref_positions])  # position D is 0
     if len(ref) * (3 * span // q + 2) > 2 * low:
         return _first_best(range(1, span + 1), ref, d, low, n_ops)
     step = q * d  # from one op of a shift to the next
