@@ -16,6 +16,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property
+from math import sqrt
 
 from .expression import Call, EvalDomainError, Expr, compile_enclosure, compile_expr, differentiate
 
@@ -31,10 +32,11 @@ EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
-# landmark bisection, 9 us for the running example and 46 us for
-# 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 near 10,000 rows (CPython 3.11,
-# 2 vCPUs), so 10,000 rows take under half a second; the running example at
-# scale 30 has 2,694.
+# landmark bisection, 9 us for the running example (9,967 rows at scale
+# 111) and 32 to 36 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 (9,445 rows
+# at scale 66), best of 6 on CPython 3.11, 2 vCPUs; build_plan takes 0.1 s
+# and 0.35 s for them, so 10,000 rows take under half a second.  The running
+# example at scale 30 has 2,694.
 MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
@@ -68,12 +70,14 @@ def round_landmark(x: float) -> float:
     return round_half_away(x * 100.0) / 100.0
 
 
-class Curve(namedtuple("Curve", "f fp g f_box fp_box")):
+class Curve(namedtuple("Curve", "f fp f_box fp_box")):
     """One spec's f, compiled once: what every stage evaluates.
 
-    f and fp are f and f' as callables of x; g is the arclength integrand
-    sqrt(1 + f'(x)^2); f_box and fp_box are the enclosures of f and f'
-    (see expression.compile_enclosure).
+    f and fp are f and f' as callables of x; f_box and fp_box are the
+    enclosures of f and f' (see expression.compile_enclosure).  The
+    arclength quadrature takes fp itself and forms sqrt(1 + f'(x)^2)
+    inline (see adaptive_simpson), so the Boole-weight lower bound that
+    solve_landmarks relies on holds for that integrand.
     """
 
     __slots__ = ()
@@ -92,19 +96,12 @@ class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge sca
     def curve(self) -> Curve:
         """f and f', differentiated and compiled on first use."""
         dfunc = differentiate(self.func)
-        f, fp = compile_expr(self.func), compile_expr(dfunc)
-
-        def g(x: float) -> float:
-            # An undefined f'(x) raises EvalDomainError naming x.  A
-            # non-finite one makes the quadrature that samples g end in
-            # QuadratureError; checking for it here would cost every call.
-            try:
-                d = fp(x)
-            except EvalDomainError as exc:
-                raise EvalDomainError(f"f' undefined at x={x!r}") from exc
-            return math.sqrt(1.0 + d * d)
-
-        return Curve(f, fp, g, compile_enclosure(self.func), compile_enclosure(dfunc))
+        return Curve(
+            compile_expr(self.func),
+            compile_expr(dfunc),
+            compile_enclosure(self.func),
+            compile_enclosure(dfunc),
+        )
 
     def __getstate__(self):
         return None  # generated functions do not pickle; a copy compiles its own curve
@@ -159,65 +156,122 @@ class LandmarkPlan(namedtuple("LandmarkPlan", "segments landmarks total_rows hei
 
 
 def adaptive_simpson(
-    g: Callable[[float], float],
+    fp: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = QUAD_TOL,
     max_depth: int = QUAD_MAX_DEPTH,
 ) -> float:
-    """Adaptive Simpson quadrature of g over [lo, hi] to absolute tol.
+    """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute tol.
+
+    The integrand is the arclength's, taken straight from fp: each sample
+    is one call of fp, and an undefined fp(x) raises EvalDomainError
+    naming the first x that fails.  A non-finite fp(x) is not checked for
+    (that would cost every sample); the quadrature then ends in
+    QuadratureError.  This call evaluates the first level's five samples
+    and returns when it is accepted, as most short intervals are;
+    otherwise each half recurses with two new samples per level.
 
     Each level halves the tolerance, so the accepted subintervals' error
-    estimates sum to at most tol.  Near a cusp, g can change too fast for
-    the halved tolerance even on a subinterval a few ulps wide, after
-    max_depth levels.  Such subintervals share a second allowance of tol:
-    each is accepted while its error estimate fits in what is left of it,
-    so the result is within 2*tol by the estimates.  A subinterval that
-    does not fit raises QuadratureError, and so does a call that splits more
-    than QUAD_MAX_SPLITS subintervals, which bounds its time.
+    estimates sum to at most tol.  Near a cusp, the integrand can change
+    too fast for the halved tolerance even on a subinterval a few ulps
+    wide, after max_depth levels.  Such subintervals share a second
+    allowance of tol: each is accepted while its error estimate fits in
+    what is left of it, so the result is within 2*tol by the estimates.  A
+    subinterval that does not fit raises QuadratureError, and so does a
+    call that splits more than QUAD_MAX_SPLITS subintervals, which bounds
+    its time.
+
+    Every accepted value, left + right + delta/15, is Boole's rule on its
+    five samples, with the positive weights (7, 32, 12, 32, 7)/90; so the
+    result is at least the width times the least sample, up to rounding
+    (see solve_landmarks).
     """
     if hi == lo:
         return 0.0
     mid = 0.5 * (lo + hi)
-    fa, fm, fb = g(lo), g(mid), g(hi)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    # what is left of the second allowance, and the splits made so far
-    return _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth, [tol, 0])
-
-
-def _simpson_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
-    mid = 0.5 * (lo + hi)
     lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    flm, frm = g(lmid), g(rmid)
+    x = lo
+    try:
+        d = fp(x)
+        fa = sqrt(1.0 + d * d)
+        x = mid
+        d = fp(x)
+        fm = sqrt(1.0 + d * d)
+        x = hi
+        d = fp(x)
+        fb = sqrt(1.0 + d * d)
+        x = lmid
+        d = fp(x)
+        flm = sqrt(1.0 + d * d)
+        x = rmid
+        d = fp(x)
+        frm = sqrt(1.0 + d * d)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
+    if max_depth <= 0 or QUAD_MAX_SPLITS <= 0:
+        return _at_limit(lo, hi, left + right + delta / 15.0, delta, max_depth, [tol, 0])
+    # what is left of the second allowance, and the splits made so far
+    allowance = [tol, 1]
+    half = 0.5 * tol
+    return _simpson_step(
+        fp, lo, mid, fa, flm, fm, left, half, max_depth - 1, allowance
+    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, max_depth - 1, allowance)
+
+
+def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
+    mid = 0.5 * (lo + hi)
+    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    x = lmid
+    try:
+        d = fp(x)
+        flm = sqrt(1.0 + d * d)
+        x = rmid
+        d = fp(x)
+        frm = sqrt(1.0 + d * d)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0 or allowance[1] >= QUAD_MAX_SPLITS:
+        return _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, allowance)
+    allowance[1] += 1
+    half = 0.5 * tol
+    return _simpson_step(
+        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
+    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
+
+
+def _at_limit(lo, hi, estimate, delta, depth, allowance):
+    """A subinterval at the depth limit or the split bound: estimate, where
+    the depth limit's allowance still covers its error; else QuadratureError."""
     if depth <= 0:
         error = abs(delta) / 15.0
         if error <= allowance[0]:
             allowance[0] -= error
-            return left + right + delta / 15.0
+            return estimate
         raise QuadratureError(
             f"quadrature did not converge on [{lo!r}, {hi!r}] after the depth limit"
         )
-    allowance[1] += 1
-    if allowance[1] > QUAD_MAX_SPLITS:
-        raise QuadratureError(
-            f"quadrature did not converge on [{lo!r}, {hi!r}] within {QUAD_MAX_SPLITS} splits"
-        )
-    half = 0.5 * tol
-    return _simpson_step(
-        g, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
-    ) + _simpson_step(g, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
+    raise QuadratureError(
+        f"quadrature did not converge on [{lo!r}, {hi!r}] within {QUAD_MAX_SPLITS} splits"
+    )
 
 
 def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     """Arclength of f over [lo, hi] converted to row units."""
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
-    return spec.rows_per_unit * adaptive_simpson(spec.curve.g, lo, hi)
+    return spec.rows_per_unit * adaptive_simpson(spec.curve.fp, lo, hi)
 
 
 def find_extrema(spec: PatternSpec) -> list[float]:
@@ -274,7 +328,7 @@ def _walk(spec, extrema):
     if not (math.isfinite(spec.scale) and spec.scale > 0):
         raise SpecValidationError("scale must be a positive number")
 
-    f, fp, _, f_box, fp_box = spec.curve
+    f, fp, f_box, fp_box = spec.curve
     a, n = spec.a, EXTREMUM_GRID
     step = (spec.b - a) / n
 
@@ -356,13 +410,15 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     A bisection step whose outcome a lower bound on the arclength already
     decides moves the right bracket without running the quadrature, so the
     cost per landmark does not grow with segment length.  The bound is the
-    width times the least g: 1 anywhere, or sqrt(1 + m^2) on a box where
-    the enclosure of f' proves |f'| >= m.  Only steps that would have gone
-    right are skipped, so every bracket, accumulated arclength and landmark
-    is the same float as with a quadrature per step.  A skipped step's
-    quadrature is never run, so it cannot raise QuadratureError.
+    width times the least integrand g = sqrt(1 + f'^2): 1 anywhere, or
+    sqrt(1 + m^2) on a box where the enclosure of f' proves |f'| >= m.
+    adaptive_simpson forms g inline from f', so the bound holds for every
+    sample it takes.  Only steps that would have gone right are skipped, so
+    every bracket, accumulated arclength and landmark is the same float as
+    with a quadrature per step.  A skipped step's quadrature is never run,
+    so it cannot raise QuadratureError.
     """
-    g, fp_box = spec.curve.g, spec.curve.fp_box
+    fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its accumulated arclength in rows
@@ -380,9 +436,9 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
             # (7, 32, 12, 32, 7)/90; so the result is at least the width
             # times the least g sampled, up to rounding that the relative
             # slack covers.  Float *, + and sqrt round monotonically, so
-            # g(x) = sqrt(1 + f'(x)^2) >= sqrt(1 + m*m) at every float x
-            # where |f'(x)| >= m, and if the bound reaches the target, amid
-            # would too and the step would set xr = mid.
+            # each sample sqrt(1.0 + d * d) of d = f'(x) is at least
+            # sqrt(1 + m*m) where |d| >= m, and if the bound reaches the
+            # target, amid would too and the step would set xr = mid.
             bound = (mid - xl) * (1.0 - 1e-12)
             if al + factor * bound >= target:
                 xr = mid
@@ -394,7 +450,7 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
                 if al + factor * bound >= target:
                     xr = mid
                     continue
-            amid = al + factor * adaptive_simpson(g, xl, mid)
+            amid = al + factor * adaptive_simpson(fp, xl, mid)
             if amid < target:
                 xl, al = mid, amid
             else:
@@ -420,15 +476,17 @@ def _chord_rows(spec: PatternSpec, spans) -> float:
     over MAX_ROWS (with CHORD_MARGIN and half a row per segment for the
     rounding of its count) proves the cap passed without a quadrature.
     sign is the grammar's one jump: f' is 0 across it, so the arclength
-    leaves it out while a chord crosses it, and a spec that calls sign
-    gets 0.  A span whose end value is undefined or not finite adds 0,
+    leaves it out while a chord crosses it.  A span counts only where the
+    enclosure of every sign argument excludes 0 on it, so that no sign
+    jumps there.  A span whose end value is undefined or not finite adds 0,
     and the quadrature reports its error as before.
     """
-    if _calls_sign(spec.func):
-        return 0.0
     f = spec.curve.f
+    signs = [compile_enclosure(arg) for arg in dict.fromkeys(_sign_args(spec.func))]
     total = 0.0
     for lo, hi in spans:
+        if not all(_excludes_zero(box(lo, hi)) for box in signs):
+            continue
         try:
             rise = f(hi) - f(lo)
         except EvalDomainError:
@@ -438,11 +496,17 @@ def _chord_rows(spec: PatternSpec, spans) -> float:
     return spec.rows_per_unit * total
 
 
-def _calls_sign(e) -> bool:
-    """Whether the tree e calls sign anywhere."""
-    if isinstance(e, Call) and e.fn == "sign":
-        return True
-    return any(isinstance(c, Expr) and _calls_sign(c) for c in e)
+def _sign_args(e) -> list:
+    """The argument of every sign call in the tree e."""
+    found = [e.arg] if isinstance(e, Call) and e.fn == "sign" else []
+    for c in e:
+        if isinstance(c, Expr):
+            found += _sign_args(c)
+    return found
+
+
+def _excludes_zero(box) -> bool:
+    return box is not None and (box[0] > 0 or box[1] < 0)
 
 
 def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPlan:

@@ -233,9 +233,8 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
         f'<polyline fill="none" stroke="#336699" stroke-width="{_fmt(stroke)}" '
         f'points="{points}"/>',
     ]
+    r = _fmt(radius)
     for x, y in zip(plan.landmarks, plan.heights):
-        lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(radius)}" fill="#cc3333"/>'
-        )
+        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{r}" fill="#cc3333"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

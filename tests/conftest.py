@@ -8,14 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from revcrochet import PatternSpec, build_plan, parse, render_pattern, shape_rows
+from revcrochet import PatternSpec, build_plan, calculus, parse, render_pattern, shape_rows
 from revcrochet.calculus import (
     EXTREMUM_DEDUPE,
     EXTREMUM_GRID,
     LANDMARK_XTOL,
+    QUAD_MAX_DEPTH,
+    QUAD_TOL,
+    QuadratureError,
     SpecValidationError,
     _bisect_sign_change,
-    adaptive_simpson,
     round_landmark,
 )
 from revcrochet.cli import GRAMMAR_HELP
@@ -445,13 +447,70 @@ def same_float(u, v):
     return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
 
 
+# --- quadrature oracle --------------------------------------------------------
+# Adaptive Simpson of any integrand g, with g = sqrt(1 + f'(x)^2) built as a
+# closure around f'.  calculus.adaptive_simpson forms that integrand inline
+# from f' and must return the same floats and raise the same errors.
+
+def arc_integrand(fp):
+    """The arclength integrand sqrt(1 + fp(x)^2) as a callable of x."""
+    def g(x):
+        try:
+            d = fp(x)
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+        return math.sqrt(1.0 + d * d)
+
+    return g
+
+
+def reference_simpson(g, lo, hi, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH):
+    """Adaptive Simpson of g over [lo, hi]; reads calculus.QUAD_MAX_SPLITS per call."""
+    if hi == lo:
+        return 0.0
+    mid = 0.5 * (lo + hi)
+    fa, fm, fb = g(lo), g(mid), g(hi)
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    # what is left of the second allowance, and the splits made so far
+    return _reference_step(g, lo, hi, fa, fm, fb, whole, tol, max_depth, [tol, 0])
+
+
+def _reference_step(g, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
+    mid = 0.5 * (lo + hi)
+    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    flm, frm = g(lmid), g(rmid)
+    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        error = abs(delta) / 15.0
+        if error <= allowance[0]:
+            allowance[0] -= error
+            return left + right + delta / 15.0
+        raise QuadratureError(
+            f"quadrature did not converge on [{lo!r}, {hi!r}] after the depth limit"
+        )
+    allowance[1] += 1
+    splits = calculus.QUAD_MAX_SPLITS
+    if allowance[1] > splits:
+        raise QuadratureError(
+            f"quadrature did not converge on [{lo!r}, {hi!r}] within {splits} splits"
+        )
+    half = 0.5 * tol
+    return _reference_step(
+        g, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
+    ) + _reference_step(g, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
+
+
 # --- landmark oracle --------------------------------------------------------
-# Plain bisection with a quadrature on every step; solve_landmarks skips the
-# steps whose outcome a lower bound on the arclength decides, and must
-# return the same floats.
+# Plain bisection with a quadrature on every step, each by reference_simpson;
+# solve_landmarks skips the steps whose outcome a lower bound on the
+# arclength decides, and must return the same floats.
 
 def reference_landmarks(spec, seg):
-    g = spec.curve.g
+    g = arc_integrand(spec.curve.fp)
     factor = spec.rows_per_unit
     xs = [seg.lo]
     xl, al = seg.lo, 0.0
@@ -460,7 +519,7 @@ def reference_landmarks(spec, seg):
         xr = seg.hi
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
-            amid = al + factor * adaptive_simpson(g, xl, mid)
+            amid = al + factor * reference_simpson(g, xl, mid)
             if amid < target:
                 xl, al = mid, amid
             else:

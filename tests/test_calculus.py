@@ -22,6 +22,7 @@ from revcrochet.calculus import (
     round_half_away,
     round_landmark,
 )
+from revcrochet.expression import EvalDomainError
 
 from conftest import (
     EXTREMUM_HI,
@@ -31,11 +32,14 @@ from conftest import (
     RUNNING_TEXT,
     SEGMENT_ROW_COUNTS,
     SEGMENT_ROW_LENGTHS,
+    arc_integrand,
     outcome,
     random_valid_spec,
     reference_extrema,
     reference_landmarks,
+    reference_simpson,
     reference_validate,
+    same_float,
 )
 from corpus import _draw as corpus_draw
 
@@ -43,8 +47,38 @@ from corpus import _draw as corpus_draw
 DEEP_TEXT = "3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2"
 
 
+# The float just above sqrt(3): sqrt(1.0 + d*d) is exactly 2.0.
+SLOPE_FOR_2 = 1.7320508075688774
+
+
+def integrand_steps(*at):
+    """An f' whose integrand sqrt(1 + f'^2) is 1 + the number of at below x, to an ulp."""
+    def fp(x):
+        k = sum(x > c for c in at)
+        return math.sqrt(k * (k + 2.0))
+
+    return fp
+
+
 def make_spec(text, a, b, stitch_gauge=22, row_gauge=25, scale=0.18):
     return PatternSpec(parse(text), a, b, stitch_gauge, row_gauge, scale, source=text)
+
+
+def skip_bound_intervals():
+    """Seeded (spec, lo, hi), 200 per spec, from the whole rest of [lo, b] down to 1e-7 of it."""
+    rng = random.Random(5)
+    specs = [random_valid_spec(rng) for _ in range(6)] + [
+        make_spec("5", 0.0, 3.0),                # g is exactly 1
+        make_spec("2 + 3*x", 0.0, 3.0),          # g is exactly sqrt(10)
+        make_spec("2 + sin(20*x)", 0.0, 10.0),   # the ripple anchor
+        make_spec(DEEP_TEXT, -4.0, 4.0),         # the deep anchor
+        make_spec("2 + abs(x - 0.3)", 0.0, 1.0),  # the kink anchor
+    ]
+    for spec in specs:
+        for _ in range(200):
+            lo = rng.uniform(spec.a, spec.b)
+            hi = lo + (spec.b - lo) * 10.0 ** -rng.uniform(0.0, 7.0)
+            yield spec, lo, hi
 
 
 class TestRounding:
@@ -146,8 +180,9 @@ class TestCertifiedScans:
             assert outcome(find_extrema, spec) == outcome(reference_extrema, spec)
             assert outcome(spec.validate) == outcome(reference_validate, spec)
 
-    def test_plan_evaluates_f_prime_at_no_x_twice(self):
-        # f(0) = 0 and f'(0) = 0 leave the ranges at 0 undecided
+    def test_plan_evaluates_f_prime_at_no_x_twice(self, monkeypatch):
+        # f(0) = 0 and f'(0) = 0 leave the ranges at 0 undecided.  The
+        # quadratures, which sample some x more than once, get f' unrecorded.
         spec = make_spec("x^2", 0.0, 1.0)
         fp, xs = spec.curve.fp, []
 
@@ -155,6 +190,8 @@ class TestCertifiedScans:
             xs.append(x)
             return fp(x)
 
+        quadrature = calculus.adaptive_simpson
+        monkeypatch.setattr(calculus, "adaptive_simpson", lambda _, *args: quadrature(fp, *args))
         spec.curve = spec.curve._replace(fp=recorded)
         build_plan(spec)
         assert xs and len(set(xs)) == len(xs)
@@ -219,53 +256,117 @@ class TestArclength:
 
     @pytest.mark.parametrize("d, p, w", [(-0.2677, 1.048, 1.456), (-0.3226, 1.006, 7.1)])
     def test_cusp_converges_to_the_trapezoid_oracle(self, d, p, w):
-        # f' ~ |x - d|^(p - 1) near d, so g changes too fast for the halved
-        # tolerance on intervals a few ulps wide, at the depth limit
-        g = make_spec(f"3 + abs(x - {d})^{p}*sin({w}*x)", -1.4, 1.35).curve.g
+        # f' ~ |x - d|^(p - 1) near d, so the integrand changes too fast for
+        # the halved tolerance on intervals a few ulps wide, at the depth limit
+        fp = make_spec(f"3 + abs(x - {d})^{p}*sin({w}*x)", -1.4, 1.35).curve.fp
         xs = np.linspace(-1.4, 1.35, 2_000_001)
         u = xs - d
-        fp = p * np.abs(u) ** (p - 1) * np.sign(u) * np.sin(w * xs)
-        fp += np.abs(u) ** p * w * np.cos(w * xs)
-        oracle = np.trapezoid(np.sqrt(1.0 + fp**2), xs)
-        whole = adaptive_simpson(g, -1.4, 1.35)
-        split = adaptive_simpson(g, -1.4, d) + adaptive_simpson(g, d, 1.35)
+        dy = p * np.abs(u) ** (p - 1) * np.sign(u) * np.sin(w * xs)
+        dy += np.abs(u) ** p * w * np.cos(w * xs)
+        oracle = np.trapezoid(np.sqrt(1.0 + dy**2), xs)
+        whole = adaptive_simpson(fp, -1.4, 1.35)
+        split = adaptive_simpson(fp, -1.4, d) + adaptive_simpson(fp, d, 1.35)
         assert whole == pytest.approx(oracle, abs=1e-7)
         assert split == pytest.approx(oracle, abs=1e-7)
 
     def test_depth_limit_intervals_share_one_allowance(self):
-        # at max_depth=6 each unit step leaves one interval at the depth
-        # limit, with an error estimate of about 0.87*tol
-        def steps(*at):
-            return lambda x: 1.0 + sum(x > c for c in at)
-
-        got = adaptive_simpson(steps(0.3), 0.0, 1.0, tol=1e-4, max_depth=6)
+        # at max_depth=6 each unit step of the integrand leaves one interval
+        # at the depth limit, with an error estimate of about 0.87*tol
+        got = adaptive_simpson(integrand_steps(0.3), 0.0, 1.0, tol=1e-4, max_depth=6)
         assert got == pytest.approx(1.7, abs=0.01)
         with pytest.raises(QuadratureError):
-            adaptive_simpson(steps(0.3, 0.8), 0.0, 1.0, tol=1e-4, max_depth=6)
+            adaptive_simpson(integrand_steps(0.3, 0.8), 0.0, 1.0, tol=1e-4, max_depth=6)
 
     def test_non_integrable_singularity_raises(self):
         with pytest.raises(QuadratureError, match="did not converge"):
             adaptive_simpson(lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0)
 
     def test_splits_past_the_bound_raise(self, monkeypatch):
-        # g is called 3 times, then twice per step; each split adds two steps
+        # f' is called 5 times on the first level, then twice per step; each
+        # split adds two steps
         calls = []
 
-        def g(x):
+        def fp(x):
             calls.append(x)
-            return math.sqrt(1.0 + math.cos(7.0 * x) ** 2)
+            return math.cos(7.0 * x)
 
-        whole = adaptive_simpson(g, 0.0, 3.0)
+        whole = adaptive_simpson(fp, 0.0, 3.0)
         splits = (len(calls) - 5) // 4
         assert len(calls) == 5 + 4 * splits and splits > 100
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits)
-        assert adaptive_simpson(g, 0.0, 3.0) == whole
+        assert adaptive_simpson(fp, 0.0, 3.0) == whole
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits - 1)
         with pytest.raises(QuadratureError, match=f"within {splits - 1} splits$"):
-            adaptive_simpson(g, 0.0, 3.0)
-        # an interval accepted without a split counts none
+            adaptive_simpson(fp, 0.0, 3.0)
+        # an interval accepted without a split counts none; the integrand
+        # sqrt(1 + SLOPE_FOR_2**2) is exactly 2.0
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 0)
-        assert adaptive_simpson(lambda x: 2.0, 0.0, 3.0) == 6.0
+        assert adaptive_simpson(lambda x: SLOPE_FOR_2, 0.0, 3.0) == 6.0
+
+
+class TestQuadratureOracle:
+    """adaptive_simpson(fp) against reference_simpson of the g closure around fp."""
+
+    @staticmethod
+    def assert_same(fp, *args):
+        got = outcome(adaptive_simpson, fp, *args)
+        expected = outcome(reference_simpson, arc_integrand(fp), *args)
+        if isinstance(expected, float):
+            assert isinstance(got, float) and same_float(got, expected)
+        else:
+            assert got == expected
+        return got
+
+    def test_seeded_intervals(self):
+        for spec, lo, hi in skip_bound_intervals():
+            self.assert_same(spec.curve.fp, lo, hi)
+
+    def test_depth_limit_allowance(self):
+        args = (0.0, 1.0, 1e-4, 6)
+        assert isinstance(self.assert_same(integrand_steps(0.3), *args), float)
+        assert self.assert_same(integrand_steps(0.3, 0.8), *args)[0] is QuadratureError
+        assert self.assert_same(lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0)[0] is (
+            QuadratureError
+        )
+
+    def test_split_bound(self, monkeypatch):
+        calls = []
+
+        def fp(x):
+            calls.append(x)
+            return math.cos(7.0 * x)
+
+        adaptive_simpson(fp, 0.0, 3.0)
+        needed = (len(calls) - 5) // 4  # the splits it takes; see test_splits_past_the_bound_raise
+        for splits in (0, 1, 2, needed - 1, needed):
+            monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits)
+            assert isinstance(self.assert_same(fp, 0.0, 3.0), float) is (splits == needed)
+        assert self.assert_same(fp, 0.0, 3.0, 1e-12)[0] is QuadratureError
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 0)
+        assert self.assert_same(lambda x: SLOPE_FOR_2, 0.0, 3.0) == 6.0
+
+    @pytest.mark.parametrize("bad", [
+        lambda x: x == 0.0,                     # the first sample, lo
+        lambda x: x == 0.25,                    # the fourth, lmid of [0, 1]
+        lambda x: x == 0.75,                    # the fifth, rmid of [0, 1]
+        lambda x: abs(x - 0.3) < 1e-3,          # a sample some levels down
+        lambda x: x > 0.3,                      # the first level's mid and hi
+    ])
+    def test_undefined_fprime_names_the_same_x(self, bad):
+        def fp(x):
+            if bad(x):
+                raise EvalDomainError(f"undefined at x={x!r}")
+            return math.cos(7.0 * x)
+
+        got = self.assert_same(fp, 0.0, 1.0)
+        assert got[0] is EvalDomainError and got[1].startswith("f' undefined at x=")
+
+    def test_undefined_fprime_of_a_compiled_spec(self):
+        # f' = 1/(2*sqrt(x - 0.25)) is undefined at and below 0.25
+        fp = make_spec("sqrt(x - 0.25)", 0.25, 1.0).curve.fp
+        assert self.assert_same(fp, 0.0, 1.0) == (EvalDomainError, "f' undefined at x=0.0")
+        assert self.assert_same(fp, 0.25, 1.0)[0] is EvalDomainError
+        assert isinstance(self.assert_same(fp, 0.3, 1.0), float)
 
 
 class TestFindExtrema:
@@ -348,27 +449,15 @@ class TestSolveLandmarks:
         # the lower bounds solve_landmarks uses to skip a bisection step:
         # the width anywhere, and the width times sqrt(1 + m*m) where the
         # enclosure of f' proves |f'| >= m > 0
-        rng = random.Random(5)
-        specs = [random_valid_spec(rng) for _ in range(6)] + [
-            make_spec("5", 0.0, 3.0),                # g is exactly 1
-            make_spec("2 + 3*x", 0.0, 3.0),          # g is exactly sqrt(10)
-            make_spec("2 + sin(20*x)", 0.0, 10.0),   # the ripple anchor
-            make_spec(DEEP_TEXT, -4.0, 4.0),         # the deep anchor
-            make_spec("2 + abs(x - 0.3)", 0.0, 1.0),  # the kink anchor
-        ]
         proved = 0
-        for spec in specs:
-            g, fp_box = spec.curve.g, spec.curve.fp_box
-            for _ in range(200):
-                lo = rng.uniform(spec.a, spec.b)
-                hi = lo + (spec.b - lo) * 10.0 ** -rng.uniform(0.0, 7.0)
-                got = adaptive_simpson(g, lo, hi)
-                assert got >= (hi - lo) * (1.0 - 1e-12)
-                box = fp_box(lo, hi)
-                m = 0.0 if box is None else max(box[0], -box[1], 0.0)
-                if m > 0.0:
-                    proved += 1
-                    assert got >= (hi - lo) * math.sqrt(1.0 + m * m) * (1.0 - 1e-12)
+        for spec, lo, hi in skip_bound_intervals():
+            got = adaptive_simpson(spec.curve.fp, lo, hi)
+            assert got >= (hi - lo) * (1.0 - 1e-12)
+            box = spec.curve.fp_box(lo, hi)
+            m = 0.0 if box is None else max(box[0], -box[1], 0.0)
+            if m > 0.0:
+                proved += 1
+                assert got >= (hi - lo) * math.sqrt(1.0 + m * m) * (1.0 - 1e-12)
         assert proved >= 1000
 
     def test_cost_per_landmark_does_not_grow_with_segment_length(self, monkeypatch):
@@ -376,24 +465,24 @@ class TestSolveLandmarks:
         plan = build_plan(spec, prioritize_extrema=False)
         (seg,) = plan.segments
         assert seg.row_count >= 800
-        g = spec.curve.g
+        fp = spec.curve.fp
         calls = quadratures = 0
 
         def counted(x):
             nonlocal calls
             calls += 1
-            return g(x)
+            return fp(x)
 
         def counted_simpson(*args):
             nonlocal quadratures
             quadratures += 1
             return adaptive_simpson(*args)
 
-        spec.curve = spec.curve._replace(g=counted)
+        spec.curve = spec.curve._replace(fp=counted)
         monkeypatch.setattr(calculus, "adaptive_simpson", counted_simpson)
         solve_landmarks(spec, seg)
         landmarks = seg.row_count - 1
-        # measured: 18.5 calls of g and 3.71 quadratures per landmark; 39
+        # measured: 18.5 calls of f' and 3.71 quadratures per landmark; 39
         # and 7.8 with the slope-1 skip alone, 339 with a quadrature per step
         assert calls / landmarks <= 22
         assert quadratures / landmarks <= 4.5
@@ -491,6 +580,18 @@ class TestBuildPlan:
         f = running_spec.curve.f
         for plan in (running_plan, running_plan_even):
             assert plan.heights == tuple(f(x) for x in plan.landmarks)
+
+    def test_chords_count_only_the_spans_where_no_sign_jumps(self):
+        # sign(x - 0.5) jumps in the second span only; sign(x + 1) never does
+        spec = make_spec("101 + 100*sign(x - 0.5) + sign(x + 1)", 0.0, 1.0, row_gauge=4, scale=1.0)
+        spans = [(0.0, 0.4), (0.4, 1.0)]
+        assert calculus._chord_rows(spec, spans) == 0.4
+        assert calculus._chord_rows(spec, spans[1:]) == 0.0
+        # an argument the enclosure cannot keep off 0 counts as a jump
+        spec = make_spec("2 + sign(sin(x))", 0.5, 1.0, row_gauge=4, scale=1.0)
+        assert calculus._chord_rows(spec, [(0.5, 1.0)]) == 0.5
+        spec = make_spec("2 + sign(sin(x))", 0.5, 7.0, row_gauge=4, scale=1.0)
+        assert calculus._chord_rows(spec, [(0.5, 7.0)]) == 0.0
 
     def test_f_undefined_at_a_landmark_is_named(self):
         # 0.5 is a rounded landmark between the grid walk's points

@@ -220,6 +220,23 @@ class TestRun:
             "lower the scale or the row gauge\n"
         )
 
+    def test_a_sign_that_does_not_change_on_the_span_keeps_the_chord_bound(
+        self, capsys, monkeypatch
+    ):
+        # x stays positive on [1.2, 3.01], so sign(x) does not jump; the whole
+        # split budget went first (10 s) and ended in "did not converge"
+        def no_quadrature(*args):
+            raise AssertionError("the chord already passes the row cap")
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", no_quadrature)
+        code = run(["--function", "1 + (x+1)^exp(x) + 0*sign(x)", "--a", "1.2", "--b", "3.01",
+                    "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+
     def test_a_jump_of_f_does_not_count_toward_the_row_cap(self, capsys):
         # f' is 0 across the jump, so the arclength is 1 unit, 53 rows, while
         # the chord across the jump is 10,500 rows
@@ -294,9 +311,12 @@ class TestRun:
 
     @pytest.mark.parametrize("args", [
         # f' changes sign across the pole at -0.13, so the walk makes the pole
-        # an extremum, and the segment quadrature runs into it
+        # an extremum, and the segment quadrature runs into it.  sign(pi)
+        # never jumps, so the chords count: at scale 1.97 they pass the row
+        # cap (about 1.8e12 rows) and refuse the plan at once; at 1e-9 they
+        # come to about 910 rows, and the same quadrature runs.
         ["--function", "1 + abs(sign(pi)/(x+0.13))", "--a=-2.22", "--b=0.9",
-         "--stitch-gauge", "8", "--row-gauge", "17", "--scale", "1.97"],
+         "--stitch-gauge", "8", "--row-gauge", "17", "--scale", "1e-9"],
         # about 80,000 rows in a million oscillations, which the chord (a
         # quarter row) cannot see; the quadrature spends its split budget
         ["--function", "2 + sin(1000000*x)/2", "--a=0", "--b=1",
