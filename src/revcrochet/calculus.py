@@ -32,11 +32,11 @@ EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
-# landmark bisection, 9 us for the running example (9,967 rows at scale
-# 111) and 32 to 36 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 (9,445 rows
-# at scale 66), best of 6 on CPython 3.11, 2 vCPUs; build_plan takes 0.1 s
-# and 0.35 s for them, so 10,000 rows take under half a second.  The running
-# example at scale 30 has 2,694.
+# landmark bisection, 9 to 15 us for the running example (9,967 rows at
+# scale 111) and 29 to 31 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2
+# (9,445 rows at scale 66), best of 12 in each of three runs on CPython
+# 3.11, 2 vCPUs; build_plan takes 0.12 s and 0.28 s for them, so 10,000 rows
+# take under half a second.  The running example at scale 30 has 2,694.
 MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
@@ -73,11 +73,11 @@ def round_landmark(x: float) -> float:
 class Curve(namedtuple("Curve", "f fp f_box fp_box")):
     """One spec's f, compiled once: what every stage evaluates.
 
-    f and fp are f and f' as callables of x; f_box and fp_box are the
-    enclosures of f and f' (see expression.compile_enclosure).  The
-    arclength quadrature takes fp itself and forms sqrt(1 + f'(x)^2)
-    inline (see adaptive_simpson), so the Boole-weight lower bound that
-    solve_landmarks relies on holds for that integrand.
+    f and fp are f and f' as callables of x; f_box and fp_box are their
+    enclosures (see expression.compile_enclosure), which solve_landmarks
+    takes at most once per landmark.  The arclength quadrature forms
+    sqrt(1 + f'(x)^2) from fp inline (see adaptive_simpson), so the
+    Boole-weight bound of solve_landmarks holds for that integrand.
     """
 
     __slots__ = ()
@@ -149,20 +149,16 @@ class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
     __slots__ = ()
 
 
-class LandmarkPlan(namedtuple("LandmarkPlan", "segments landmarks total_rows heights")):
-    """Ordered segments, the merged landmark list x_0 .. x_n, and f at each landmark."""
+class LandmarkPlan(
+    namedtuple("LandmarkPlan", "segments landmarks total_rows heights prioritize_extrema")
+):
+    """Segments, merged landmarks x_0 .. x_n, f at each, and build_plan's flag."""
 
     __slots__ = ()
 
 
-def adaptive_simpson(
-    fp: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = QUAD_TOL,
-    max_depth: int = QUAD_MAX_DEPTH,
-) -> float:
-    """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute tol.
+def adaptive_simpson(fp: Callable[[float], float], lo: float, hi: float) -> float:
+    """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute QUAD_TOL.
 
     The integrand is the arclength's, taken straight from fp: each sample
     is one call of fp, and an undefined fp(x) raises EvalDomainError
@@ -173,14 +169,15 @@ def adaptive_simpson(
     otherwise each half recurses with two new samples per level.
 
     Each level halves the tolerance, so the accepted subintervals' error
-    estimates sum to at most tol.  Near a cusp, the integrand can change
-    too fast for the halved tolerance even on a subinterval a few ulps
-    wide, after max_depth levels.  Such subintervals share a second
-    allowance of tol: each is accepted while its error estimate fits in
-    what is left of it, so the result is within 2*tol by the estimates.  A
-    subinterval that does not fit raises QuadratureError, and so does a
-    call that splits more than QUAD_MAX_SPLITS subintervals, which bounds
-    its time.
+    estimates sum to at most QUAD_TOL.  Near a cusp, the integrand can
+    change too fast for the halved tolerance even on a subinterval a few
+    ulps wide, after QUAD_MAX_DEPTH levels.  Such subintervals share a
+    second allowance of QUAD_TOL: each is accepted while its error
+    estimate fits in what is left of it, so the result is within
+    2*QUAD_TOL by the estimates.  A subinterval that does not fit raises
+    QuadratureError, and so does a call that splits more than
+    QUAD_MAX_SPLITS subintervals, which bounds its time.  All three
+    constants are read at each call.
 
     Every accepted value, left + right + delta/15, is Boole's rule on its
     five samples, with the positive weights (7, 32, 12, 32, 7)/90; so the
@@ -213,16 +210,17 @@ def adaptive_simpson(
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
+    tol, depth = QUAD_TOL, QUAD_MAX_DEPTH
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
-    if max_depth <= 0 or QUAD_MAX_SPLITS <= 0:
-        return _at_limit(lo, hi, left + right + delta / 15.0, delta, max_depth, [tol, 0])
+    if depth <= 0 or QUAD_MAX_SPLITS <= 0:
+        return _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, [tol, 0])
     # what is left of the second allowance, and the splits made so far
     allowance = [tol, 1]
     half = 0.5 * tol
     return _simpson_step(
-        fp, lo, mid, fa, flm, fm, left, half, max_depth - 1, allowance
-    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, max_depth - 1, allowance)
+        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
+    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
 
 
 def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
@@ -411,22 +409,23 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     decides moves the right bracket without running the quadrature, so the
     cost per landmark does not grow with segment length.  The bound is the
     width times the least integrand g = sqrt(1 + f'^2): 1 anywhere, or
-    sqrt(1 + m^2) on a box where the enclosure of f' proves |f'| >= m.
-    adaptive_simpson forms g inline from f', so the bound holds for every
-    sample it takes.  Only steps that would have gone right are skipped, so
-    every bracket, accumulated arclength and landmark is the same float as
-    with a quadrature per step.  A skipped step's quadrature is never run,
-    so it cannot raise QuadratureError.
+    sqrt(1 + m^2) where the enclosure of f' proves |f'| >= m: once per
+    landmark, on [xl, mid] of the first step the width leaves undecided,
+    for the later steps inside it.  adaptive_simpson forms g inline from
+    f', so the bound holds for every sample it takes.  Only steps that
+    would have gone right are skipped, so every bracket, accumulated
+    arclength and landmark is the same float as with a quadrature per
+    step.  A skipped step's quadrature is never run, so it cannot raise
+    QuadratureError.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
-    xl, al = seg.lo, 0.0  # left bracket and its accumulated arclength in rows
-    # The last enclosed box of f' and sqrt(1 + m^2) for it; kept across landmarks.
-    box_lo, box_hi, least_g = math.inf, -math.inf, 1.0
+    xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: all that crosses rows
     for i in range(1, seg.row_count):
         target = i * seg.arclength_rows / seg.row_count
         xr = seg.hi
+        box_hi = None  # right end of this landmark's box of f', once enclosed
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
@@ -438,14 +437,18 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
             # slack covers.  Float *, + and sqrt round monotonically, so
             # each sample sqrt(1.0 + d * d) of d = f'(x) is at least
             # sqrt(1 + m*m) where |d| >= m, and if the bound reaches the
-            # target, amid would too and the step would set xr = mid.
+            # target, amid would too and the step would set xr = mid.  The
+            # box starts at an earlier xl of this landmark, and xl never
+            # decreases, so it holds [xl, mid] when mid <= box_hi.
             bound = (mid - xl) * (1.0 - 1e-12)
             if al + factor * bound >= target:
                 xr = mid
                 continue
-            if not (box_lo <= xl and mid <= box_hi):
-                box_lo, box_hi, least_g = xl, mid, _least_g(fp_box(xl, mid))
-            if least_g > 1.0:
+            if box_hi is None:
+                box = fp_box(xl, mid)
+                m = 0.0 if box is None else max(box[0], -box[1], 0.0)
+                box_hi, least_g = mid, sqrt(1.0 + m * m)
+            if mid <= box_hi:
                 bound = (mid - xl) * least_g * (1.0 - 1e-12)
                 if al + factor * bound >= target:
                     xr = mid
@@ -461,14 +464,6 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     return xs
 
 
-def _least_g(box):
-    """sqrt(1 + m*m) for the least |f'| = m that an enclosure of f' proves; 1 if none."""
-    if box is None:
-        return 1.0
-    m = box[0] if box[0] > 0 else -box[1] if box[1] < 0 else 0.0
-    return math.sqrt(1.0 + m * m)
-
-
 def _chord_rows(spec: PatternSpec, spans) -> float:
     """Sum over the spans of the chord from (lo, f(lo)) to (hi, f(hi)), in rows.
 
@@ -476,16 +471,23 @@ def _chord_rows(spec: PatternSpec, spans) -> float:
     over MAX_ROWS (with CHORD_MARGIN and half a row per segment for the
     rounding of its count) proves the cap passed without a quadrature.
     sign is the grammar's one jump: f' is 0 across it, so the arclength
-    leaves it out while a chord crosses it.  A span counts only where the
+    leaves it out while a chord crosses it.  A piece counts only where the
     enclosure of every sign argument excludes 0 on it, so that no sign
-    jumps there.  A span whose end value is undefined or not finite adds 0,
-    and the quadrature reports its error as before.
+    jumps there; others are halved, left half first, down to a grid cell
+    or an ulp, which adds 0.  So does a piece whose end value is undefined
+    or not finite, and the quadrature reports its error as before.
     """
     f = spec.curve.f
     signs = [compile_enclosure(arg) for arg in dict.fromkeys(_sign_args(spec.func))]
+    cell = (spec.b - spec.a) / EXTREMUM_GRID
     total = 0.0
-    for lo, hi in spans:
+    pieces = spans[::-1]
+    while pieces:
+        lo, hi = pieces.pop()
         if not all(_excludes_zero(box(lo, hi)) for box in signs):
+            mid = 0.5 * (lo + hi)
+            if hi - lo > cell and lo < mid < hi:
+                pieces += [(mid, hi), (lo, mid)]
             continue
         try:
             rise = f(hi) - f(lo)
@@ -539,10 +541,10 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     total = sum(counts)
     if len(counts) < len(lengths) or total > MAX_ROWS:
         raise too_many
-    segments = [
+    segments = tuple(
         Segment(lo, hi, length, count)
         for (lo, hi), length, count in zip(spans, lengths, counts)
-    ]
+    )
 
     landmarks: list[float] = []
     for seg in segments:
@@ -561,4 +563,4 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
         raise SpecValidationError(
             "every row would have 0 stitches; raise the scale or the stitch gauge"
         )
-    return LandmarkPlan(tuple(segments), tuple(landmarks), total, tuple(heights))
+    return LandmarkPlan(segments, tuple(landmarks), total, tuple(heights), prioritize_extrema)

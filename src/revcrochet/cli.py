@@ -153,13 +153,12 @@ def run(argv: list[str] | None = None) -> int:
             scale=args["scale"],
             source=args["function"],
         )
-        extrema = args["prioritize_extrema"]
-        plan = build_plan(spec, prioritize_extrema=extrema)
+        plan = build_plan(spec, prioritize_extrema=args["prioritize_extrema"])
         if args["format"] == "svg":
             out = render_svg(spec, plan)
         else:
             rows = shape_rows(spec, plan)
-            doc = render_pattern(spec, plan, rows, prioritize_extrema=extrema)
+            doc = render_pattern(spec, plan, rows)
             out = render_json(doc) if args["format"] == "json" else doc.to_text()
     # usage errors, ExpressionError and SpecValidationError are ValueErrors
     except (QuadratureError, ValueError) as exc:

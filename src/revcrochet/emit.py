@@ -99,12 +99,7 @@ def render_row(shaping: RowShaping) -> str:
     return ", ".join(parts) + "." + total
 
 
-def render_pattern(
-    spec: PatternSpec,
-    plan: LandmarkPlan,
-    rows: list[RowShaping],
-    prioritize_extrema: bool = True,
-) -> PatternDoc:
+def render_pattern(spec: PatternSpec, plan: LandmarkPlan, rows: list[RowShaping]) -> PatternDoc:
     """Assemble the full document from shaping decisions.
 
     rows[0] is the cast-on row (see shaping.shape_rows): a chain when the
@@ -112,6 +107,7 @@ def render_pattern(
     shape_rows drops exactly the 0-stitch landmarks at each end, and the
     plan's first and last landmarks are a and b, so an end is closed when
     its row is gone.  Steep rows produce a note at the top naming the row.
+    prioritize_extrema is the plan's, so the document says how it was built.
     """
     closed_start = rows[0].x != spec.a
     closed_end = rows[-1].x != spec.b
@@ -165,7 +161,7 @@ def render_pattern(
         stitch_gauge=spec.stitch_gauge,
         row_gauge=spec.row_gauge,
         scale=spec.scale,
-        prioritize_extrema=prioritize_extrema,
+        prioritize_extrema=plan.prioritize_extrema,
         total_rows=plan.total_rows,
         closed_start=closed_start,
         closed_end=closed_end,

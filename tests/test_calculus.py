@@ -269,13 +269,16 @@ class TestArclength:
         assert whole == pytest.approx(oracle, abs=1e-7)
         assert split == pytest.approx(oracle, abs=1e-7)
 
-    def test_depth_limit_intervals_share_one_allowance(self):
-        # at max_depth=6 each unit step of the integrand leaves one interval
-        # at the depth limit, with an error estimate of about 0.87*tol
-        got = adaptive_simpson(integrand_steps(0.3), 0.0, 1.0, tol=1e-4, max_depth=6)
+    def test_depth_limit_intervals_share_one_allowance(self, monkeypatch):
+        # at QUAD_MAX_DEPTH = 6 each unit step of the integrand leaves one
+        # interval at the depth limit, with an error estimate of about
+        # 0.87*QUAD_TOL
+        monkeypatch.setattr(calculus, "QUAD_TOL", 1e-4)
+        monkeypatch.setattr(calculus, "QUAD_MAX_DEPTH", 6)
+        got = adaptive_simpson(integrand_steps(0.3), 0.0, 1.0)
         assert got == pytest.approx(1.7, abs=0.01)
         with pytest.raises(QuadratureError):
-            adaptive_simpson(integrand_steps(0.3, 0.8), 0.0, 1.0, tol=1e-4, max_depth=6)
+            adaptive_simpson(integrand_steps(0.3, 0.8), 0.0, 1.0)
 
     def test_non_integrable_singularity_raises(self):
         with pytest.raises(QuadratureError, match="did not converge"):
@@ -308,9 +311,10 @@ class TestQuadratureOracle:
     """adaptive_simpson(fp) against reference_simpson of the g closure around fp."""
 
     @staticmethod
-    def assert_same(fp, *args):
-        got = outcome(adaptive_simpson, fp, *args)
-        expected = outcome(reference_simpson, arc_integrand(fp), *args)
+    def assert_same(fp, lo, hi):
+        got = outcome(adaptive_simpson, fp, lo, hi)
+        tol, depth = calculus.QUAD_TOL, calculus.QUAD_MAX_DEPTH
+        expected = outcome(reference_simpson, arc_integrand(fp), lo, hi, tol, depth)
         if isinstance(expected, float):
             assert isinstance(got, float) and same_float(got, expected)
         else:
@@ -321,13 +325,14 @@ class TestQuadratureOracle:
         for spec, lo, hi in skip_bound_intervals():
             self.assert_same(spec.curve.fp, lo, hi)
 
-    def test_depth_limit_allowance(self):
-        args = (0.0, 1.0, 1e-4, 6)
-        assert isinstance(self.assert_same(integrand_steps(0.3), *args), float)
-        assert self.assert_same(integrand_steps(0.3, 0.8), *args)[0] is QuadratureError
+    def test_depth_limit_allowance(self, monkeypatch):
         assert self.assert_same(lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0)[0] is (
             QuadratureError
         )
+        monkeypatch.setattr(calculus, "QUAD_TOL", 1e-4)
+        monkeypatch.setattr(calculus, "QUAD_MAX_DEPTH", 6)
+        assert isinstance(self.assert_same(integrand_steps(0.3), 0.0, 1.0), float)
+        assert self.assert_same(integrand_steps(0.3, 0.8), 0.0, 1.0)[0] is QuadratureError
 
     def test_split_bound(self, monkeypatch):
         calls = []
@@ -341,7 +346,8 @@ class TestQuadratureOracle:
         for splits in (0, 1, 2, needed - 1, needed):
             monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", splits)
             assert isinstance(self.assert_same(fp, 0.0, 3.0), float) is (splits == needed)
-        assert self.assert_same(fp, 0.0, 3.0, 1e-12)[0] is QuadratureError
+        monkeypatch.setattr(calculus, "QUAD_TOL", 1e-12)
+        assert self.assert_same(fp, 0.0, 3.0)[0] is QuadratureError
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", 0)
         assert self.assert_same(lambda x: SLOPE_FOR_2, 0.0, 3.0) == 6.0
 
@@ -441,6 +447,8 @@ class TestSolveLandmarks:
         # the enclosure of x^2 - 2*x + 1.01 reaches below 0 on wide boxes
         # around x = 1, so the one of f' stays undecided there
         ("2 + sqrt(x^2 - 2*x + 1.01)", 0.0, 2.0, 2.0),
+        # the closed sphere, a gentle curve, with a box of f' per landmark
+        ("sin(x)", 0.0, math.pi, 2.0),
     ])
     def test_specs_with_extrema_match_reference_exactly(self, text, a, b, scale):
         self.assert_matches_reference(make_spec(text, a, b, scale=scale), True)
@@ -465,27 +473,35 @@ class TestSolveLandmarks:
         plan = build_plan(spec, prioritize_extrema=False)
         (seg,) = plan.segments
         assert seg.row_count >= 800
-        fp = spec.curve.fp
-        calls = quadratures = 0
+        fp, fp_box = spec.curve.fp, spec.curve.fp_box
+        calls = quadratures = boxes = 0
 
         def counted(x):
             nonlocal calls
             calls += 1
             return fp(x)
 
+        def counted_box(lo, hi):
+            nonlocal boxes
+            boxes += 1
+            return fp_box(lo, hi)
+
         def counted_simpson(*args):
             nonlocal quadratures
             quadratures += 1
             return adaptive_simpson(*args)
 
-        spec.curve = spec.curve._replace(fp=counted)
+        spec.curve = spec.curve._replace(fp=counted, fp_box=counted_box)
         monkeypatch.setattr(calculus, "adaptive_simpson", counted_simpson)
         solve_landmarks(spec, seg)
         landmarks = seg.row_count - 1
-        # measured: 18.5 calls of f' and 3.71 quadratures per landmark; 39
-        # and 7.8 with the slope-1 skip alone, 339 with a quadrature per step
+        # measured: 18.8 calls of f', 3.75 quadratures and 1.00 enclosures
+        # of f' per landmark (18.5, 3.71 and 1.14 with one box kept across
+        # landmarks); 39 calls and 7.8 quadratures with the slope-1 skip
+        # alone, 339 calls with a quadrature per step
         assert calls / landmarks <= 22
         assert quadratures / landmarks <= 4.5
+        assert boxes <= landmarks
 
 
 class TestBuildPlan:
@@ -582,16 +598,23 @@ class TestBuildPlan:
             assert plan.heights == tuple(f(x) for x in plan.landmarks)
 
     def test_chords_count_only_the_spans_where_no_sign_jumps(self):
-        # sign(x - 0.5) jumps in the second span only; sign(x + 1) never does
+        # sign(x - 0.5) jumps in the second span only; sign(x + 1) never does.
+        # That span is halved until the piece that holds 0.5 is at most one
+        # grid cell wide (0.6 / 2**12 of the cell 1 / 2**12); it adds 0, and
+        # the flat pieces on both sides add their widths
         spec = make_spec("101 + 100*sign(x - 0.5) + sign(x + 1)", 0.0, 1.0, row_gauge=4, scale=1.0)
         spans = [(0.0, 0.4), (0.4, 1.0)]
-        assert calculus._chord_rows(spec, spans) == 0.4
-        assert calculus._chord_rows(spec, spans[1:]) == 0.0
-        # an argument the enclosure cannot keep off 0 counts as a jump
+        jump = 0.6 / 2**12
+        assert calculus._chord_rows(spec, spans) == pytest.approx(1.0 - jump, rel=1e-15)
+        assert calculus._chord_rows(spec, spans[1:]) == pytest.approx(0.6 - jump, rel=1e-15)
+        # a span where the enclosure cannot keep the argument off 0 is
+        # halved; sin has its zeros pi and 2*pi in [0.5, 7], and the grid
+        # cell of 6.5 / 2**12 around each adds 0
         spec = make_spec("2 + sign(sin(x))", 0.5, 1.0, row_gauge=4, scale=1.0)
         assert calculus._chord_rows(spec, [(0.5, 1.0)]) == 0.5
         spec = make_spec("2 + sign(sin(x))", 0.5, 7.0, row_gauge=4, scale=1.0)
-        assert calculus._chord_rows(spec, [(0.5, 7.0)]) == 0.0
+        expected = 6.5 - 2 * 6.5 / 2**12
+        assert calculus._chord_rows(spec, [(0.5, 7.0)]) == pytest.approx(expected, rel=1e-15)
 
     def test_f_undefined_at_a_landmark_is_named(self):
         # 0.5 is a rounded landmark between the grid walk's points

@@ -237,6 +237,22 @@ class TestRun:
             "lower the scale or the row gauge\n"
         )
 
+    def test_the_chords_on_both_sides_of_a_sign_jump_count(self, capsys, monkeypatch):
+        # x - 2 crosses 0 on [1.2, 3.01]: the span is halved down to one grid
+        # cell around the jump, and the chords right of it pass the cap; the
+        # whole split budget went first (6.5 s) and ended in "did not converge"
+        def no_quadrature(*args):
+            raise AssertionError("the chord already passes the row cap")
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", no_quadrature)
+        code = run(["--function", "1 + (x+1)^exp(x) + sign(x - 2)", "--a", "1.2", "--b", "3.01",
+                    "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+
     def test_a_jump_of_f_does_not_count_toward_the_row_cap(self, capsys):
         # f' is 0 across the jump, so the arclength is 1 unit, 53 rows, while
         # the chord across the jump is 10,500 rows

@@ -27,7 +27,7 @@ def build_doc(text, a, b, stitch_gauge, row_gauge, scale, prioritize_extrema=Tru
     spec = PatternSpec(parse(text), a, b, stitch_gauge, row_gauge, scale, source=text)
     plan = build_plan(spec, prioritize_extrema=prioritize_extrema)
     rows = shape_rows(spec, plan)
-    return spec, plan, render_pattern(spec, plan, rows, prioritize_extrema)
+    return spec, plan, render_pattern(spec, plan, rows)
 
 
 class TestRenderRow:
@@ -238,7 +238,7 @@ class TestFEvaluatedOnlyByBuildPlan:
             return f(x)
 
         spec.curve = spec.curve._replace(f=counted)
-        doc = render_pattern(spec, plan, shape_rows(spec, plan), extrema)
+        doc = render_pattern(spec, plan, shape_rows(spec, plan))
         render_json(doc)
         doc.to_text()
         assert calls == []
