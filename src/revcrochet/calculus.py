@@ -13,12 +13,14 @@ decimal places; the downstream stitch counts use the rounded values.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Callable
-from functools import cached_property
 from math import sqrt
 
-from .expression import Call, EvalDomainError, Expr, compile_enclosure, compile_expr, differentiate
+from .expression import Call, EvalDomainError, Expr, Record
+from .expression import compile_enclosure, compile_expr, differentiate
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: importing collections costs every run
+    from collections.abc import Callable
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 50
@@ -70,7 +72,7 @@ def round_landmark(x: float) -> float:
     return round_half_away(x * 100.0) / 100.0
 
 
-class Curve(namedtuple("Curve", "f fp f_box fp_box")):
+class Curve(Record):
     """One spec's f, compiled once: what every stage evaluates.
 
     f and fp are f and f' as callables of x; f_box and fp_box are their
@@ -82,8 +84,28 @@ class Curve(namedtuple("Curve", "f fp f_box fp_box")):
 
     __slots__ = ()
 
+    def __new__(cls, f, fp, f_box, fp_box):
+        return tuple.__new__(cls, (f, fp, f_box, fp_box))
 
-class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge scale source")):
+
+class _OnFirstUse:
+    """An attribute fn(obj), computed on first read and kept in obj's dict.
+
+    The kept value shadows this descriptor: later reads find it there, and
+    it can be assigned like any attribute.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+class PatternSpec(Record):
     """The six user inputs: f, its interval, gauge, and physical scale.
 
     func is the tree of f over [a, b]; stitch_gauge and row_gauge count
@@ -92,7 +114,10 @@ class PatternSpec(namedtuple("PatternSpec", "func a b stitch_gauge row_gauge sca
     compiled from func on first use and kept with the spec.
     """
 
-    @cached_property
+    def __new__(cls, func, a, b, stitch_gauge, row_gauge, scale, source):
+        return tuple.__new__(cls, (func, a, b, stitch_gauge, row_gauge, scale, source))
+
+    @_OnFirstUse
     def curve(self) -> Curve:
         """f and f', differentiated and compiled on first use."""
         dfunc = differentiate(self.func)
@@ -143,18 +168,22 @@ def check_height(x: float, y: float, interior: bool) -> None:
         raise SpecValidationError(f"f must be positive on the open interval; f({x!r}) = 0")
 
 
-class Segment(namedtuple("Segment", "lo hi arclength_rows row_count")):
+class Segment(Record):
     """One stretch between consecutive extrema (or the endpoints)."""
 
     __slots__ = ()
 
+    def __new__(cls, lo, hi, arclength_rows, row_count):
+        return tuple.__new__(cls, (lo, hi, arclength_rows, row_count))
 
-class LandmarkPlan(
-    namedtuple("LandmarkPlan", "segments landmarks total_rows heights prioritize_extrema")
-):
+
+class LandmarkPlan(Record):
     """Segments, merged landmarks x_0 .. x_n, f at each, and build_plan's flag."""
 
     __slots__ = ()
+
+    def __new__(cls, segments, landmarks, total_rows, heights, prioritize_extrema):
+        return tuple.__new__(cls, (segments, landmarks, total_rows, heights, prioritize_extrema))
 
 
 def adaptive_simpson(fp: Callable[[float], float], lo: float, hi: float) -> float:
@@ -310,6 +339,11 @@ def _walk(spec, extrema):
     point of the range lies between them.  The first failure, every bracket and
     every root are the same floats as with every point evaluated.
     """
+    # bool is an int, and True would pass every check below as 1
+    for name in ("a", "b", "stitch_gauge", "row_gauge", "scale"):
+        value = getattr(spec, name)
+        if isinstance(value, bool):
+            raise SpecValidationError(f"{name} must be a number, not {value!r}")
     if not (math.isfinite(spec.a) and math.isfinite(spec.b)):
         raise SpecValidationError("a and b must be finite")
     if not spec.a < spec.b:

@@ -16,7 +16,7 @@ the bottom.  The JSON export carries the full structure (schema_version 1),
 from which the text can be rebuilt, and the SVG export plots the curve
 with one marker per row landmark.
 
-PatternRow and PatternDoc are immutable namedtuples; a row's JSON object
+PatternRow and PatternDoc are immutable records; a row's JSON object
 lists its fields in their declared order.  json is imported by
 render_json, the one function that uses it, so importing this module
 stays cheap.
@@ -25,9 +25,9 @@ stays cheap.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .calculus import LandmarkPlan, PatternSpec, check_height, eval_height
+from .expression import Record
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping
 
@@ -40,24 +40,28 @@ CLOSING_LINE = "Dec to close; tie off and weave in end."
 TIE_OFF_LINE = "Tie off"
 
 
-class PatternRow(
-    namedtuple("PatternRow", "row x stitches op n_ops q r k positions instruction")
-):
+class PatternRow(Record):
     """One row of a finished pattern; the field order is its JSON key order."""
 
     __slots__ = ()
 
+    def __new__(cls, row, x, stitches, op, n_ops, q, r, k, positions, instruction):
+        return tuple.__new__(cls, (row, x, stitches, op, n_ops, q, r, k, positions, instruction))
 
-class PatternDoc(
-    namedtuple(
-        "PatternDoc",
-        "function a b stitch_gauge row_gauge scale prioritize_extrema total_rows"
-        " closed_start closed_end stuffed warnings landmarks rows finishing",
-    )
-):
+
+class PatternDoc(Record):
     """A finished pattern: metadata, warnings, rows, and closure handling."""
 
     __slots__ = ()
+
+    def __new__(
+        cls, function, a, b, stitch_gauge, row_gauge, scale, prioritize_extrema, total_rows,
+        closed_start, closed_end, stuffed, warnings, landmarks, rows, finishing,
+    ):
+        return tuple.__new__(cls, (
+            function, a, b, stitch_gauge, row_gauge, scale, prioritize_extrema, total_rows,
+            closed_start, closed_end, stuffed, warnings, landmarks, rows, finishing,
+        ))
 
     def to_text(self) -> str:
         lines = [f"Note: {w}" for w in self.warnings]

@@ -19,18 +19,25 @@ it; evaluation is deterministic for a given tree and x.  compile_enclosure
 generates, from the same emitter, a function that bounds what that
 evaluator returns over a range of x.
 
-Each node class is a namedtuple, so two trees compare equal, and hash
-equal, when their fields do.  A namedtuple also equals any tuple with equal
-fields, whatever its class, yet no two node classes can hold equal fields:
-Const holds a float and Neg an Expr (one field each), while Var, Call and
-Binary have 0, 2 and 3 fields.  So equal trees are trees of the same shape
-and classes, as with one class per node kind.
+Each node class is a Record, a tuple with named fields, so two trees
+compare equal, and hash equal, when their fields do.  A Record also equals
+any tuple with equal fields, whatever its class, yet no two node classes
+can hold equal fields: Const holds a float and Neg an Expr (one field
+each), while Var, Call and Binary have 0, 2 and 3 fields.  So equal trees
+are trees of the same shape and classes, as with one class per node kind.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+
+try:
+    from _collections import _tuplegetter  # the field getter of collections.namedtuple
+except ImportError:  # not CPython; namedtuple falls back to the same
+    from operator import itemgetter
+
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 
 class ExpressionError(ValueError):
@@ -65,6 +72,46 @@ def _sign(v: float) -> float:
     return float((v > 0) - (v < 0))
 
 
+class Record(tuple):
+    """An immutable record: a tuple whose items are also named fields.
+
+    A subclass writes its own __new__, as in
+    def __new__(cls, lo, hi=1.0): return tuple.__new__(cls, (lo, hi)),
+    and sets __slots__ = () unless its instances keep other attributes.
+    Record reads the field names off the parameters and adds what
+    collections.namedtuple gives a class: _fields, a getter per field,
+    _replace, _asdict, its repr, and pickling and copying by the fields.
+    namedtuple compiles a __new__ for each class when the class is made;
+    here every __new__ is compiled with its module, so importing the
+    package compiles nothing.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__new__.__code__
+        cls._fields = fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, /, **changes):
+        record = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+
 class Expr:
     """Base node; concrete nodes implement derivative."""
 
@@ -74,22 +121,31 @@ class Expr:
         raise NotImplementedError
 
 
-class Const(namedtuple("Const", "value"), Expr):
+class Const(Record, Expr):
     __slots__ = ()
+
+    def __new__(cls, value):
+        return tuple.__new__(cls, (value,))
 
     def derivative(self):
         return Const(0.0)
 
 
-class Var(namedtuple("Var", ()), Expr):
+class Var(Record, Expr):
     __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ())
 
     def derivative(self):
         return Const(1.0)
 
 
-class Call(namedtuple("Call", "fn arg"), Expr):
+class Call(Record, Expr):
     __slots__ = ()
+
+    def __new__(cls, fn, arg):
+        return tuple.__new__(cls, (fn, arg))
 
     def derivative(self):
         u, du = self.arg, self.arg.derivative()
@@ -113,15 +169,21 @@ class Call(namedtuple("Call", "fn arg"), Expr):
         raise ExpressionError(f"no derivative rule for {self.fn}")
 
 
-class Neg(namedtuple("Neg", "arg"), Expr):
+class Neg(Record, Expr):
     __slots__ = ()
+
+    def __new__(cls, arg):
+        return tuple.__new__(cls, (arg,))
 
     def derivative(self):
         return _neg(self.arg.derivative())
 
 
-class Binary(namedtuple("Binary", "op left right"), Expr):
+class Binary(Record, Expr):
     __slots__ = ()
+
+    def __new__(cls, op, left, right):
+        return tuple.__new__(cls, (op, left, right))
 
     def derivative(self):
         u, v = self.left, self.right

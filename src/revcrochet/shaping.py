@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
-from collections.abc import Sequence
 from itertools import chain, repeat
 
 from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, round_half_away
+from .expression import Record
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: importing collections costs every run
+    from collections.abc import Sequence
 
 OP_NONE = "none"
 OP_INCREASE = "increase"
@@ -50,13 +53,7 @@ OP_DECREASE = "decrease"
 MAX_STITCHES = 16_000_000
 
 
-class RowShaping(
-    namedtuple(
-        "RowShaping",
-        "index x stitches op n_ops q r k positions steep",
-        defaults=(0, None, None, None, (), False),
-    )
-):
+class RowShaping(Record):
     """Shaping decision for one row.
 
     positions are 1-indexed instruction slots; for a shaped row they are
@@ -67,6 +64,11 @@ class RowShaping(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, index, x, stitches, op, n_ops=0, q=None, r=None, k=None, positions=(), steep=False
+    ):
+        return tuple.__new__(cls, (index, x, stitches, op, n_ops, q, r, k, positions, steep))
 
 
 def row_counts(spec: PatternSpec, plan: LandmarkPlan) -> list[int]:

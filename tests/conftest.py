@@ -2,19 +2,33 @@ import argparse
 import math
 import random
 import re
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from revcrochet import PatternSpec, build_plan, calculus, parse, render_pattern, shape_rows
+from revcrochet import (
+    LandmarkPlan,
+    PatternDoc,
+    PatternRow,
+    PatternSpec,
+    RowShaping,
+    Segment,
+    build_plan,
+    calculus,
+    parse,
+    render_pattern,
+    shape_rows,
+)
 from revcrochet.calculus import (
     EXTREMUM_DEDUPE,
     EXTREMUM_GRID,
     LANDMARK_XTOL,
     QUAD_MAX_DEPTH,
     QUAD_TOL,
+    Curve,
     QuadratureError,
     SpecValidationError,
     _bisect_sign_change,
@@ -86,6 +100,35 @@ def running_doc(running_spec, running_plan, running_rows):
 
 def golden(name):
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+# --- record oracle --------------------------------------------------------
+# The package's records are tuples with named fields whose __new__ is written
+# by hand (expression.Record).  collections.namedtuple, which they replaced,
+# says how each must behave.
+
+# Fields and defaults of every record, as the namedtuple classes declared them.
+RECORD_DECLARATIONS = {
+    Const: "value",
+    Var: "",
+    Call: "fn arg",
+    Neg: "arg",
+    Binary: "op left right",
+    Curve: "f fp f_box fp_box",
+    PatternSpec: "func a b stitch_gauge row_gauge scale source",
+    Segment: "lo hi arclength_rows row_count",
+    LandmarkPlan: "segments landmarks total_rows heights prioritize_extrema",
+    RowShaping: ("index x stitches op n_ops q r k positions steep", (0, None, None, None, (), False)),
+    PatternRow: "row x stitches op n_ops q r k positions instruction",
+    PatternDoc: "function a b stitch_gauge row_gauge scale prioritize_extrema total_rows"
+                " closed_start closed_end stuffed warnings landmarks rows finishing",
+}
+RECORD_CLASSES = list(RECORD_DECLARATIONS)
+
+
+def namedtuple_oracle(cls):
+    """The namedtuple with cls's name, _fields and defaults."""
+    return namedtuple(cls.__name__, cls._fields, defaults=cls.__new__.__defaults__)
 
 
 # --- independent shaping oracle -------------------------------------------

@@ -132,6 +132,22 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="scale"):
             PatternSpec(parse("x + 1"), 0.0, 1.0, 22, 25, -0.5, "x + 1").validate()
 
+    @pytest.mark.parametrize("field", ["a", "b", "stitch_gauge", "row_gauge", "scale"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bools_are_not_numbers(self, field, flag):
+        # each would pass as 0 or 1: a = False, b = True and scale = True build a pattern
+        spec = make_spec("x^2 + 1", 0.0, 1.0, 22, 25, 1.0)._replace(**{field: flag})
+        message = f"^{field} must be a number, not {flag}$"
+        with pytest.raises(SpecValidationError, match=message):
+            spec.validate()
+        with pytest.raises(SpecValidationError, match=message):
+            build_plan(spec)
+
+    def test_all_bool_spec_is_rejected(self):
+        spec = PatternSpec(parse("x^2+1"), False, True, True, 25, True, "x^2+1")
+        with pytest.raises(SpecValidationError, match="^a must be a number, not False$"):
+            build_plan(spec)
+
 
 BIG = "1" + "0" * 200
 

@@ -609,22 +609,45 @@ class TestOneUlpBrackets:
         assert proc.stdout.endswith("Tie off\n")
 
 
+# Run with -S, which keeps the modules that site imports out of the picture.
+# It records the calls of eval, exec and compile during the import, with the
+# module that made each, then prints them and the loaded modules.  The
+# import system itself compiles and execs each module's code; any other call
+# compiles code at run time, as collections.namedtuple does for each class.
+COLD_IMPORT = """
+import builtins, sys
+calls = []
+def counting(fn):
+    def call(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__")
+        if caller not in ("_frozen_importlib", "_frozen_importlib_external"):
+            calls.append(f"{fn.__name__}@{caller}")
+        return fn(*args, **kwargs)
+    return call
+for name in ("eval", "exec", "compile"):
+    setattr(builtins, name, counting(getattr(builtins, name)))
+import revcrochet.cli
+print(" ".join(calls))
+print(" ".join(sys.modules))
+"""
+
+
 class TestColdImport:
     def test_import_defers_heavy_stdlib_modules(self):
-        # -S keeps the modules that site imports out of the picture
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-S", "-c",
-             "import sys, revcrochet.cli; print(' '.join(sys.modules))"],
+            [sys.executable, "-S", "-c", COLD_IMPORT],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        calls, modules = proc.stdout.split("\n")[:2]
+        assert calls == ""
+        loaded = set(modules.split())
         assert "revcrochet.cli" in loaded
         heavy = {"dataclasses", "inspect", "ast", "decimal", "fractions", "json", "typing",
-                 "argparse", "gettext", "re", "enum"}
+                 "argparse", "gettext", "re", "enum", "collections", "functools"}
         assert heavy & loaded == set()
 
 
