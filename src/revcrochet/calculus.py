@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from math import sqrt
 
-from .expression import Call, EvalDomainError, Expr, Record
-from .expression import compile_enclosure, compile_expr, differentiate
+from .expression import EvalDomainError, Record, compile_enclosure, compile_expr, differentiate
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: importing collections costs every run
@@ -76,8 +75,8 @@ class Curve(Record):
     """One spec's f, compiled once: what every stage evaluates.
 
     f and fp are f and f' as callables of x; f_box and fp_box are their
-    enclosures (see expression.compile_enclosure), which solve_landmarks
-    takes at most once per landmark.  The arclength quadrature forms
+    enclosures (see expression.compile_enclosure), and f is continuous
+    wherever f_box exists (see _chord_rows).  The arclength quadrature forms
     sqrt(1 + f'(x)^2) from fp inline (see adaptive_simpson), so the
     Boole-weight bound of solve_landmarks holds for that integrand.
     """
@@ -339,10 +338,11 @@ def _walk(spec, extrema):
     point of the range lies between them.  The first failure, every bracket and
     every root are the same floats as with every point evaluated.
     """
-    # bool is an int, and True would pass every check below as 1
+    # bool is an int, and True would pass every check below as 1; a str,
+    # a complex or None would end in TypeError
     for name in ("a", "b", "stitch_gauge", "row_gauge", "scale"):
         value = getattr(spec, name)
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecValidationError(f"{name} must be a number, not {value!r}")
     if not (math.isfinite(spec.a) and math.isfinite(spec.b)):
         raise SpecValidationError("a and b must be finite")
@@ -504,45 +504,28 @@ def _chord_rows(spec: PatternSpec, spans) -> float:
     Where f is continuous, a chord is no longer than the arc, so a sum
     over MAX_ROWS (with CHORD_MARGIN and half a row per segment for the
     rounding of its count) proves the cap passed without a quadrature.
-    sign is the grammar's one jump: f' is 0 across it, so the arclength
-    leaves it out while a chord crosses it.  A piece counts only where the
-    enclosure of every sign argument excludes 0 on it, so that no sign
-    jumps there; others are halved, left half first, down to a grid cell
-    or an ulp, which adds 0.  So does a piece whose end value is undefined
-    or not finite, and the quadrature reports its error as before.
+    Across a jump of sign, f' is 0, so the arclength leaves the jump out
+    while a chord crosses it.  A piece counts only where the enclosure
+    of f exists, which proves f continuous there and defined at both
+    ends (see compile_enclosure); others are halved, left half first,
+    down to a grid cell or an ulp, which adds 0.  So does a piece whose
+    rise overflows.
     """
-    f = spec.curve.f
-    signs = [compile_enclosure(arg) for arg in dict.fromkeys(_sign_args(spec.func))]
+    f, f_box = spec.curve.f, spec.curve.f_box
     cell = (spec.b - spec.a) / EXTREMUM_GRID
     total = 0.0
     pieces = spans[::-1]
     while pieces:
         lo, hi = pieces.pop()
-        if not all(_excludes_zero(box(lo, hi)) for box in signs):
+        if f_box(lo, hi) is None:
             mid = 0.5 * (lo + hi)
             if hi - lo > cell and lo < mid < hi:
                 pieces += [(mid, hi), (lo, mid)]
             continue
-        try:
-            rise = f(hi) - f(lo)
-        except EvalDomainError:
-            continue
+        rise = f(hi) - f(lo)
         if math.isfinite(rise):
             total += math.hypot(hi - lo, rise)
     return spec.rows_per_unit * total
-
-
-def _sign_args(e) -> list:
-    """The argument of every sign call in the tree e."""
-    found = [e.arg] if isinstance(e, Call) and e.fn == "sign" else []
-    for c in e:
-        if isinstance(c, Expr):
-            found += _sign_args(c)
-    return found
-
-
-def _excludes_zero(box) -> bool:
-    return box is not None and (box[0] > 0 or box[1] < 0)
 
 
 def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPlan:

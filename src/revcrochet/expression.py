@@ -516,7 +516,10 @@ def compile_enclosure(e: Expr):
     It returns (lo', hi') such that, at every float x in [lo, hi], the
     callable compile_expr(e) returns a float in [lo', hi'] and does not
     raise; or None, "undecided", where it cannot prove that.  Every bound
-    is finite.  The enclosure is generated from the same tree walk as
+    is finite.  Each rule is undecided wherever its operation may be
+    discontinuous (a divisor that may be 0, a pole of tan, a jump of
+    sign), so a decided enclosure also proves the tree continuous on
+    [lo, hi].  The enclosure is generated from the same tree walk as
     compile_expr, with an interval operation in place of each float one,
     and is compiled anew on each call, as compile_expr is.
     """
@@ -729,7 +732,11 @@ def _enc_abs(u):
 
 
 def _enc_sign(u):
-    return _sign(u[0]), _sign(u[1])  # sign is nondecreasing
+    """sign where u is all > 0, all < 0 or exactly [0, 0]; elsewhere it may jump."""
+    s = _sign(u[0])
+    if s != _sign(u[1]):
+        raise _Undecided
+    return s, s
 
 
 _ENCLOSURE_OPS = {

@@ -18,7 +18,8 @@ against its src/ in a subprocess, and removes the worktree again; it never
 re-records.  Each mode lists every changed spec with its old -> new exit
 code and the first line of each stderr, and names the slowest spec: its
 id, class, exit code and seconds in this process, the number a bound on
-the time of every spec is checked against.
+the time of every spec is checked against; then the seconds of each class
+in this process.
 tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
 of every class).
 """
@@ -246,13 +247,14 @@ def main(argv=None):
                       help="compare with the results of commit REV, not the recording")
     args = p.parse_args(argv)
     todo = specs()
-    got, slowest = {}, (-1.0,)
+    got, slowest, class_seconds = {}, (-1.0,), Counter()
     for sid, cls, a in todo:
         start = time.perf_counter()
         result = run_spec(a)
         seconds = time.perf_counter() - start
         got[sid] = result_line(sid, cls, a, result)
         slowest = max(slowest, (seconds, sid, cls, result[0]))
+        class_seconds[cls] += seconds
     if args.against:
         header, expected, source = [], results_at(args.against, todo), args.against
     else:
@@ -262,6 +264,7 @@ def main(argv=None):
     print(f"{len(got)} specs, {len(changed)} differ from {source}")
     seconds, sid, cls, code = slowest
     print(f"slowest: {sid} ({cls}), exit {code}, {seconds:.2f} s in-process")
+    print("seconds per class:", ", ".join(f"{k} {v:.2f}" for k, v in class_seconds.items()))
     for key, n in sorted(per_class.items()):
         print(f"  class {key}: {n}")
     for key, n in sorted(transitions.items()):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from revcrochet.calculus import (
     round_half_away,
     round_landmark,
 )
+from revcrochet.cli import _parse_args
 from revcrochet.expression import EvalDomainError
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     same_float,
 )
 from corpus import _draw as corpus_draw
+from corpus import fast_specs
 
 
 DEEP_TEXT = "3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2"
@@ -138,6 +141,17 @@ class TestValidation:
         # each would pass as 0 or 1: a = False, b = True and scale = True build a pattern
         spec = make_spec("x^2 + 1", 0.0, 1.0, 22, 25, 1.0)._replace(**{field: flag})
         message = f"^{field} must be a number, not {flag}$"
+        with pytest.raises(SpecValidationError, match=message):
+            spec.validate()
+        with pytest.raises(SpecValidationError, match=message):
+            build_plan(spec)
+
+    @pytest.mark.parametrize("field", ["a", "b", "scale"])
+    @pytest.mark.parametrize("value", ["0", 1 + 0j, None])
+    def test_non_numbers_are_rejected(self, field, value):
+        # each ended in TypeError from math.isfinite
+        spec = make_spec("x^2 + 1", 0.0, 1.0, 22, 25, 1.0)._replace(**{field: value})
+        message = f"^{re.escape(f'{field} must be a number, not {value!r}')}$"
         with pytest.raises(SpecValidationError, match=message):
             spec.validate()
         with pytest.raises(SpecValidationError, match=message):
@@ -623,14 +637,33 @@ class TestBuildPlan:
         jump = 0.6 / 2**12
         assert calculus._chord_rows(spec, spans) == pytest.approx(1.0 - jump, rel=1e-15)
         assert calculus._chord_rows(spec, spans[1:]) == pytest.approx(0.6 - jump, rel=1e-15)
-        # a span where the enclosure cannot keep the argument off 0 is
-        # halved; sin has its zeros pi and 2*pi in [0.5, 7], and the grid
-        # cell of 6.5 / 2**12 around each adds 0
+        # a span where the enclosure of f is undecided is halved; sin has
+        # its zeros pi and 2*pi in [0.5, 7], and the grid cell of
+        # 6.5 / 2**12 around each adds 0
         spec = make_spec("2 + sign(sin(x))", 0.5, 1.0, row_gauge=4, scale=1.0)
         assert calculus._chord_rows(spec, [(0.5, 1.0)]) == 0.5
         spec = make_spec("2 + sign(sin(x))", 0.5, 7.0, row_gauge=4, scale=1.0)
         expected = 6.5 - 2 * 6.5 / 2**12
         assert calculus._chord_rows(spec, [(0.5, 7.0)]) == pytest.approx(expected, rel=1e-15)
+
+    def test_chords_never_pass_the_arclength(self):
+        # the corpus classes where f jumps, kinks or nears a pole
+        checked = 0
+        for _, cls, argv in fast_specs():
+            if cls not in ("sign", "abs-cusp", "pole", "tan"):
+                continue
+            args = _parse_args(argv)
+            spec = make_spec(args["function"], args["a"], args["b"], args["stitch_gauge"],
+                             args["row_gauge"], args["scale"])
+            try:
+                plan = build_plan(spec, args["prioritize_extrema"])
+            except (SpecValidationError, QuadratureError):
+                continue
+            spans = [(seg.lo, seg.hi) for seg in plan.segments]
+            arc = sum(seg.arclength_rows for seg in plan.segments)
+            assert calculus._chord_rows(spec, spans) <= arc * (1 + calculus.CHORD_MARGIN), argv
+            checked += 1
+        assert checked >= 12
 
     def test_f_undefined_at_a_landmark_is_named(self):
         # 0.5 is a rounded landmark between the grid walk's points

@@ -583,8 +583,13 @@ class TestCompiledOnce:
             monkeypatch.setattr(calculus, name, counted(name))
         monkeypatch.setattr(shaping, "compile_expr", refuse)
         monkeypatch.setattr(emit, "compile_expr", refuse)
-        assert run([*RUNNING_ARGS, "--format", fmt]) == 0
-        assert calls == {"differentiate": 1, "compile_expr": 2, "compile_enclosure": 2}
+        # the chord bound finds sign's jump from the curve's own enclosure of f
+        sign_args = ["--function", "101 + 100*sign(x - 0.5)", "--a", "0", "--b", "1",
+                     "--stitch-gauge", "22", "--row-gauge", "25", "--scale", "7"]
+        for args in (RUNNING_ARGS, sign_args):
+            calls.update(dict.fromkeys(calls, 0))
+            assert run([*args, "--format", fmt]) == 0
+            assert calls == {"differentiate": 1, "compile_expr": 2, "compile_enclosure": 2}
 
 
 class TestOneUlpBrackets:

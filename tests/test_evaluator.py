@@ -116,6 +116,8 @@ def test_enclosure_holds_every_compiled_value(tree, lo, width, derive, inner):
     ("tan(x)", 1.5, 1.6),              # a pole of tan
     ("exp(x)", 700.0, 710.0),          # overflow
     ("x*10000000000*10000000000", 1e290, 1e300),
+    ("sign(x)", -1.0, 1.0),            # sign may jump
+    ("sign(x - x)", 0.0, 1.0),         # x - x is 0, but its enclosure is not [0, 0]
 ])
 def test_undecided_enclosures(text, lo, hi):
     assert compile_enclosure(parse(text))(lo, hi) is None
@@ -128,7 +130,8 @@ def test_undecided_enclosures(text, lo, hi):
     ("sin(x)", 1.5, 1.6, None, 1.0),   # a peak inside
     ("cos(x)", 3.1, 3.2, -1.0, None),  # a trough inside
     ("sin(x)", 0.0, 100.0, -1.0, 1.0),
-    ("sign(x)", -1.0, 1.0, -1.0, 1.0),
+    ("sign(x)", 0.5, 1.0, 1.0, 1.0),  # sign where it is constant
+    ("sign(0*x)", -1.0, 1.0, 0.0, 0.0),
     ("abs(x)", -3.0, 2.0, 0.0, 3.0),
 ])
 def test_decided_enclosures(text, lo, hi, low, high):
@@ -136,6 +139,25 @@ def test_decided_enclosures(text, lo, hi, low, high):
     assert box is not None
     assert low is None or box[0] == low
     assert high is None or box[1] == high
+
+
+@pytest.mark.parametrize("text", ["sign(x)", "sign(sin(5*x))", "sign(x^3 - x)"])
+def test_decided_sign_is_one_value(text):
+    # so a decided enclosure proves that no sign jumps in the range
+    rng = random.Random(text)
+    box_of, fn = compile_enclosure(parse(text)), compile_expr(parse(text))
+    decided = 0
+    for _ in range(300):
+        lo = rng.uniform(-3.0, 3.0)
+        hi = lo + 10.0 ** rng.uniform(-9.0, 0.5)
+        box = box_of(lo, hi)
+        if box is None:
+            continue
+        decided += 1
+        assert box[0] == box[1], (lo, hi, box)
+        for i in range(21):
+            assert fn(min(hi, lo + i * (hi - lo) / 20)) == box[0], (lo, hi, box)
+    assert decided >= 100
 
 
 RULE_CASES = [
