@@ -328,15 +328,16 @@ def _walk(spec, extrema):
     grid point or bisection midpoint that fails raises SpecValidationError.
 
     Ranges of cells are halved, left half first, until enclosures decide
-    them or they have at most SCAN_LEAF_CELLS cells.  Each range gets an
-    enclosure of f', and of f too where f' has one and the range is not yet
-    valid.  A range where they prove f' defined and finite and f > 0 is
-    valid, and so are its halves: its even points need no checks.  With
-    extrema, a range where the enclosure of f' fixes the sign holds no sign
-    change: its points need no scan.  lo and hi are the floats a + i*step
-    at the range's ends, and float rounding is monotone, so every grid
-    point of the range lies between them.  The first failure, every bracket and
-    every root are the same floats as with every point evaluated.
+    them or they have at most SCAN_LEAF_CELLS cells.  Where a range's
+    enclosure of f proves f > 0, its points and its halves' need no check
+    of f; where its enclosure of f' exists, they need no check of f'.  A
+    half is enclosed only for what its range left unproven, and for the
+    sign of f' with extrema: a range where the enclosure of f' fixes the
+    sign holds no sign change, so its points need no scan.  lo and hi are
+    the floats a + i*step at the range's ends, and float rounding is
+    monotone, so every grid point of the range lies between them.  The
+    first failure, every bracket and every root are the same floats as
+    with every point evaluated.
     """
     # bool is an int, and True would pass every check below as 1; a str,
     # a complex or None would end in TypeError
@@ -375,35 +376,41 @@ def _walk(spec, extrema):
 
     roots = []
     last_x, last_sign = None, 0
-    ranges = [(0, n, False)]
+    ranges = [(0, n, False, False)]
     first = 0  # the first grid point no range has covered yet
     while ranges:
-        c0, c1, valid = ranges.pop()
+        c0, c1, f_ok, fp_ok = ranges.pop()  # f > 0, f' finite: proven
         lo, hi = a + c0 * step, a + c1 * step
         sign = 0
-        d = fp_box(lo, hi)
-        if d is not None:
-            if extrema:
-                sign = (d[0] > 0) - (d[1] < 0)
-            if not valid:
-                y = f_box(lo, hi)
-                valid = y is not None and y[0] > 0
+        if extrema or not fp_ok:
+            d = fp_box(lo, hi)
+            if d is not None:
+                fp_ok = True
+                if extrema:
+                    sign = (d[0] > 0) - (d[1] < 0)
+        if not f_ok:
+            y = f_box(lo, hi)
+            f_ok = y is not None and y[0] > 0
         scan = extrema and not sign
-        if scan or not valid:
+        if scan or not (f_ok and fp_ok):
             if c1 - c0 > SCAN_LEAF_CELLS:
                 mid = (c0 + c1) // 2
-                ranges += [(mid, c1, valid), (c0, mid, valid)]
+                ranges += [(mid, c1, f_ok, fp_ok), (c0, mid, f_ok, fp_ok)]
                 continue
             stride = 1 if scan else 2
             for i in range(first + first % stride, c1 + 1, stride):
                 x = a + i * step
-                if not (valid or i % 2):
+                if not (f_ok or i % 2):
                     y = eval_height(f, x)
                     if not 0 < y < math.inf:
                         check_height(x, y, 0 < i < n)
+                if not scan:
+                    if not fp_ok:
+                        deriv(x)
+                    continue
                 v = deriv(x)
                 s = (v > 0) - (v < 0)
-                if scan and s:
+                if s:
                     if last_sign and s != last_sign:
                         roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
                     last_x, last_sign = x, s

@@ -189,10 +189,6 @@ def render_json(doc: PatternDoc) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     """Standalone SVG of f over [a, b] with one marker per landmark.
 
@@ -223,18 +219,18 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     stroke = 0.004 * extent
     radius = 0.010 * extent
 
-    points = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in zip(xs, ys))
+    points = " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" '
-        f'viewBox="{_fmt(vb_x)} {_fmt(vb_y)} {_fmt(vb_w)} {_fmt(vb_h)}" '
+        f'viewBox="{vb_x:.6g} {vb_y:.6g} {vb_w:.6g} {vb_h:.6g}" '
         'preserveAspectRatio="xMidYMid meet">',
-        f'<rect x="{_fmt(vb_x)}" y="{_fmt(vb_y)}" width="{_fmt(vb_w)}" '
-        f'height="{_fmt(vb_h)}" fill="white"/>',
-        f'<polyline fill="none" stroke="#336699" stroke-width="{_fmt(stroke)}" '
+        f'<rect x="{vb_x:.6g}" y="{vb_y:.6g}" width="{vb_w:.6g}" '
+        f'height="{vb_h:.6g}" fill="white"/>',
+        f'<polyline fill="none" stroke="#336699" stroke-width="{stroke:.6g}" '
         f'points="{points}"/>',
     ]
-    r = _fmt(radius)
+    r = f"{radius:.6g}"
     for x, y in zip(plan.landmarks, plan.heights):
-        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{r}" fill="#cc3333"/>')
+        lines.append(f'<circle cx="{x:.6g}" cy="{-y:.6g}" r="{r}" fill="#cc3333"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

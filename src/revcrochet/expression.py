@@ -58,10 +58,11 @@ class EvalDomainError(ExpressionError):
 
 # Deepest tree parse() accepts.  Differentiation adds at most 4 levels per
 # level (the u^v rule), so f' of a tree this deep is at most 4*50 - 3 = 197
-# levels, whose generated source nests 196 parentheses (one per node, as in
-# math.pow(u, v)), and 197 in an enclosure, whose constants are pairs:
-# within CPython's limit of 200, and far within the recursion limit that
-# hashing, differentiating and compiling a tree use.
+# levels, whose generated source nests at most 196 parentheses, one per node
+# above the leaves, as in math.pow(u, v), in an enclosure too: there a
+# constant operand is a plain number or a name (see _emit).  That is within
+# CPython's limit of 200, and far within the recursion limit that hashing,
+# differentiating and compiling a tree use.
 MAX_DEPTH = 50
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
@@ -483,29 +484,18 @@ def compile_expr(e: Expr):
     The callable returns a float, or raises EvalDomainError naming x where
     the tree is undefined: a division by zero, a math domain or range
     error, or a fractional power of a negative base.  It never returns a
-    complex number.  Each call compiles the tree anew; PatternSpec.curve
-    holds a spec's compiled f and f'.
+    complex number.  A subtree that occurs more than once is computed
+    once.  Each call compiles the tree anew; PatternSpec.curve holds a
+    spec's compiled f and f'.
     """
     src = (
         "def f(x):\n"
         "    try:\n"
-        f"        return {_emit(e, _FLOAT_OPS)}\n"
-        "    except (ArithmeticError, ValueError) as exc:\n"
-        "        raise EvalDomainError(f'undefined at x={x!r}') from exc\n"
+        f"{_body(e, _FLOAT_OPS)}"
+        "    except _ERRORS as exc:\n"
+        "        raise _domain_error(x) from exc\n"
     )
-    # Constant folding in differentiate can overflow to inf, and inf - inf
-    # is nan; repr writes those as bare names.
-    namespace = {
-        "math": math,
-        "abs": abs,
-        "_sign": _sign,
-        "inf": math.inf,
-        "nan": math.nan,
-        "ArithmeticError": ArithmeticError,
-        "ValueError": ValueError,
-        "EvalDomainError": EvalDomainError,
-        "__builtins__": {},
-    }
+    namespace = dict(_FLOAT_NAMESPACE)
     exec(src, namespace)  # noqa: S102 - source is generated from our own AST
     return namespace["f"]
 
@@ -527,44 +517,145 @@ def compile_enclosure(e: Expr):
         "def f(lo, hi):\n"
         "    if not -inf < lo <= hi < inf:\n"
         "        return None\n"
-        "    x = (lo, hi)\n"
+        "    x = lo, hi\n"
         "    try:\n"
-        f"        return {_emit(e, _ENCLOSURE_OPS)}\n"
-        "    except (ArithmeticError, ValueError):\n"
+        f"{_body(e, _ENCLOSURE_OPS)}"
+        "    except _ERRORS:\n"
         "        return None\n"
     )
-    namespace = {name: value for name, value in globals().items() if name.startswith("_enc_")}
-    namespace.update(
-        inf=math.inf,
-        _undecided=_undecided,
-        ArithmeticError=ArithmeticError,
-        ValueError=ValueError,
-        __builtins__={},
-    )
+    namespace = dict(_ENCLOSURE_NAMESPACE)
     exec(src, namespace)  # noqa: S102 - source is generated from our own AST
     return namespace["f"]
 
 
+# Every compile pays for the generated try block, so it names these rather
+# than spelling them out.
+_ERRORS = (ArithmeticError, ValueError)
+
+
+def _domain_error(x):
+    return EvalDomainError(f"undefined at x={x!r}")
+
+
+def _body(e, ops):
+    """The lines of a compiled function's try block."""
+    statements, value = _emit(e, ops)
+    return "".join(f"        {line}\n" for line in statements) + f"        return {value}\n"
+
+
+def _intern(e):
+    """The distinct subtrees of e, children first: (nodes, users, root).
+
+    Each node is ("x", None, None), ("const", repr(value), value),
+    ("neg" or a function name, child, None) or (op, left, right), where
+    children are indices into nodes.  Subtrees are one node when their
+    kinds, operators or functions, constants' reprs and children are: the
+    reprs tell Const(0.0) from Const(-0.0), which compare equal.  A negated
+    finite constant is the constant -c, the same float.  users[i] counts
+    the operands, over all distinct nodes, that are node i; a subtree that
+    occurs only inside one repeated subtree has one user.
+    """
+    nodes, users, index, seen = [], [], {}, {}
+
+    def visit(tree):
+        cls, memo = type(tree), None
+        if cls is Var:
+            node = ("x", None, None)
+        elif cls is Const:
+            node = ("const", repr(tree.value), tree.value)
+        else:
+            memo = id(tree)  # differentiate reuses node objects
+            i = seen.get(memo)
+            if i is not None:
+                return i
+            if cls is Binary:
+                node = (tree.op, visit(tree.left), visit(tree.right))
+            elif cls is Neg:
+                a = visit(tree.arg)
+                kind, _, value = nodes[a]
+                if kind == "const" and math.isfinite(value):
+                    node = ("const", repr(-value), -value)
+                else:
+                    node = ("neg", a, None)
+            else:
+                node = (tree.fn, visit(tree.arg), None)
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(nodes)
+            nodes.append(node)
+            users.append(0)
+            kind, a, b = node
+            if kind != "const" and a is not None:
+                users[a] += 1
+                if b is not None:
+                    users[b] += 1
+        if memo is not None:
+            seen[memo] = i
+        return i
+
+    root = visit(e)
+    return nodes, users, root
+
+
 def _emit(e, ops):
-    """Python source of one expression that computes tree e from x.
+    """Python source that computes tree e from x: (statements, expression).
+
+    Each distinct subtree (see _intern) is emitted once.  One with more
+    than one user is assigned to t<i> by a statement ahead of the
+    expression, inner ones first; every other node is nested in its one
+    user's source.  So no line nests more parentheses than the tree does.
 
     ops maps each node kind to a template of its operands' sources, and
-    "const" to a function of the constant's value.
+    "const" to a function of a constant's value and repr.  A constant
+    whose source holds a parenthesis (an enclosure's pair) is assigned by
+    a statement too, where a template first uses it.  ops["op_const"] and
+    ops["const_op"] map an operator to a function of a finite constant on
+    that side of it and the other operand's source.
     """
-    if isinstance(e, Const):
-        return ops["const"](e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        return ops["neg"].format(_emit(e.arg, ops))
-    if isinstance(e, Call):
-        return ops[e.fn].format(_emit(e.arg, ops))
-    return ops[e.op].format(_emit(e.left, ops), _emit(e.right, ops))
+    nodes, users, root = _intern(e)
+    const, right, left = ops["const"], ops["op_const"], ops["const_op"]
+    statements, refs = [], []
+
+    def bound(j):
+        """The source of constant j as a template's operand."""
+        if "(" in refs[j]:
+            statements.append(f"t{j} = {refs[j]}")
+            refs[j] = f"t{j}"
+        return refs[j]
+
+    for i, (kind, a, b) in enumerate(nodes):
+        if kind == "x":
+            refs.append("x")
+            continue
+        if kind == "const":
+            refs.append(const(b, a))
+            continue
+        ka = nodes[a][0]
+        if b is None:
+            text = ops[kind].format(bound(a) if ka == "const" else refs[a])
+        else:
+            kb = nodes[b][0]
+            if kb == "const" and kind in right and math.isfinite(nodes[b][2]):
+                text = right[kind](nodes[b][2], bound(a) if ka == "const" else refs[a])
+            elif ka == "const" and kind in left and math.isfinite(nodes[a][2]):
+                text = left[kind](nodes[a][2], refs[b])
+            else:
+                text = ops[kind].format(
+                    bound(a) if ka == "const" else refs[a],
+                    bound(b) if kb == "const" else refs[b],
+                )
+        if users[i] > 1:
+            statements.append(f"t{i} = {text}")
+            text = f"t{i}"
+        refs.append(text)
+    return statements, refs[root]
 
 
 # One parenthesis per node, as in math.pow(u, v): see MAX_DEPTH.
 _FLOAT_OPS = {
-    "const": repr,
+    "const": lambda value, text: text,
+    "op_const": {},
+    "const_op": {},
     "neg": "(-{0})",
     "+": "({0}+{1})",
     "-": "({0}-{1})",
@@ -581,6 +672,19 @@ _FLOAT_OPS = {
     "sqrt": "math.sqrt({0})",
     "abs": "abs({0})",
     "sign": "_sign({0})",
+}
+
+# Constant folding in differentiate can overflow to inf, and inf - inf is
+# nan; repr writes those as bare names.
+_FLOAT_NAMESPACE = {
+    "math": math,
+    "abs": abs,
+    "_sign": _sign,
+    "inf": math.inf,
+    "nan": math.nan,
+    "_ERRORS": _ERRORS,
+    "_domain_error": _domain_error,
+    "__builtins__": {},
 }
 
 
@@ -625,20 +729,49 @@ def _enc_neg(u):
     return -u[1], -u[0]
 
 
+# The rules for + - * check their bounds inline: a call to _checked costs
+# as much as their arithmetic.
+
 def _enc_add(u, v):
-    return _checked(u[0] + v[0], u[1] + v[1])
+    lo, hi = u[0] + v[0], u[1] + v[1]
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
+
+
+def _enc_cadd(c, u):
+    """c + u for a finite constant c; u - c is u + (-c), the same float."""
+    lo, hi = c + u[0], c + u[1]
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
 
 
 def _enc_sub(u, v):
-    return _checked(u[0] - v[1], u[1] - v[0])
+    lo, hi = u[0] - v[1], u[1] - v[0]
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
 
 
 def _enc_mul(u, v):
     (a, b), (c, d) = u, v
     if a >= 0.0 and c >= 0.0:
-        return _checked(a * c, b * d)
-    p = (a * c, a * d, b * c, b * d)
-    return _checked(min(p), max(p))
+        lo, hi = a * c, b * d
+    else:
+        p = (a * c, a * d, b * c, b * d)
+        lo, hi = min(p), max(p)
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
+
+
+def _enc_cmul(c, u):
+    """c * u for a finite constant c."""
+    lo, hi = (c * u[0], c * u[1]) if c >= 0.0 else (c * u[1], c * u[0])
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
 
 
 def _enc_div(u, v):
@@ -651,15 +784,21 @@ def _enc_div(u, v):
 
 def _enc_pow(u, v):
     (a, b), (p, q) = u, v
-    positive = a > 0.0 or (a == 0.0 and p > 0.0)
-    if p != q:
-        if not positive:
-            raise _Undecided  # a varying power of a base that may be <= 0
-        # monotone in the base and in the exponent: the corners bound it
-        c = (math.pow(a, p), math.pow(a, q), math.pow(b, p), math.pow(b, q))
-        return _widened(min(c), max(c))
+    if p == q:
+        return _enc_powc(u, p)
+    if not (a > 0.0 or (a == 0.0 and p > 0.0)):
+        raise _Undecided  # a varying power of a base that may be <= 0
+    # monotone in the base and in the exponent: the corners bound it
+    c = (math.pow(a, p), math.pow(a, q), math.pow(b, p), math.pow(b, q))
+    return _widened(min(c), max(c))
+
+
+def _enc_powc(u, p):
+    """u^p for a constant p."""
+    a, b = u
     if p == 0.0:
         return 1.0, 1.0
+    positive = a > 0.0 or (a == 0.0 and p > 0.0)
     if not positive and (p != math.floor(p) or (p < 0.0 and b >= 0.0)):
         raise _Undecided  # a fractional power of a base < 0, or 0 to a power < 0
     ea, eb = math.pow(a, p), math.pow(b, p)
@@ -740,7 +879,18 @@ def _enc_sign(u):
 
 
 _ENCLOSURE_OPS = {
-    "const": lambda v: f"({v!r}, {v!r})" if math.isfinite(v) else "_undecided()",
+    "const": lambda value, text: f"({text}, {text})" if math.isfinite(value) else "_undecided()",
+    # rules that take a finite constant operand as a plain number
+    "op_const": {
+        "+": lambda c, u: f"_enc_cadd({c!r}, {u})",
+        "-": lambda c, u: f"_enc_cadd({-c!r}, {u})",
+        "*": lambda c, u: f"_enc_cmul({c!r}, {u})",
+        "^": lambda c, u: f"_enc_powc({u}, {c!r})",
+    },
+    "const_op": {
+        "+": lambda c, u: f"_enc_cadd({c!r}, {u})",
+        "*": lambda c, u: f"_enc_cmul({c!r}, {u})",
+    },
     "neg": "_enc_neg({0})",
     "+": "_enc_add({0}, {1})",
     "-": "_enc_sub({0}, {1})",
@@ -749,3 +899,9 @@ _ENCLOSURE_OPS = {
     "^": "_enc_pow({0}, {1})",
     **{fn: f"_enc_{fn}({{0}})" for fn in FUNCTION_NAMES},
 }
+
+# What a compiled enclosure can name; compile_enclosure copies it.
+_ENCLOSURE_NAMESPACE = {
+    name: value for name, value in globals().items() if name.startswith("_enc_")
+}
+_ENCLOSURE_NAMESPACE.update(inf=math.inf, _undecided=_undecided, _ERRORS=_ERRORS, __builtins__={})

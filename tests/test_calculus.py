@@ -201,7 +201,8 @@ class TestCertifiedScans:
             assert outcome(spec.validate) == outcome(reference_validate, spec) is None
             assert find_extrema(spec) == reference_extrema(spec)
 
-    @pytest.mark.parametrize("cls", ["complex-kink", "pole", "tan", "ln", "sign", "sqrt-abs"])
+    @pytest.mark.parametrize(
+        "cls", ["complex-kink", "pole", "tan", "ln", "sign", "sqrt-abs", "abs-cusp"])
     def test_seeded_corpus_specs_match_the_point_by_point_walk(self, cls):
         # 21 of these 48 specs are rejected, none of the sqrt-abs ones
         rng = random.Random(f"walk:{cls}")
@@ -225,6 +226,23 @@ class TestCertifiedScans:
         spec.curve = spec.curve._replace(fp=recorded)
         build_plan(spec)
         assert xs and len(set(xs)) == len(xs)
+
+    @pytest.mark.parametrize("text", ["2 + abs(x - 0.3)", "2 + abs(sin(7*x))"])
+    def test_f_box_alone_spares_the_checks_of_f(self, text):
+        # sign in f' leaves f' undecided around each kink; f's own enclosure
+        # still proves f > 0 there
+        spec = make_spec(text, 0.0, 1.0)
+        f, fp, xs = spec.curve.f, spec.curve.fp, []
+        spec.curve = spec.curve._replace(f=lambda x: xs.append(x) or f(x))
+        fresh = make_spec(text, 0.0, 1.0)
+        assert find_extrema(spec) == reference_extrema(fresh)
+        assert outcome(spec.validate) == outcome(reference_validate, fresh) is None
+        assert xs == []
+        # the checks of f' stay where f' is undecided
+        x_fp = []
+        spec.curve = spec.curve._replace(fp=lambda x: x_fp.append(x) or fp(x))
+        spec.validate()
+        assert x_fp
 
     def test_running_example_extrema_skip_most_points(self, running_spec):
         spec = running_spec._replace()  # a curve of its own

@@ -7,12 +7,15 @@ enclosure is decided, the compiled function must hold inside it.
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revcrochet.expression import (
+    _ENCLOSURE_OPS,
+    _FLOAT_OPS,
     FUNCTION_NAMES,
     Binary,
     Call,
@@ -20,13 +23,21 @@ from revcrochet.expression import (
     EvalDomainError,
     Neg,
     Var,
+    _emit,
+    _enc_add,
+    _enc_cadd,
+    _enc_cmul,
+    _enc_mul,
+    _enc_pow,
+    _enc_powc,
+    _enc_sub,
     compile_enclosure,
     compile_expr,
     differentiate,
     parse,
 )
 
-from conftest import reference_evaluate, same_float
+from conftest import reference_evaluate, render, same_float
 
 # Constants as parse() makes them: nonnegative floats.  The small ones make
 # integer and half-integer powers of negative bases common.
@@ -185,3 +196,132 @@ def test_enclosure_rules_hold_on_seeded_ranges(text):
                 y = fn(min(hi, lo + i * (hi - lo) / 20))  # rounding can step past hi
                 assert box[0] <= y <= box[1], (e, lo, hi, y, box)
     assert decided >= 50  # the rules decide most ranges
+
+
+# --- shared subtrees and constant operands ------------------------------------
+# compile_expr and compile_enclosure compute each repeated subtree once, and
+# pass a finite constant operand of + - * ^ to a rule as a plain number.
+
+def test_signed_zero_constants_stay_apart():
+    # Const(0.0) == Const(-0.0), yet x*0.0 and x*-0.0 are different floats
+    tree = Binary("*", Binary("*", Var(), Const(0.0)), Binary("*", Var(), Const(-0.0)))
+    fn = compile_expr(tree)
+    for x in (1.0, -1.0, 0.0, -0.0, 2.5):
+        assert same_float(fn(x), reference_evaluate(tree, x))
+    assert same_float(fn(1.0), -0.0)
+    assert same_float(compile_expr(Binary("+", tree, tree))(1.0), -0.0)
+
+
+def test_a_failing_shared_subtree_keeps_the_message():
+    text = "ln(x - 1) + ln(x - 1)"
+    assert _emit(parse(text), _FLOAT_OPS)[0]  # ln(x - 1) is computed once
+    with pytest.raises(EvalDomainError) as err:
+        compile_expr(parse(text))(0.5)
+    assert str(err.value) == "undefined at x=0.5"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert compile_enclosure(parse(text))(0.25, 0.5) is None
+
+
+def _rule(rule, *args):
+    """The rule's bounds, or None where it raises (undecided or out of range)."""
+    try:
+        return rule(*args)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def test_constant_rules_match_the_pair_rules():
+    rng = random.Random(2121)
+    consts = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5, -0.5, 1.5, 1e-300, 1e300, -1e300]
+    decided = 0
+    for _ in range(4000):
+        c = rng.choice(consts) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0)
+        if rng.random() < 0.3:
+            c = float(round(c))  # integer powers of bases that may be negative
+        scale = 10.0 ** rng.choice([-300, -3, 0, 3, 300])
+        lo = rng.uniform(-2.0, 2.0) * scale
+        hi = lo + rng.choice([0.0, rng.uniform(0.0, 3.0) * scale])
+        u, k = (lo, hi), (c, c)
+        cmul = _rule(_enc_cmul, c, u)
+        assert cmul == _rule(_enc_mul, u, k) == _rule(_enc_mul, k, u), (c, u)
+        cadd = _rule(_enc_cadd, c, u)
+        assert cadd == _rule(_enc_add, k, u) == _rule(_enc_add, u, k), (c, u)
+        assert _rule(_enc_cadd, -c, u) == _rule(_enc_sub, u, k), (c, u)
+        powc = _rule(_enc_powc, u, c)
+        assert powc == _rule(_enc_pow, u, k), (c, u)
+        decided += cmul is not None and powc is not None
+        if powc is not None and abs(lo) < 1e3 and abs(hi) < 1e3:
+            for x in (lo, hi, 0.5 * (lo + hi)):
+                try:
+                    y = math.pow(x, c)
+                except (ArithmeticError, ValueError):
+                    continue
+                assert powc[0] <= y <= powc[1], (c, u, x)
+    assert decided > 1000
+
+
+def _shared_tree(rng, steps):
+    """A seeded tree whose operands are drawn from the subtrees built so far.
+
+    So subtrees repeat: some as the same object, as differentiate makes
+    them, and some as an equal tree of new objects, as parse makes them.
+    """
+    pool = [Var(), Var(), Const(rng.choice([0.5, 1.0, 2.0, 3.0])), Const(rng.uniform(0.0, 4.0))]
+    for _ in range(steps):
+        recent = pool[-4:]
+        kind = rng.random()
+        if kind < 0.1:
+            node = Neg(rng.choice(recent))
+        elif kind < 0.35:
+            node = Call(rng.choice(FUNCTION_NAMES), rng.choice(recent))
+        else:
+            node = Binary(rng.choice("+-*/^"), rng.choice(recent), rng.choice(recent))
+        if rng.random() < 0.3:
+            node = parse(render(node))  # equal, but no object in common
+        pool.append(node)
+    return pool[-1]
+
+
+def test_shared_trees_match_the_reference():
+    rng = random.Random(3131)
+    hoisting = decided = 0
+    for _ in range(300):
+        tree = _shared_tree(rng, rng.randint(4, 10))
+        for e in (tree, differentiate(tree)):
+            hoisting += bool(_emit(e, _FLOAT_OPS)[0])
+            fn, box_of = compile_expr(e), compile_enclosure(e)
+            for _ in range(8):
+                x = rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-3.0, 3.0)])
+                try:
+                    expected = reference_evaluate(e, x)
+                except EvalDomainError:
+                    message = f"^undefined at x={re.escape(repr(x))}$"
+                    with pytest.raises(EvalDomainError, match=message):
+                        fn(x)
+                    continue
+                assert same_float(fn(x), expected), (render(e), x)
+            for _ in range(4):
+                lo = rng.uniform(-3.0, 3.0)
+                hi = lo + 10.0 ** rng.uniform(-6.0, 0.5)
+                box = box_of(lo, hi)
+                if box is None:
+                    continue
+                decided += 1
+                for i in range(11):
+                    y = fn(min(hi, lo + i * (hi - lo) / 10))
+                    assert box[0] <= y <= box[1], (render(e), lo, hi, y, box)
+    assert hoisting > 250  # of 600 trees
+    assert decided > 1000  # of 2,400 ranges
+
+
+@pytest.mark.parametrize("ops, square, five_x", [
+    (_FLOAT_OPS, "math.pow(x, 2.0)", "(5.0*x)"),
+    (_ENCLOSURE_OPS, "_enc_powc(x, 2.0)", "_enc_cmul(5.0, x)"),
+], ids=["float", "enclosure"])
+def test_each_shared_subtree_is_emitted_once(ops, square, five_x):
+    # f' holds x^2, 5*x, cos(5*x) and sin(5*x) twice each
+    statements, value = _emit(differentiate(parse("exp(-x^2)*x^2 + sin(5*x)*cos(5*x)")), ops)
+    source = "\n".join([*statements, value])
+    assert source.count(square) == source.count(five_x) == 1
+    assert source.count("cos(") == source.count("sin(") == 1
+    assert "(5.0, 5.0)" not in source  # constant operands of + - * ^ are plain numbers

@@ -12,6 +12,9 @@ from revcrochet.expression import (
     Neg,
     ParseError,
     Var,
+    _ENCLOSURE_OPS,
+    _FLOAT_OPS,
+    _emit,
     compile_enclosure,
     compile_expr,
     differentiate,
@@ -89,6 +92,24 @@ class TestParse:
         assert evaluate(parse("2 - 3 - 4"), 0.0) == -5.0
 
 
+def levels(e, memo=None):
+    """Nodes on the longest root-to-leaf path of tree e."""
+    memo = {} if memo is None else memo  # f' shares subtrees, many times over
+    if id(e) not in memo:
+        children = [c for c in e if isinstance(c, tuple)]
+        memo[id(e)] = 1 + max((levels(c, memo) for c in children), default=0)
+    return memo[id(e)]
+
+
+def nesting(line):
+    """The most parentheses open at once in a line of source."""
+    depth = deepest = 0
+    for ch in line:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
 class TestDepthLimit:
     @staticmethod
     def at_cap(kind):
@@ -105,10 +126,17 @@ class TestDepthLimit:
         tree = parse(self.at_cap(kind))
         deriv = differentiate(tree)
         assert parse(render(tree)) == tree
+        assert levels(deriv) <= 4 * MAX_DEPTH - 3  # the bound MAX_DEPTH's comment gives
         for e in (tree, deriv):
             assert same_float(compile_expr(e)(0.5), reference_evaluate(e, 0.5))
             assert compile_enclosure(e)(0.5, 0.5) is not None
             assert isinstance(hash(e), int)
+            # one parenthesis per node above the leaves at most (the enclosure
+            # of a constant tree is one pair); a shared subtree's statement
+            # nests no deeper than the expression it was taken from
+            for ops in (_FLOAT_OPS, _ENCLOSURE_OPS):
+                statements, value = _emit(e, ops)
+                assert max(map(nesting, [*statements, value])) <= max(levels(e) - 1, 1)
 
     @pytest.mark.parametrize("kind", ["sum", "product", "power", "pow_left", "call"])
     def test_one_level_past_the_cap_is_rejected(self, kind):
