@@ -42,14 +42,14 @@ MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
 CHORD_MARGIN = 1e-3
-# Grid cells at or below which an undecided range is evaluated point by
-# point rather than halved again.  An enclosure of f' costs as much as 10 to
-# 25 point evaluations (3 us for the running example's f', 20 us for
-# sin(5x)cos(3x) + exp(-x^2)x^2), and a range that stays undecided wastes
-# it.  Timing validate + find_extrema on the benchmark's anchor specs with
-# 16, 32, 64 and 128 cells, 32 was fastest or within 5% of it on each: a
-# ripple that no wide range decides pays 255 enclosures at 32 cells and
-# 511 at 16, while 128 cells evaluate up to four times more points.
+# Grid cells at or below which a range where f is proven continuous is
+# evaluated point by point, not halved again; f' is enclosed on no smaller
+# range.  An enclosure of f' costs 10 to 25 point evaluations (3 us for the
+# running example's f', 20 us for sin(5x)cos(3x) + exp(-x^2)x^2), wasted where
+# it stays undecided.  Timing validate + find_extrema on the benchmark's
+# anchor specs with 16, 32, 64 and 128 cells, 32 was fastest or within 5% of
+# it on each: a ripple that no wide range decides pays 255 enclosures at 32
+# cells and 511 at 16; 128 cells evaluate up to 4x more points.
 SCAN_LEAF_CELLS = 32
 
 
@@ -76,9 +76,7 @@ class Curve(Record):
 
     f and fp are f and f' as callables of x; f_box and fp_box are their
     enclosures (see expression.compile_enclosure), and f is continuous
-    wherever f_box exists (see _chord_rows).  The arclength quadrature forms
-    sqrt(1 + f'(x)^2) from fp inline (see adaptive_simpson), so the
-    Boole-weight bound of solve_landmarks holds for that integrand.
+    wherever f_box exists (see _walk).
     """
 
     __slots__ = ()
@@ -138,15 +136,15 @@ class PatternSpec(Record):
     def stitches_per_unit(self) -> float:
         return self.scale * self.stitch_gauge / 4.0
 
-    def validate(self) -> None:
+    def validate(self, pieces: list | None = None) -> None:
         """Check the invariants; raises SpecValidationError.
 
         f >= 0 at the endpoints, f > 0 on the open interval, and f'
         defined and finite on [a, b] are checked at every other point of
         the EXTREMUM_GRID walk (see _walk), which is as strong a guarantee
-        as sampling can give.
+        as sampling can give.  A given list receives the walk's pieces.
         """
-        _walk(self, extrema=False)
+        _walk(self, False, [] if pieces is None else pieces)
 
 
 def eval_height(f: Callable[[float], float], x: float) -> float:
@@ -300,16 +298,16 @@ def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
     return spec.rows_per_unit * adaptive_simpson(spec.curve.fp, lo, hi)
 
 
-def find_extrema(spec: PatternSpec) -> list[float]:
+def find_extrema(spec: PatternSpec, pieces: list | None = None) -> list[float]:
     """x values in (a, b) where f' changes sign, sorted ascending.
 
-    The same walk of the grid (see _walk) validates the spec as
-    PatternSpec.validate does.  Sign changes of f' between grid points are
-    located by bisection to EXTREMUM_XTOL; results closer together than
-    EXTREMUM_DEDUPE are merged.
+    The same walk of the grid (see _walk) validates the spec and fills
+    pieces as PatternSpec.validate does.  Sign changes of f' between grid
+    points are located by bisection to EXTREMUM_XTOL; results closer
+    together than EXTREMUM_DEDUPE are merged.
     """
     merged = []
-    for r in _walk(spec, extrema=True):
+    for r in _walk(spec, True, [] if pieces is None else pieces):
         if merged and r - merged[-1] <= EXTREMUM_DEDUPE:
             continue
         # extrema essentially at a or b belong to the endpoints, not the interior
@@ -319,7 +317,7 @@ def find_extrema(spec: PatternSpec) -> list[float]:
     return merged
 
 
-def _walk(spec, extrema):
+def _walk(spec, extrema, pieces):
     """Check the spec on the grid a + i*step, i = 0..EXTREMUM_GRID, left to right.
 
     Each even point gets validate's checks: f, then f'.  With extrema, f'
@@ -327,17 +325,18 @@ def _walk(spec, extrema):
     as soon as it is found; the bisected x values are returned.  The first
     grid point or bisection midpoint that fails raises SpecValidationError.
 
-    Ranges of cells are halved, left half first, until enclosures decide
-    them or they have at most SCAN_LEAF_CELLS cells.  Where a range's
-    enclosure of f proves f > 0, its points and its halves' need no check
-    of f; where its enclosure of f' exists, they need no check of f'.  A
-    half is enclosed only for what its range left unproven, and for the
-    sign of f' with extrema: a range where the enclosure of f' fixes the
-    sign holds no sign change, so its points need no scan.  lo and hi are
-    the floats a + i*step at the range's ends, and float rounding is
-    monotone, so every grid point of the range lies between them.  The
-    first failure, every bracket and every root are the same floats as
-    with every point evaluated.
+    Ranges of cells are halved, left half first, while their enclosures leave
+    undecided a fact their points need: f > 0 (spares the checks of f), f'
+    finite (those of f') and, with extrema, the sign of f' (all > 0, all < 0 or
+    exactly 0: no scan).  Halves inherit every fact proven, and f continuous,
+    where the enclosure of f exists (see compile_enclosure): a range is halved
+    down to SCAN_LEAF_CELLS cells where f is proven continuous and to one cell
+    elsewhere, enclosing only f below SCAN_LEAF_CELLS, then its points are
+    evaluated.  lo and hi are the floats a + i*step at the range's ends, and
+    float rounding is monotone, so every grid point of the range lies between
+    them.  The first failure, every bracket and every root are the same floats
+    as with every point evaluated.  pieces receives the ranges in order as
+    (lo, hi, continuous), adjacent continuous ones joined.
     """
     # bool is an int, and True would pass every check below as 1; a str,
     # a complex or None would end in TypeError
@@ -376,26 +375,25 @@ def _walk(spec, extrema):
 
     roots = []
     last_x, last_sign = None, 0
-    ranges = [(0, n, False, False)]
+    ranges = [(0, n, False, False, False, None)]
     first = 0  # the first grid point no range has covered yet
     while ranges:
-        c0, c1, f_ok, fp_ok = ranges.pop()  # f > 0, f' finite: proven
+        c0, c1, f_ok, cont, fp_ok, sign = ranges.pop()
         lo, hi = a + c0 * step, a + c1 * step
-        sign = 0
-        if extrema or not fp_ok:
+        if sign is None and (extrema or not fp_ok) and c1 - c0 >= SCAN_LEAF_CELLS:
             d = fp_box(lo, hi)
             if d is not None:
                 fp_ok = True
-                if extrema:
-                    sign = (d[0] > 0) - (d[1] < 0)
+                sign = 1 if d[0] > 0 else -1 if d[1] < 0 else 0 if d[0] == d[1] else None
         if not f_ok:
             y = f_box(lo, hi)
-            f_ok = y is not None and y[0] > 0
-        scan = extrema and not sign
+            if y is not None:
+                f_ok, cont = y[0] > 0, True
+        scan = extrema and sign is None
         if scan or not (f_ok and fp_ok):
-            if c1 - c0 > SCAN_LEAF_CELLS:
+            if c1 - c0 > (SCAN_LEAF_CELLS if cont else 1):
                 mid = (c0 + c1) // 2
-                ranges += [(mid, c1, f_ok, fp_ok), (c0, mid, f_ok, fp_ok)]
+                ranges += [(mid, c1, f_ok, cont, fp_ok, sign), (c0, mid, f_ok, cont, fp_ok, sign)]
                 continue
             stride = 1 if scan else 2
             for i in range(first + first % stride, c1 + 1, stride):
@@ -418,6 +416,9 @@ def _walk(spec, extrema):
             # The range's first cell starts at the last point scanned, of
             # this sign too, so the range holds no sign change.
             last_x, last_sign = hi, sign
+        if cont and pieces and pieces[-1][2]:
+            lo = pieces.pop()[0]  # join the continuous piece before
+        pieces.append((lo, hi, cont))
         first = c1 + 1
     return roots
 
@@ -471,15 +472,11 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
                 break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-            # Each value adaptive_simpson accepts, left + right + delta/15,
-            # is Boole's rule on its five samples, with the positive weights
-            # (7, 32, 12, 32, 7)/90; so the result is at least the width
-            # times the least g sampled, up to rounding that the relative
-            # slack covers.  Float *, + and sqrt round monotonically, so
-            # each sample sqrt(1.0 + d * d) of d = f'(x) is at least
-            # sqrt(1 + m*m) where |d| >= m, and if the bound reaches the
-            # target, amid would too and the step would set xr = mid.  The
-            # box starts at an earlier xl of this landmark, and xl never
+            # adaptive_simpson returns at least the width times its least
+            # sample, up to rounding that the relative slack covers, and
+            # float *, + and sqrt round monotonically, so each sample
+            # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
+            # The box starts at an earlier xl of this landmark, and xl never
             # decreases, so it holds [xl, mid] when mid <= box_hi.
             bound = (mid - xl) * (1.0 - 1e-12)
             if al + factor * bound >= target:
@@ -505,33 +502,34 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     return xs
 
 
-def _chord_rows(spec: PatternSpec, spans) -> float:
-    """Sum over the spans of the chord from (lo, f(lo)) to (hi, f(hi)), in rows.
+def _chord_rows(spec: PatternSpec, pieces, cuts) -> float:
+    """Sum of the chords from (lo, f(lo)) to (hi, f(hi)) over _walk's pieces, in rows.
 
     Where f is continuous, a chord is no longer than the arc, so a sum
     over MAX_ROWS (with CHORD_MARGIN and half a row per segment for the
     rounding of its count) proves the cap passed without a quadrature.
     Across a jump of sign, f' is 0, so the arclength leaves the jump out
-    while a chord crosses it.  A piece counts only where the enclosure
-    of f exists, which proves f continuous there and defined at both
-    ends (see compile_enclosure); others are halved, left half first,
-    down to a grid cell or an ulp, which adds 0.  So does a piece whose
-    rise overflows.
+    while a chord crosses it.  Each continuous piece counts, split at the
+    cuts (segment bounds, ascending) inside it; a cell not proven
+    continuous counts only its parts between cuts where the enclosure of
+    f exists, as next to a pole's extremum.  A rise that overflows adds 0.
     """
     f, f_box = spec.curve.f, spec.curve.f_box
-    cell = (spec.b - spec.a) / EXTREMUM_GRID
-    total = 0.0
-    pieces = spans[::-1]
-    while pieces:
-        lo, hi = pieces.pop()
-        if f_box(lo, hi) is None:
-            mid = 0.5 * (lo + hi)
-            if hi - lo > cell and lo < mid < hi:
-                pieces += [(mid, hi), (lo, mid)]
+    total, k = 0.0, 0
+    for lo, hi, cont in pieces:
+        xs = [lo]
+        while k < len(cuts) and cuts[k] < hi:
+            if cuts[k] > lo:
+                xs.append(cuts[k])
+            k += 1
+        if len(xs) == 1 and not cont:
             continue
-        rise = f(hi) - f(lo)
-        if math.isfinite(rise):
-            total += math.hypot(hi - lo, rise)
+        xs.append(hi)
+        for u, v in zip(xs, xs[1:]):
+            if cont or f_box(u, v) is not None:
+                rise = f(v) - f(u)
+                if math.isfinite(rise):
+                    total += math.hypot(v - u, rise)
     return spec.rows_per_unit * total
 
 
@@ -547,17 +545,17 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     row rounds to 0 stitches.  f at every landmark is checked as the grid
     walk checks its points, since a rounded landmark can fall between them.
     """
+    pieces, cuts = [], []
     if prioritize_extrema:
-        bounds = [spec.a, *find_extrema(spec), spec.b]
+        cuts = find_extrema(spec, pieces)
     else:
-        spec.validate()
-        bounds = [spec.a, spec.b]
-
+        spec.validate(pieces)
+    bounds = [spec.a, *cuts, spec.b]
     spans = list(zip(bounds, bounds[1:]))
     too_many = SpecValidationError(
         f"the pattern would have more than {MAX_ROWS} rows; lower the scale or the row gauge"
     )
-    if _chord_rows(spec, spans) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
+    if _chord_rows(spec, pieces, cuts) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
         raise too_many
     lengths = [arclength_rows(spec, lo, hi) for lo, hi in spans]
     # inf and nan, which round_half_away cannot take, are not <= MAX_ROWS

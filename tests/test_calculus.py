@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -243,6 +244,49 @@ class TestCertifiedScans:
         spec.curve = spec.curve._replace(fp=lambda x: x_fp.append(x) or fp(x))
         spec.validate()
         assert x_fp
+
+    @pytest.mark.parametrize("text, a, b, f_checks", [
+        ("2 + sign(sin(50*x))", 0.1, 10.0, 7), ("2 + sign(x - x)", 0.0, 1.0, 2049)])
+    def test_a_flat_f_prime_is_not_scanned(self, text, a, b, f_checks):
+        # the enclosure of f' = 0 is exactly [0, 0] on [a, b], so f' is 0 at
+        # every point and the halves inherit that; f is checked where its
+        # enclosure is undecided, in the one-cell pieces around the jumps
+        spec = make_spec(text, a, b)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(spec.curve, name)
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        spec.curve = spec.curve._replace(
+            f=counted("f"), fp=counted("fp"), fp_box=counted("fp_box"))
+        assert find_extrema(spec) == reference_extrema(make_spec(text, a, b)) == []
+        assert calls == {"f": f_checks, "fp_box": 1}
+
+    @pytest.mark.parametrize("cls", ["pole", "tan", "sign", "abs-cusp"])
+    def test_the_walk_pieces_partition_the_interval(self, cls):
+        rng = random.Random(f"pieces:{cls}")
+        for _ in range(8):
+            spec = make_spec(*corpus_draw(cls, rng))
+            for extrema in (True, False):
+                pieces = []
+                try:
+                    if extrema:
+                        find_extrema(spec, pieces)
+                    else:
+                        spec.validate(pieces)
+                except SpecValidationError:
+                    continue
+                n = calculus.EXTREMUM_GRID
+                step = (spec.b - spec.a) / n
+                # a + n*step, the last grid point, can be an ulp off b
+                assert pieces[0][0] == spec.a and pieces[-1][1] == spec.a + n * step
+                for (_, hi, cont), (lo, _, next_cont) in zip(pieces, pieces[1:]):
+                    assert hi == lo and not (cont and next_cont)
+                for lo, hi, cont in pieces:
+                    cell = round((lo - spec.a) / step)
+                    assert cont or (lo, hi) == (spec.a + cell * step, spec.a + (cell + 1) * step)
+                    assert cont or spec.curve.f_box(lo, hi) is None
 
     def test_running_example_extrema_skip_most_points(self, running_spec):
         spec = running_spec._replace()  # a curve of its own
@@ -646,42 +690,61 @@ class TestBuildPlan:
             assert plan.heights == tuple(f(x) for x in plan.landmarks)
 
     def test_chords_count_only_the_spans_where_no_sign_jumps(self):
-        # sign(x - 0.5) jumps in the second span only; sign(x + 1) never does.
-        # That span is halved until the piece that holds 0.5 is at most one
-        # grid cell wide (0.6 / 2**12 of the cell 1 / 2**12); it adds 0, and
-        # the flat pieces on both sides add their widths
-        spec = make_spec("101 + 100*sign(x - 0.5) + sign(x + 1)", 0.0, 1.0, row_gauge=4, scale=1.0)
-        spans = [(0.0, 0.4), (0.4, 1.0)]
-        jump = 0.6 / 2**12
-        assert calculus._chord_rows(spec, spans) == pytest.approx(1.0 - jump, rel=1e-15)
-        assert calculus._chord_rows(spec, spans[1:]) == pytest.approx(0.6 - jump, rel=1e-15)
-        # a span where the enclosure of f is undecided is halved; sin has
-        # its zeros pi and 2*pi in [0.5, 7], and the grid cell of
-        # 6.5 / 2**12 around each adds 0
+        # sign(x - 0.3) jumps inside the grid cell [1228, 1229] / 2**12, and
+        # sign(x + 1) never does; the walk halves down to that cell, which
+        # is the one piece not proven continuous.  It adds 0, and the flat
+        # pieces on both sides add their widths, split at a cut or not.
+        spec = make_spec("101 + 100*sign(x - 0.3) + sign(x + 1)", 0.0, 1.0, row_gauge=4, scale=1.0)
+        pieces = []
+        assert find_extrema(spec, pieces) == []  # f' is 0
+        cell = 1 / 2**12
+        assert pieces == [(0.0, 1228 * cell, True), (1228 * cell, 1229 * cell, False),
+                          (1229 * cell, 1.0, True)]
+        assert calculus._chord_rows(spec, pieces, []) == pytest.approx(1.0 - cell, rel=1e-15)
+        assert calculus._chord_rows(spec, pieces, [0.4]) == pytest.approx(1.0 - cell, rel=1e-15)
+        # a cut in the jump's cell splits it, and the part left of the jump,
+        # where the enclosure of f exists, counts
+        left = 0.2999 - 1228 * cell
+        assert calculus._chord_rows(spec, pieces, [0.2999]) == pytest.approx(
+            1.0 - cell + left, rel=1e-15)
+        # the walk proves f continuous on the whole interval at once
         spec = make_spec("2 + sign(sin(x))", 0.5, 1.0, row_gauge=4, scale=1.0)
-        assert calculus._chord_rows(spec, [(0.5, 1.0)]) == 0.5
+        pieces = []
+        spec.validate(pieces)
+        assert pieces == [(0.5, 1.0, True)]
+        assert calculus._chord_rows(spec, pieces, []) == 0.5
+        # sin has its zeros pi and 2*pi in [0.5, 7], inside the grid cells
+        # 1664 and 3644 of 6.5 / 2**12; each adds 0
         spec = make_spec("2 + sign(sin(x))", 0.5, 7.0, row_gauge=4, scale=1.0)
-        expected = 6.5 - 2 * 6.5 / 2**12
-        assert calculus._chord_rows(spec, [(0.5, 7.0)]) == pytest.approx(expected, rel=1e-15)
+        pieces = []
+        spec.validate(pieces)
+        cell = 6.5 / 2**12
+        assert [(round((lo - 0.5) / cell), cont) for lo, _, cont in pieces] == [
+            (0, True), (1664, False), (1665, True), (3644, False), (3645, True)]
+        expected = 6.5 - 2 * cell
+        assert calculus._chord_rows(spec, pieces, []) == pytest.approx(expected, rel=1e-15)
 
     def test_chords_never_pass_the_arclength(self):
-        # the corpus classes where f jumps, kinks or nears a pole
         checked = 0
-        for _, cls, argv in fast_specs():
-            if cls not in ("sign", "abs-cusp", "pole", "tan"):
-                continue
+        for _, _, argv in fast_specs():
             args = _parse_args(argv)
             spec = make_spec(args["function"], args["a"], args["b"], args["stitch_gauge"],
                              args["row_gauge"], args["scale"])
             try:
                 plan = build_plan(spec, args["prioritize_extrema"])
-            except (SpecValidationError, QuadratureError):
+            except (SpecValidationError, QuadratureError, EvalDomainError):
                 continue
-            spans = [(seg.lo, seg.hi) for seg in plan.segments]
+            pieces = []
+            if plan.prioritize_extrema:
+                find_extrema(spec, pieces)
+            else:
+                spec.validate(pieces)
+            cuts = [seg.lo for seg in plan.segments[1:]]
             arc = sum(seg.arclength_rows for seg in plan.segments)
-            assert calculus._chord_rows(spec, spans) <= arc * (1 + calculus.CHORD_MARGIN), argv
+            chords = calculus._chord_rows(spec, pieces, cuts)
+            assert chords <= arc * (1 + calculus.CHORD_MARGIN), argv
             checked += 1
-        assert checked >= 12
+        assert checked >= 60
 
     def test_f_undefined_at_a_landmark_is_named(self):
         # 0.5 is a rounded landmark between the grid walk's points

@@ -238,7 +238,7 @@ class TestRun:
         )
 
     def test_the_chords_on_both_sides_of_a_sign_jump_count(self, capsys, monkeypatch):
-        # x - 2 crosses 0 on [1.2, 3.01]: the span is halved down to one grid
+        # x - 2 crosses 0 on [1.2, 3.01]: the walk halves down to one grid
         # cell around the jump, and the chords right of it pass the cap; the
         # whole split budget went first (6.5 s) and ended in "did not converge"
         def no_quadrature(*args):
@@ -247,6 +247,29 @@ class TestRun:
         monkeypatch.setattr(calculus, "adaptive_simpson", no_quadrature)
         code = run(["--function", "1 + (x+1)^exp(x) + sign(x - 2)", "--a", "1.2", "--b", "3.01",
                     "--stitch-gauge", "10", "--row-gauge", "26", "--scale", "0.62"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+
+    @pytest.mark.parametrize("scale, extra", [("1.97", []), ("0.2", []),
+                                              ("1.97", ["--no-extrema"])])
+    def test_the_chords_next_to_a_pole_refuse_before_any_quadrature(
+        self, capsys, monkeypatch, scale, extra
+    ):
+        # f' changes sign across the pole at -0.13, so an extremum lies 1e-11
+        # right of it, inside the pole's grid cell; the chord from the cell's
+        # right end to that extremum is about 9e11 rows at scale 1.97 and
+        # 9e10 at 0.2.  Without extrema, the chords up to the pole's cell
+        # come to about 67,000 rows at 1.97 (at 0.2, 6,800 rows: the
+        # quadrature runs into the pole).
+        def no_quadrature(*args):
+            raise AssertionError("the chords already pass the row cap")
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", no_quadrature)
+        code = run(["--function", "1 + abs(sign(pi)/(x+0.13))", "--a=-2.22", "--b=0.9",
+                    "--stitch-gauge", "8", "--row-gauge", "17", "--scale", scale, *extra])
         assert code == 2
         assert capsys.readouterr().err == (
             "revcrochet: the pattern would have more than 10000 rows; "
@@ -327,10 +350,10 @@ class TestRun:
 
     @pytest.mark.parametrize("args", [
         # f' changes sign across the pole at -0.13, so the walk makes the pole
-        # an extremum, and the segment quadrature runs into it.  sign(pi)
-        # never jumps, so the chords count: at scale 1.97 they pass the row
-        # cap (about 1.8e12 rows) and refuse the plan at once; at 1e-9 they
-        # come to about 910 rows, and the same quadrature runs.
+        # an extremum, and the segment quadrature runs into it.  The chords
+        # next to the pole refuse it at once at scale 1.97 and 0.2 (see
+        # test_the_chords_next_to_a_pole_refuse_before_any_quadrature); at
+        # 1e-9 they come to about 460 rows, and the same quadrature runs.
         ["--function", "1 + abs(sign(pi)/(x+0.13))", "--a=-2.22", "--b=0.9",
          "--stitch-gauge", "8", "--row-gauge", "17", "--scale", "1e-9"],
         # about 80,000 rows in a million oscillations, which the chord (a
