@@ -67,8 +67,13 @@ def round_half_away(v: float) -> int:
 
 
 def round_landmark(x: float) -> float:
-    """Round an x landmark to two decimals, ties away from zero."""
-    return round_half_away(x * 100.0) / 100.0
+    """Round an x landmark to two decimals, ties away from zero.
+
+    Past |x| = 1.8e306, where x * 100 overflows, an ulp of x is about 1e290,
+    so x has no 0.01 digit to round and is returned as it is.
+    """
+    v = x * 100.0
+    return round_half_away(v) / 100.0 if math.isfinite(v) else x
 
 
 class Curve(Record):
@@ -306,24 +311,18 @@ def find_extrema(spec: PatternSpec, pieces: list | None = None) -> list[float]:
     points are located by bisection to EXTREMUM_XTOL; results closer
     together than EXTREMUM_DEDUPE are merged.
     """
-    merged = []
-    for r in _walk(spec, True, [] if pieces is None else pieces):
-        if merged and r - merged[-1] <= EXTREMUM_DEDUPE:
-            continue
-        # extrema essentially at a or b belong to the endpoints, not the interior
-        if r - spec.a <= EXTREMUM_DEDUPE or spec.b - r <= EXTREMUM_DEDUPE:
-            continue
-        merged.append(r)
-    return merged
+    return _walk(spec, True, [] if pieces is None else pieces)
 
 
 def _walk(spec, extrema, pieces):
-    """Check the spec on the grid a + i*step, i = 0..EXTREMUM_GRID, left to right.
+    """Check the spec on the grid a + i*step, i < EXTREMUM_GRID, and b, left to right.
 
     Each even point gets validate's checks: f, then f'.  With extrema, f'
     at every point also feeds a sign scan, and each sign change is bisected
-    as soon as it is found; the bisected x values are returned.  The first
-    grid point or bisection midpoint that fails raises SpecValidationError.
+    as soon as it is found; the bisected x values are returned, less each
+    within EXTREMUM_DEDUPE of the one kept before it, of a or of b.  The
+    first grid point or bisection midpoint that fails raises
+    SpecValidationError.
 
     Ranges of cells are halved, left half first, while their enclosures leave
     undecided a fact their points need: f > 0 (spares the checks of f), f'
@@ -332,11 +331,11 @@ def _walk(spec, extrema, pieces):
     where the enclosure of f exists (see compile_enclosure): a range is halved
     down to SCAN_LEAF_CELLS cells where f is proven continuous and to one cell
     elsewhere, enclosing only f below SCAN_LEAF_CELLS, then its points are
-    evaluated.  lo and hi are the floats a + i*step at the range's ends, and
-    float rounding is monotone, so every grid point of the range lies between
-    them.  The first failure, every bracket and every root are the same floats
-    as with every point evaluated.  pieces receives the ranges in order as
-    (lo, hi, continuous), adjacent continuous ones joined.
+    evaluated.  lo and hi are the grid points at the range's ends, and float
+    rounding is monotone, so every grid point of the range lies between them.
+    The first failure, every bracket and every root are the same floats as
+    with every point evaluated.  pieces receives the ranges in order as (lo,
+    hi, continuous), adjacent continuous ones joined.
     """
     # bool is an int, and True would pass every check below as 1; a str,
     # a complex or None would end in TypeError
@@ -361,8 +360,8 @@ def _walk(spec, extrema, pieces):
         raise SpecValidationError("scale must be a positive number")
 
     f, fp, f_box, fp_box = spec.curve
-    a, n = spec.a, EXTREMUM_GRID
-    step = (spec.b - a) / n
+    a, b, n = spec.a, spec.b, EXTREMUM_GRID
+    step = (b - a) / n
 
     def deriv(x):
         try:
@@ -376,10 +375,9 @@ def _walk(spec, extrema, pieces):
     roots = []
     last_x, last_sign = None, 0
     ranges = [(0, n, False, False, False, None)]
-    first = 0  # the first grid point no range has covered yet
     while ranges:
         c0, c1, f_ok, cont, fp_ok, sign = ranges.pop()
-        lo, hi = a + c0 * step, a + c1 * step
+        lo, hi = a + c0 * step, a + c1 * step if c1 < n else b
         if sign is None and (extrema or not fp_ok) and c1 - c0 >= SCAN_LEAF_CELLS:
             d = fp_box(lo, hi)
             if d is not None:
@@ -396,8 +394,9 @@ def _walk(spec, extrema, pieces):
                 ranges += [(mid, c1, f_ok, cont, fp_ok, sign), (c0, mid, f_ok, cont, fp_ok, sign)]
                 continue
             stride = 1 if scan else 2
-            for i in range(first + first % stride, c1 + 1, stride):
-                x = a + i * step
+            start = c0 + 1 if c0 else 0  # the range before ended at point c0, covering it
+            for i in range(start + start % stride, c1 + 1, stride):
+                x = a + i * step if i < n else b
                 if not (f_ok or i % 2):
                     y = eval_height(f, x)
                     if not 0 < y < math.inf:
@@ -410,7 +409,11 @@ def _walk(spec, extrema, pieces):
                 s = (v > 0) - (v < 0)
                 if s:
                     if last_sign and s != last_sign:
-                        roots.append(_bisect_sign_change(deriv, last_x, x, last_sign))
+                        r = _bisect_sign_change(deriv, last_x, x, last_sign)
+                        # extrema essentially at a or b belong to the endpoints
+                        if not (roots and r - roots[-1] <= EXTREMUM_DEDUPE
+                                or r - a <= EXTREMUM_DEDUPE or b - r <= EXTREMUM_DEDUPE):
+                            roots.append(r)
                     last_x, last_sign = x, s
         if sign:
             # The range's first cell starts at the last point scanned, of
@@ -419,7 +422,6 @@ def _walk(spec, extrema, pieces):
         if cont and pieces and pieces[-1][2]:
             lo = pieces.pop()[0]  # join the continuous piece before
         pieces.append((lo, hi, cont))
-        first = c1 + 1
     return roots
 
 
@@ -449,16 +451,16 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
 
     A bisection step whose outcome a lower bound on the arclength already
     decides moves the right bracket without running the quadrature, so the
-    cost per landmark does not grow with segment length.  The bound is the
-    width times the least integrand g = sqrt(1 + f'^2): 1 anywhere, or
-    sqrt(1 + m^2) where the enclosure of f' proves |f'| >= m: once per
-    landmark, on [xl, mid] of the first step the width leaves undecided,
-    for the later steps inside it.  adaptive_simpson forms g inline from
-    f', so the bound holds for every sample it takes.  Only steps that
-    would have gone right are skipped, so every bracket, accumulated
-    arclength and landmark is the same float as with a quadrature per
-    step.  A skipped step's quadrature is never run, so it cannot raise
-    QuadratureError.
+    cost per landmark does not grow with segment length.  Each step tests
+    one bound: the width times the least integrand g = sqrt(1 + f'^2), 1
+    anywhere, or sqrt(1 + m^2) where the enclosure of f' proves |f'| >= m:
+    once per landmark, on [xl, mid] of the first step the width leaves
+    undecided, for that step and the later ones inside it.  adaptive_simpson
+    forms g inline from f', so the bound holds for every sample it takes.
+    Only steps that would have gone right are skipped, so every bracket,
+    accumulated arclength and landmark is the same float as with a
+    quadrature per step.  A skipped step's quadrature is never run, so it
+    cannot raise QuadratureError.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
@@ -466,8 +468,9 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: all that crosses rows
     for i in range(1, seg.row_count):
         target = i * seg.arclength_rows / seg.row_count
-        xr = seg.hi
-        box_hi = None  # right end of this landmark's box of f', once enclosed
+        # the right end of this landmark's box of f' and the least g it
+        # proves; least_g is None until f' is enclosed
+        xr, box_hi, least_g = seg.hi, -math.inf, None
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
@@ -478,19 +481,15 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
             # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
             # The box starts at an earlier xl of this landmark, and xl never
             # decreases, so it holds [xl, mid] when mid <= box_hi.
-            bound = (mid - xl) * (1.0 - 1e-12)
-            if al + factor * bound >= target:
+            g = least_g if mid <= box_hi else 1.0
+            if al + factor * ((mid - xl) * g * (1.0 - 1e-12)) >= target:
                 xr = mid
                 continue
-            if box_hi is None:
+            if least_g is None:
                 box = fp_box(xl, mid)
                 m = 0.0 if box is None else max(box[0], -box[1], 0.0)
                 box_hi, least_g = mid, sqrt(1.0 + m * m)
-            if mid <= box_hi:
-                bound = (mid - xl) * least_g * (1.0 - 1e-12)
-                if al + factor * bound >= target:
-                    xr = mid
-                    continue
+                continue  # the same step again, with the box's bound
             amid = al + factor * adaptive_simpson(fp, xl, mid)
             if amid < target:
                 xl, al = mid, amid

@@ -573,11 +573,11 @@ def reference_landmarks(spec, seg):
 
 
 # --- grid walk oracles --------------------------------------------------------
-# Every grid point evaluated, in scan order: an even point gets the checks of
-# f and then of f', an odd point (extrema only) those of f', and a sign
-# change of f' is bisected where it is found.  validate and find_extrema skip
-# the ranges that enclosures decide, and must raise the same error or return
-# the same floats.
+# Every point of the grid a + i*step, i < EXTREMUM_GRID, and b evaluated, in
+# scan order: an even point gets the checks of f and then of f', an odd point
+# (extrema only) those of f', and a sign change of f' is bisected where it is
+# found.  validate and find_extrema skip the ranges that enclosures decide,
+# and must raise the same error or return the same floats.
 
 def reference_walk(spec, extrema):
     """The bisected sign changes of f' (with extrema) of a walk of every grid point."""
@@ -597,7 +597,7 @@ def reference_walk(spec, extrema):
     roots = []
     last_x, last_sign = None, 0
     for i in range(0, n + 1, 1 if extrema else 2):
-        x = a + i * step
+        x = a + i * step if i < n else spec.b
         if i % 2 == 0:
             try:
                 y = f(x)

@@ -12,10 +12,12 @@ transition.
     PYTHONPATH=src python tests/corpus.py --against REV      # compare with commit REV
 
 `--record` needs the bug fix that justifies it; the reason and the change
-counts are appended to the file's header.  `--against` checks REV out with
-`git worktree add --detach` in a temporary directory, runs the same specs
-against its src/ in a subprocess, and removes the worktree again; it never
-re-records.  Each mode lists every changed spec with its old -> new exit
+counts are appended to the file's header.  Every spec must end in exit 0 (a
+pattern) or 2 (a one-line diagnostic): any other exit code fails every mode
+and is never recorded, and each such spec is listed.  `--against` checks REV
+out with `git worktree add --detach` in a temporary directory, runs the
+same specs against its src/ in a subprocess, and removes the worktree
+again; it never re-records.  Each mode lists every changed spec with its old -> new exit
 code and the first line of each stderr, and names the slowest spec: its
 id, class, exit code and seconds in this process, the number a bound on
 the time of every spec is checked against; then the seconds of each class
@@ -149,8 +151,8 @@ def argv_digest(argv):
 def run_spec(argv):
     """(exit code, SHA-256 of stdout, stderr) of one in-process CLI run.
 
-    An exception that escapes cli.run is recorded as exit 1 with its class
-    and message, as the traceback's last line would show it.
+    An exception that escapes cli.run is exit 1 with its class and message
+    as stderr, as the traceback's last line would show it.
     """
     from revcrochet.cli import run
 
@@ -247,12 +249,15 @@ def main(argv=None):
                       help="compare with the results of commit REV, not the recording")
     args = p.parse_args(argv)
     todo = specs()
-    got, slowest, class_seconds = {}, (-1.0,), Counter()
+    got, slowest, class_seconds, other = {}, (-1.0,), Counter(), []
     for sid, cls, a in todo:
         start = time.perf_counter()
         result = run_spec(a)
         seconds = time.perf_counter() - start
         got[sid] = result_line(sid, cls, a, result)
+        if result[0] not in (0, 2):
+            first = result[2].split("\n", 1)[0]
+            other.append(f"  {sid}: exit {result[0]}, stderr {first!r}")
         slowest = max(slowest, (seconds, sid, cls, result[0]))
         class_seconds[cls] += seconds
     if args.against:
@@ -271,6 +276,10 @@ def main(argv=None):
         print(f"  exit {key}: {n}")
     for sid in changed:
         print(moved_line(sid, expected.get(sid), got[sid]))
+    if other:
+        print(f"{len(other)} specs exit with neither 0 nor 2, so nothing is recorded:")
+        print("\n".join(other))
+        return 1
     if args.record:
         header = header or ["# id\tclass\targv digest\texit\tstdout sha256\tstderr"]
         classes = ", ".join(f"{k} {n}" for k, n in sorted(per_class.items()))

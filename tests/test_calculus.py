@@ -279,13 +279,13 @@ class TestCertifiedScans:
                     continue
                 n = calculus.EXTREMUM_GRID
                 step = (spec.b - spec.a) / n
-                # a + n*step, the last grid point, can be an ulp off b
-                assert pieces[0][0] == spec.a and pieces[-1][1] == spec.a + n * step
+                assert pieces[0][0] == spec.a and pieces[-1][1] == spec.b
                 for (_, hi, cont), (lo, _, next_cont) in zip(pieces, pieces[1:]):
                     assert hi == lo and not (cont and next_cont)
                 for lo, hi, cont in pieces:
                     cell = round((lo - spec.a) / step)
-                    assert cont or (lo, hi) == (spec.a + cell * step, spec.a + (cell + 1) * step)
+                    end = spec.a + (cell + 1) * step if cell + 1 < n else spec.b
+                    assert cont or (lo, hi) == (spec.a + cell * step, end)
                     assert cont or spec.curve.f_box(lo, hi) is None
 
     def test_running_example_extrema_skip_most_points(self, running_spec):
@@ -483,6 +483,18 @@ class TestFindExtrema:
         assert len(got) == 2
         assert got[0] == pytest.approx(math.pi / 2, abs=1e-6)
         assert got[1] == pytest.approx(3 * math.pi / 2, abs=1e-6)
+
+
+    @pytest.mark.parametrize("text, expected", [
+        # two sign changes 2e-7 apart, within EXTREMUM_DEDUPE: the second goes
+        ("2 + (x - 0.5)^3/3 - 0.00000000000001*x", [0.49999989988282323]),
+        # one sign change within EXTREMUM_DEDUPE of a, and one of b
+        ("1 + (x - 0.0000001)^2", []),
+        ("1 + (x - 0.9999999)^2", []),
+    ])
+    def test_extrema_within_the_dedupe_distance_merge(self, text, expected):
+        spec = make_spec(text, 0.0, 1.0)
+        assert find_extrema(spec) == reference_extrema(spec) == expected
 
 
 class TestSolveLandmarks:

@@ -408,6 +408,22 @@ class TestRun:
         else:
             assert out.err == "" and out.out.endswith("Tie off\n")
 
+    def test_a_root_at_b_closes_the_shape(self, capsys):
+        # the last grid point is b itself; a + 4096*((b - a)/4096) is an ulp
+        # past b here, where f is -1e-16
+        code = run(["--function", "1.6966*(x - -1.231)*(0.058 - x)", "--a=-1.231",
+                    "--b=0.058", "--stitch-gauge", "22", "--row-gauge", "19", "--scale=1.364"])
+        out = capsys.readouterr()
+        assert (code, out.err) == (0, "")
+        assert out.out.endswith(f"\n{emit.CLOSING_LINE}\n")
+
+    def test_f_prime_undefined_at_b_is_named(self, capsys):
+        # f' divides by sqrt(0.863 - x), which is 0 at b
+        code = run(["--function", "1 + sqrt(0.863 - x)*(0.863 - x)", "--a=-0.761",
+                    "--b=0.863", "--stitch-gauge", "20", "--row-gauge", "20", "--scale", "1"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", "revcrochet: f' is undefined at x=0.863\n")
+
     def test_running_example_at_scale_30_is_within_the_caps(self, capsys):
         args = RUNNING_ARGS[:-1] + ["30"]
         assert run(args) == 0
@@ -635,6 +651,19 @@ class TestOneUlpBrackets:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.endswith("Tie off\n")
+
+    # Past |x| = 1.8e306, x * 100 overflows; round_landmark keeps such an x.
+    @pytest.mark.parametrize("function, code, out, err", [
+        ("1", 2, "", "revcrochet: every row would have 0 stitches; "
+                     "raise the scale or the stitch gauge\n"),
+        ("1" + "0" * 306, 0, "Tie off\n", ""),
+    ])
+    def test_landmarks_at_huge_x(self, capsys, function, code, out, err):
+        got = run(["--function", function, "--a=1e307", "--b=1.5e307",
+                   "--stitch-gauge", "20", "--row-gauge", "20", "--scale=1.6e-307"])
+        printed = capsys.readouterr()
+        assert (got, printed.err) == (code, err)
+        assert printed.out.endswith(out) if out else printed.out == ""
 
 
 # Run with -S, which keeps the modules that site imports out of the picture.
