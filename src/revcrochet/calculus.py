@@ -28,6 +28,19 @@ QUAD_MAX_DEPTH = 50
 # operations 169.  Unbounded, a pole at a segment end ran for minutes, and so
 # did an arclength of 7e12 rows before the chord bound refused it up front.
 QUAD_MAX_SPLITS = 2**20
+# Most split nodes that the recorded quadrature trees of one plan keep (see
+# adaptive_simpson); past it, nodes are not kept.  A split node and its
+# floats hold about 170 bytes, so the trees stay under 6 MB: the corpus spec
+# sqrt-abs-58 fills them, and cli.run on it peaks at 5.3 MB traced.  With
+# neither this cap nor TREE_REACH_ROWS, the trees held 33 MB on sqrt-abs-14
+# (202,532 splits).
+TREE_SPLITS = 2**15
+# Rows of arclength from a segment's start within which its recorded tree
+# keeps split nodes.  A segment of L rows gets round(L) rows, and has a first
+# landmark only if that is 2 or more; its share L / round(L) is then at most
+# 1.25 rows, and the first landmark's bisection reads no node that starts
+# past it.
+TREE_REACH_ROWS = 1.5
 LANDMARK_XTOL = 1e-4      # bisection bracket width; finer than the 0.01 reporting step
 EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
@@ -188,7 +201,13 @@ class LandmarkPlan(Record):
         return tuple.__new__(cls, (segments, landmarks, total_rows, heights, prioritize_extrema))
 
 
-def adaptive_simpson(fp: Callable[[float], float], lo: float, hi: float) -> float:
+def adaptive_simpson(
+    fp: Callable[[float], float],
+    lo: float,
+    hi: float,
+    trees: list | None = None,
+    reach: float = math.inf,
+) -> float:
     """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute QUAD_TOL.
 
     The integrand is the arclength's, taken straight from fp: each sample
@@ -214,6 +233,23 @@ def adaptive_simpson(fp: Callable[[float], float], lo: float, hi: float) -> floa
     five samples, with the positive weights (7, 32, 12, 32, 7)/90; so the
     result is at least the width times the least sample, up to rounding
     (see solve_landmarks).
+
+    A given list trees receives the tree of this quadrature, for
+    solve_landmarks to read, as (fa, fm, fb, node, kept): the samples at
+    lo, at the midpoint and at hi, the root's node, and the number of
+    split nodes the trees in the list keep so far.  A node that passed its
+    error test is its float value.  A split node is (flm, frm, left,
+    right, least): the samples at its quarter points, its halves' nodes,
+    and the least value that a quadrature of its interval to a looser
+    tolerance can return, min(its own Boole value, least(left) +
+    least(right)), float addition being monotone.  Some nodes are not
+    kept, and are None: a split node that starts farther than reach from
+    lo (by the values of the nodes left of it), every split node past
+    TREE_SPLITS kept in the list, and a node accepted at the depth limit.
+    The least value of the first two is the width times 1 - 1e-12, as
+    every sample is at least 1 (see solve_landmarks); that of the last is
+    -inf, as a looser quadrature could sample it further, where the
+    recording took no sample.
     """
     if hi == lo:
         return 0.0
@@ -229,15 +265,28 @@ def adaptive_simpson(fp: Callable[[float], float], lo: float, hi: float) -> floa
         x = hi
         d = fp(x)
         fb = sqrt(1.0 + d * d)
-        x = lmid
-        d = fp(x)
-        flm = sqrt(1.0 + d * d)
-        x = rmid
-        d = fp(x)
-        frm = sqrt(1.0 + d * d)
+        if trees is None:
+            x = lmid
+            d = fp(x)
+            flm = sqrt(1.0 + d * d)
+            x = rmid
+            d = fp(x)
+            frm = sqrt(1.0 + d * d)
     except EvalDomainError as exc:
         raise EvalDomainError(f"f' undefined at x={x!r}") from exc
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    if trees is not None:
+        # The first level is _recorded_step's with no split made yet, which
+        # takes the samples at lmid and rmid next, as above.  The allowance
+        # list also holds the split nodes the trees may still keep, and how
+        # far from lo they may start.
+        kept = trees[-1][4] if trees else 0
+        allowance = [QUAD_TOL, 0, TREE_SPLITS - kept, reach]
+        value, node, _ = _recorded_step(
+            fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, allowance, 0.0
+        )
+        trees.append((fa, fm, fb, node, TREE_SPLITS - allowance[2]))
+        return value
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
@@ -280,6 +329,81 @@ def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
     ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
 
 
+def _recorded_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, start):
+    """_simpson_step, returning its value, its node and the node's least
+    value (see adaptive_simpson); start is the sum of the values left of lo."""
+    mid = 0.5 * (lo + hi)
+    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    x = lmid
+    try:
+        d = fp(x)
+        flm = sqrt(1.0 + d * d)
+        x = rmid
+        d = fp(x)
+        frm = sqrt(1.0 + d * d)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        value = left + right + delta / 15.0
+        return value, value, value
+    if depth <= 0 or allowance[1] >= QUAD_MAX_SPLITS:
+        value = _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, allowance)
+        return value, None, -math.inf
+    allowance[1] += 1
+    half = 0.5 * tol
+    if start > allowance[3] or allowance[2] <= 0:
+        value = _simpson_step(
+            fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
+        ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
+        return value, None, (hi - lo) * (1.0 - 1e-12)
+    allowance[2] -= 1
+    lvalue, lnode, least = _recorded_step(
+        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance, start
+    )
+    rvalue, rnode, rleast = _recorded_step(
+        fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance, start + lvalue
+    )
+    least += rleast
+    own = left + right + delta / 15.0
+    if own < least:
+        least = own
+    return lvalue + rvalue, (flm, frm, lnode, rnode, least), least
+
+
+def _replay(node, lo, hi, fa, fm, fb):
+    """adaptive_simpson(fp, lo, hi) for a recorded node of [lo, hi], from
+    the samples the tree holds; nan where it needs a node not kept.
+
+    fa, fm and fb are the samples at lo, the midpoint and hi.  The call's
+    tolerance is looser than the node's in the recording, so it splits only
+    where the recording split: never at the depth limit, as it starts with
+    more depth, nor at the split bound, as it splits fewer.  Where the tree
+    holds every node it reaches, it returns the same float with no call of
+    fp, and cannot raise.
+    """
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    return _replayed_step(node, lo, hi, fa, fm, fb, whole, QUAD_TOL)
+
+
+def _replayed_step(node, lo, hi, fa, fm, fb, whole, tol):
+    if node.__class__ is not tuple:
+        return math.nan if node is None else node  # a leaf passed a tighter test
+    flm, frm, lnode, rnode, _ = node
+    mid = 0.5 * (lo + hi)
+    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _replayed_step(lnode, lo, mid, fa, flm, fm, left, half) + _replayed_step(
+        rnode, mid, hi, fm, frm, fb, right, half
+    )
+
+
 def _at_limit(lo, hi, estimate, delta, depth, allowance):
     """A subinterval at the depth limit or the split bound: estimate, where
     the depth limit's allowance still covers its error; else QuadratureError."""
@@ -296,11 +420,18 @@ def _at_limit(lo, hi, estimate, delta, depth, allowance):
     )
 
 
-def arclength_rows(spec: PatternSpec, lo: float, hi: float) -> float:
-    """Arclength of f over [lo, hi] converted to row units."""
+def arclength_rows(spec: PatternSpec, lo: float, hi: float, trees: list | None = None) -> float:
+    """Arclength of f over [lo, hi] converted to row units.
+
+    A given list trees receives the quadrature's tree (see
+    adaptive_simpson), with the nodes that start within TREE_REACH_ROWS
+    of lo: all that the bisection of a first landmark from lo reads.
+    """
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
-    return spec.rows_per_unit * adaptive_simpson(spec.curve.fp, lo, hi)
+    factor = spec.rows_per_unit
+    reach = TREE_REACH_ROWS / factor if factor > 0 else math.inf
+    return factor * adaptive_simpson(spec.curve.fp, lo, hi, trees, reach)
 
 
 def find_extrema(spec: PatternSpec, pieces: list | None = None) -> list[float]:
@@ -440,7 +571,7 @@ def _bisect_sign_change(deriv, lo, hi, lo_sign):
     return 0.5 * (lo + hi)
 
 
-def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
+def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) -> list[float]:
     """Landmarks x_0 .. x_rowcount for one segment.
 
     Interior landmark i satisfies rows(seg.lo, x_i) = i * L / row_count,
@@ -461,6 +592,14 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
     accumulated arclength and landmark is the same float as with a
     quadrature per step.  A skipped step's quadrature is never run, so it
     cannot raise QuadratureError.
+
+    tree is the segment's quadrature tree, as adaptive_simpson records it
+    in build_plan.  The first landmark's bracket starts at [seg.lo,
+    seg.hi], the tree's root, and is halved as the quadrature halved it,
+    so while it stands on a node with children its steps read the tree
+    (see _bisect_on_tree).  After an extremum, where f' = 0 at seg.lo and
+    the box of f' proves nothing, these steps cost most of the segment's
+    samples.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
@@ -471,6 +610,9 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         # the right end of this landmark's box of f' and the least g it
         # proves; least_g is None until f' is enclosed
         xr, box_hi, least_g = seg.hi, -math.inf, None
+        if tree is not None:
+            xl, al, xr = _bisect_on_tree(factor, target, seg, tree)
+            tree = None
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
@@ -499,6 +641,39 @@ def solve_landmarks(spec: PatternSpec, seg: Segment) -> list[float]:
         xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
+
+
+def _bisect_on_tree(factor, target, seg, tree):
+    """The first landmark's bisection steps while its bracket is a split node of tree.
+
+    Each step's quadrature, of [xl, mid], would be one of the node's left
+    half to a looser tolerance than the segment's.  The half's least value
+    (for a half not kept, solve_landmarks's width bound) decides the step
+    where it reaches the target, and _replay gives the quadrature's float
+    otherwise.  A step that needs a node the tree lacks ends these steps.
+    Returns (xl, al, xr) as solve_landmarks would reach them, for its own
+    steps to go on from.
+    """
+    fa, fm, fb, node, _ = tree
+    xl, al, xr = seg.lo, 0.0, seg.hi
+    while node.__class__ is tuple and xr - xl > LANDMARK_XTOL:
+        mid = 0.5 * (xl + xr)
+        if not xl < mid < xr:
+            break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
+        flm, frm, lnode, rnode, _ = node
+        if lnode.__class__ is tuple:
+            least = lnode[4]
+        else:
+            least = (mid - xl) * (1.0 - 1e-12) if lnode is None else lnode
+        if al + factor * least < target:
+            amid = al + factor * _replay(lnode, xl, mid, fa, flm, fm)
+            if amid != amid:
+                break  # nan: the quadrature needs a node the tree lacks
+            if amid < target:
+                xl, al, node, fa, fm = mid, amid, rnode, fm, frm
+                continue
+        xr, node, fm, fb = mid, lnode, flm, fm
+    return xl, al, xr
 
 
 def _chord_rows(spec: PatternSpec, pieces, cuts) -> float:
@@ -556,7 +731,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     )
     if _chord_rows(spec, pieces, cuts) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
         raise too_many
-    lengths = [arclength_rows(spec, lo, hi) for lo, hi in spans]
+    trees = []
+    lengths = [arclength_rows(spec, lo, hi, trees) for lo, hi in spans]
     # inf and nan, which round_half_away cannot take, are not <= MAX_ROWS
     counts = [max(1, round_half_away(length)) for length in lengths if length <= MAX_ROWS]
     total = sum(counts)
@@ -568,8 +744,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     )
 
     landmarks: list[float] = []
-    for seg in segments:
-        pts = solve_landmarks(spec, seg)
+    for seg, tree in zip(segments, trees, strict=True):
+        pts = solve_landmarks(spec, seg, tree)
         landmarks.extend(pts if not landmarks else pts[1:])
 
     f = spec.curve.f

@@ -20,8 +20,8 @@ same specs against its src/ in a subprocess, and removes the worktree
 again; it never re-records.  Each mode lists every changed spec with its old -> new exit
 code and the first line of each stderr, and names the slowest spec: its
 id, class, exit code and seconds in this process, the number a bound on
-the time of every spec is checked against; then the seconds of each class
-in this process.
+the time of every spec is checked against, and the peak resident memory of
+this process; then the seconds of each class in this process.
 tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
 of every class).
 """
@@ -35,6 +35,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -268,7 +269,9 @@ def main(argv=None):
     changed, per_class, transitions = compare(expected, got)
     print(f"{len(got)} specs, {len(changed)} differ from {source}")
     seconds, sid, cls, code = slowest
-    print(f"slowest: {sid} ({cls}), exit {code}, {seconds:.2f} s in-process")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"slowest: {sid} ({cls}), exit {code}, {seconds:.2f} s in-process;"
+          f" peak RSS of this process {peak_mb:.1f} MB")
     print("seconds per class:", ", ".join(f"{k} {v:.2f}" for k, v in class_seconds.items()))
     for key, n in sorted(per_class.items()):
         print(f"  class {key}: {n}")

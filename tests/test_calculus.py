@@ -407,10 +407,13 @@ class TestQuadratureOracle:
         got = outcome(adaptive_simpson, fp, lo, hi)
         tol, depth = calculus.QUAD_TOL, calculus.QUAD_MAX_DEPTH
         expected = outcome(reference_simpson, arc_integrand(fp), lo, hi, tol, depth)
+        # recording the tree changes neither the float nor the error
+        recorded = outcome(adaptive_simpson, fp, lo, hi, [])
         if isinstance(expected, float):
             assert isinstance(got, float) and same_float(got, expected)
+            assert isinstance(recorded, float) and same_float(recorded, expected)
         else:
-            assert got == expected
+            assert got == recorded == expected
         return got
 
     def test_seeded_intervals(self):
@@ -465,6 +468,176 @@ class TestQuadratureOracle:
         assert self.assert_same(fp, 0.0, 1.0) == (EvalDomainError, "f' undefined at x=0.0")
         assert self.assert_same(fp, 0.25, 1.0)[0] is EvalDomainError
         assert isinstance(self.assert_same(fp, 0.3, 1.0), float)
+
+
+def tree_nodes(tree, lo, hi):
+    """(node, lo, hi, fa, fm, fb) for every node of a recorded tree of [lo, hi], root first."""
+    fa, fm, fb, root, _ = tree
+    stack = [(root, lo, hi, fa, fm, fb)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, lo, hi, fa, fm, fb = item
+        if node.__class__ is tuple:
+            flm, frm, left, right, _ = node
+            mid = 0.5 * (lo + hi)
+            stack += [(right, mid, hi, fm, frm, fb), (left, lo, mid, fa, flm, fm)]
+
+
+def holds_all(node):
+    """No node of node's tree is missing (None)."""
+    if node.__class__ is tuple:
+        return holds_all(node[2]) and holds_all(node[3])
+    return node is not None
+
+
+def assert_trees_replay(fp, spans, trees):
+    """Every kept node replays to adaptive_simpson's float, or to nan.
+
+    nan comes only from a node with a missing node below it.  The node's
+    least value is at most that float, and -inf where adaptive_simpson
+    raises.  Returns the nodes replayed to a float and the missing nodes.
+    """
+    replayed = missing = kept = 0
+    for (lo, hi), tree in zip(spans, trees, strict=True):
+        for node, u, v, fa, fm, fb in tree_nodes(tree, lo, hi):
+            if node is None:
+                missing += 1
+                continue
+            kept += node.__class__ is tuple
+            least = node if node.__class__ is float else node[4]
+            expected = outcome(adaptive_simpson, fp, u, v)
+            got = calculus._replay(node, u, v, fa, fm, fb)
+            if not isinstance(expected, float):
+                assert least == -math.inf and math.isnan(got)
+                continue
+            assert least <= expected
+            if math.isnan(got):
+                assert not holds_all(node)
+            else:
+                assert same_float(got, expected)
+                replayed += 1
+        assert tree[4] == kept <= calculus.TREE_SPLITS
+    return replayed, missing
+
+
+def record_trees(spec, prioritize_extrema=True):
+    """The plan, its segment spans, and the trees build_plan records for them."""
+    plan = build_plan(spec, prioritize_extrema)
+    spans = [(seg.lo, seg.hi) for seg in plan.segments]
+    trees = []
+    for lo, hi in spans:
+        arclength_rows(spec, lo, hi, trees)
+    return plan, spans, trees
+
+
+def concatenated_reference(spec, plan):
+    landmarks = []
+    for seg in plan.segments:
+        pts = reference_landmarks(spec, seg)
+        landmarks.extend(pts if not landmarks else pts[1:])
+    return tuple(landmarks)
+
+
+class TestQuadratureTree:
+    """The segment quadrature's tree, which the first landmark's bisection reads."""
+
+    def test_seeded_specs_replay(self):
+        rng = random.Random(24)
+        for _ in range(12):
+            spec = random_valid_spec(rng)
+            _, spans, trees = record_trees(spec, rng.random() < 0.5)
+            replayed, _ = assert_trees_replay(spec.curve.fp, spans, trees)
+            assert replayed
+
+    @pytest.mark.parametrize("text, a, b, scale", [
+        ("2 + sin(20*x)", 0.0, 10.0, 0.3),  # the ripple anchor
+        (DEEP_TEXT, -4.0, 4.0, 0.5),        # the deep anchor
+    ])
+    def test_anchors_replay(self, text, a, b, scale):
+        spec = make_spec(text, a, b, scale=scale)
+        _, spans, trees = record_trees(spec)
+        replayed, _ = assert_trees_replay(spec.curve.fp, spans, trees)
+        assert replayed >= 500
+
+    def test_depth_limit_nodes_are_missing(self):
+        # f' ~ |x - 0.3|^0.05 changes too fast next to the cusp for the
+        # halved tolerance: the one segment starts there, and its
+        # quadrature hits the depth limit within the nodes it keeps
+        spec = make_spec("2 + abs(x - 0.3)^1.05", 0.3, 1.0, scale=2.0)
+        plan, spans, trees = record_trees(spec)
+        replayed, missing = assert_trees_replay(spec.curve.fp, spans, trees)
+        assert replayed and missing
+        # only a node at the depth limit bounds nothing
+        assert any(node.__class__ is tuple and node[4] == -math.inf
+                   for (lo, hi), tree in zip(spans, trees) for node, *_ in tree_nodes(tree, lo, hi))
+        assert plan.landmarks == concatenated_reference(spec, plan)
+
+    def test_a_plan_past_the_node_cap(self, monkeypatch):
+        monkeypatch.setattr(calculus, "TREE_SPLITS", 60)
+        spec = make_spec("2 + sin(20*x)", 0.0, 10.0, scale=0.3)
+        plan, spans, trees = record_trees(spec)
+        replayed, missing = assert_trees_replay(spec.curve.fp, spans, trees)
+        assert trees[-1][4] == 60 and trees[-1][3] is None and replayed and missing
+        assert plan.landmarks == concatenated_reference(spec, plan)
+
+    def test_a_long_segment_keeps_the_nodes_near_its_start(self):
+        # 808 rows: the first landmark's bisection reads only nodes that
+        # start within 1.25 rows of a
+        spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
+        plan, spans, trees = record_trees(spec, False)
+        everything = []
+        adaptive_simpson(spec.curve.fp, -3.0, 1.0, everything)
+        assert trees[0][4] <= 10 and everything[0][4] >= 100
+        assert_trees_replay(spec.curve.fp, spans, trees)
+        assert plan.landmarks == concatenated_reference(spec, plan)
+
+    def test_split_bound(self, monkeypatch):
+        # the quadrature splits just as often as the bound allows
+        calls = []
+
+        def fp(x):
+            calls.append(x)
+            return math.cos(7.0 * x)
+
+        adaptive_simpson(fp, 0.0, 3.0)
+        needed = (len(calls) - 5) // 4  # see test_splits_past_the_bound_raise
+        monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", needed)
+        trees = []
+        adaptive_simpson(fp, 0.0, 3.0, trees)
+        replayed, missing = assert_trees_replay(fp, [(0.0, 3.0)], trees)
+        assert replayed > needed and missing == 0
+
+    def test_depth_limit(self, monkeypatch):
+        # at QUAD_MAX_DEPTH = 6 the unit step at 0.3 leaves one interval at
+        # the depth limit (see test_depth_limit_intervals_share_one_allowance)
+        monkeypatch.setattr(calculus, "QUAD_TOL", 1e-4)
+        monkeypatch.setattr(calculus, "QUAD_MAX_DEPTH", 6)
+        fp, trees = integrand_steps(0.3), []
+        adaptive_simpson(fp, 0.0, 1.0, trees)
+        replayed, missing = assert_trees_replay(fp, [(0.0, 1.0)], trees)
+        assert replayed and missing == 1
+
+    def test_segment_quadratures_go_through_the_module_attribute(self, monkeypatch):
+        # perfbench/probe.py counts and times them there, and tests patch it
+        spec = make_spec("2 + sin(20*x)", 0.0, 10.0, scale=0.3)
+        quadrature, solve = calculus.adaptive_simpson, calculus.solve_landmarks
+        spans, before_landmarks = [], []
+
+        def counted(fp, lo, hi, *rest):
+            spans.append((lo, hi))
+            return quadrature(fp, lo, hi, *rest)
+
+        def landmarks(*args):
+            before_landmarks.append(len(spans))
+            return solve(*args)
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", counted)
+        monkeypatch.setattr(calculus, "solve_landmarks", landmarks)
+        plan = build_plan(spec)
+        n = len(plan.segments)
+        assert before_landmarks[0] == n > 1
+        assert spans[:n] == [(seg.lo, seg.hi) for seg in plan.segments]
 
 
 class TestFindExtrema:
@@ -523,9 +696,11 @@ class TestSolveLandmarks:
 
     @staticmethod
     def assert_matches_reference(spec, prioritize_extrema):
+        # build_plan's first landmark of each segment reads the segment's tree
         plan = build_plan(spec, prioritize_extrema)
         for seg in plan.segments:
             assert solve_landmarks(spec, seg) == reference_landmarks(spec, seg)
+        assert plan.landmarks == concatenated_reference(spec, plan)
 
     def test_random_specs_match_reference_exactly(self):
         rng = random.Random(2024)
@@ -606,6 +781,36 @@ class TestSolveLandmarks:
         assert calls / landmarks <= 22
         assert quadratures / landmarks <= 4.5
         assert boxes <= landmarks
+
+    @pytest.mark.parametrize("text, a, b, scale, per_row", [
+        # 81.5 per row with no tree, 25.8 with it: after each extremum
+        # f' = 0 at the segment start, so no box decides the first landmark
+        ("2 + sin(20*x)", 0.0, 10.0, 0.3, 30),
+        # 17.25 per row with no tree, 17.24 with it
+        (RUNNING_TEXT, -3.0, 1.0, 9.0, 17.25),
+    ])
+    def test_f_prime_calls_of_the_landmark_search(self, monkeypatch, text, a, b, scale, per_row):
+        spec = make_spec(text, a, b, scale=scale)
+        fp, solve = spec.curve.fp, calculus.solve_landmarks
+        calls, inside = 0, False
+
+        def counted(x):
+            nonlocal calls
+            calls += inside
+            return fp(x)
+
+        def landmarks(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return solve(*args)
+            finally:
+                inside = False
+
+        spec.curve = spec.curve._replace(fp=counted)
+        monkeypatch.setattr(calculus, "solve_landmarks", landmarks)
+        plan = build_plan(spec)
+        assert calls / plan.total_rows <= per_row
 
 
 class TestBuildPlan:
