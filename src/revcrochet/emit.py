@@ -17,7 +17,10 @@ from which the text can be rebuilt, and the SVG export plots the curve
 with one marker per row landmark.
 
 PatternRow and PatternDoc are immutable records; a row's JSON object
-lists its fields in their declared order.  json is imported by
+lists its fields in their declared order.  render_json is a writer for
+this one schema, byte-identical to json.dumps(indent=2): it takes
+documents as render_pattern builds them, whose values are ints, finite
+floats, bools, None, str and tuples of those.  json is imported by
 render_json, the one function that uses it, so importing this module
 stays cheap.
 """
@@ -113,45 +116,31 @@ def render_pattern(spec: PatternSpec, plan: LandmarkPlan, rows: list[RowShaping]
     its row is gone.  Steep rows produce a note at the top naming the row.
     prioritize_extrema is the plan's, so the document says how it was built.
     """
-    closed_start = rows[0].x != spec.a
+    index, x, prev, _, n_ops, q, r, k, positions, _ = rows[0]
+    closed_start = x != spec.a
     closed_end = rows[-1].x != spec.b
     stuffed = closed_start and closed_end
 
+    if closed_start:
+        body = f"Create a magic ring with {_stitches(prev)}."
+    else:
+        body = f"Chain {prev}. join work, and Sc{prev}."
+    cast_on = PatternRow(index, x, prev, OP_CAST_ON, n_ops, q, r, k, positions, f"Row 0: {body}")
+    pattern_rows = [cast_on]
     warnings = []
-    pattern_rows = []
-    for i, sh in enumerate(rows):
-        if i == 0:
-            if closed_start:
-                body = f"Create a magic ring with {_stitches(sh.stitches)}."
-            else:
-                body = f"Chain {sh.stitches}. join work, and Sc{sh.stitches}."
-            line = f"Row 0: {body}"
-            op = OP_CAST_ON
-        else:
-            line = f"Row {sh.index}:  {render_row(sh)}"
-            op = sh.op
-            if sh.steep:
-                prev = rows[i - 1].stitches
-                warnings.append(
-                    f"Row {sh.index} goes from {prev} to {_stitches(sh.stitches)}, "
-                    "which more than doubles or more than halves the row; single "
-                    "increases or decreases cannot work that change. Add a positive "
-                    "constant to the function or adjust the scale."
-                )
-        pattern_rows.append(
-            PatternRow(
-                row=sh.index,
-                x=sh.x,
-                stitches=sh.stitches,
-                op=op,
-                n_ops=sh.n_ops,
-                q=sh.q,
-                r=sh.r,
-                k=sh.k,
-                positions=sh.positions,
-                instruction=line,
+    for sh in rows[1:]:
+        index, x, stitches, op, n_ops, q, r, k, positions, steep = sh
+        if steep:
+            warnings.append(
+                f"Row {index} goes from {prev} to {_stitches(stitches)}, "
+                "which more than doubles or more than halves the row; single "
+                "increases or decreases cannot work that change. Add a positive "
+                "constant to the function or adjust the scale."
             )
-        )
+        pattern_rows.append(PatternRow(
+            index, x, stitches, op, n_ops, q, r, k, positions, f"Row {index}:  {render_row(sh)}"
+        ))
+        prev = stitches
 
     finishing = []
     if stuffed:
@@ -177,16 +166,55 @@ def render_pattern(spec: PatternSpec, plan: LandmarkPlan, rows: list[RowShaping]
     )
 
 
+# One row object of the pattern JSON, as json.dumps(indent=2) indents it
+# inside "rows", with one %s per field of PatternRow.
+_ROW_JSON = "    {\n" + ",\n".join(f'      "{name}": %s' for name in PatternRow._fields) + "\n    }"
+
+
 def render_json(doc: PatternDoc) -> str:
-    """Serialize the document; keys follow schema_version in field order.
+    """Serialize the document, byte for byte as json.dumps(obj, indent=2) + "\n".
 
-    Tuples are written as JSON arrays, and "rows" keeps its place.
+    obj is {"schema_version": 1, **doc._asdict()} with every row as its
+    _asdict() and every tuple as a list.  doc is as render_pattern builds
+    it: ints, finite floats, bools, None, str, tuples of those, and
+    PatternRows in "rows".  Numbers are written by repr and strings by
+    json's C escaper, as json.dumps writes them; json.dumps itself runs
+    its pure-Python encoder whenever indent is set.
     """
-    obj = {"schema_version": SCHEMA_VERSION, **doc._asdict()}
-    obj["rows"] = [r._asdict() for r in doc.rows]
-    import json
+    from json.encoder import encode_basestring_ascii as quote
 
-    return json.dumps(obj, indent=2) + "\n"
+    def scalar(v):
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        return quote(v) if isinstance(v, str) else repr(v)
+
+    out = [f'{{\n  "schema_version": {SCHEMA_VERSION}']
+    for name, value in zip(PatternDoc._fields, doc):
+        if type(value) is not tuple:
+            out.append(f'  "{name}": {scalar(value)}')
+            continue
+        if name == "rows":
+            items = [
+                _ROW_JSON % (
+                    row, x, stitches, quote(op), n_ops,
+                    "null" if q is None else q,
+                    "null" if r is None else r,
+                    "null" if k is None else k,
+                    "[\n        " + ",\n        ".join(map(repr, positions)) + "\n      ]"
+                    if positions else "[]",
+                    quote(instruction),
+                )
+                for row, x, stitches, op, n_ops, q, r, k, positions, instruction in value
+            ]
+        else:
+            items = ["    " + scalar(v) for v in value]
+        array = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        out.append(f'  "{name}": {array}')
+    return ",\n".join(out) + "\n}\n"
 
 
 def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import random
 import re
@@ -481,6 +482,12 @@ def text_from_json(obj):
     lines += [row["instruction"] for row in obj["rows"]]
     lines += obj["finishing"]
     return "\n".join(lines) + "\n"
+
+
+def reference_render_json(doc):
+    """The pattern JSON as json.dumps writes it: the oracle for emit.render_json."""
+    obj = {"schema_version": 1, **doc._asdict(), "rows": [r._asdict() for r in doc.rows]}
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def same_float(u, v):

@@ -21,7 +21,8 @@ again; it never re-records.  Each mode lists every changed spec with its old -> 
 code and the first line of each stderr, and names the slowest spec: its
 id, class, exit code and seconds in this process, the number a bound on
 the time of every spec is checked against, and the peak resident memory of
-this process; then the seconds of each class in this process.
+this process; then the seconds of each class and of each output format
+(text, json, svg) in this process.
 tests/test_corpus.py runs the fast subset (the first FAST_PER_CLASS specs
 of every class).
 """
@@ -250,7 +251,7 @@ def main(argv=None):
                       help="compare with the results of commit REV, not the recording")
     args = p.parse_args(argv)
     todo = specs()
-    got, slowest, class_seconds, other = {}, (-1.0,), Counter(), []
+    got, slowest, class_seconds, format_seconds, other = {}, (-1.0,), Counter(), Counter(), []
     for sid, cls, a in todo:
         start = time.perf_counter()
         result = run_spec(a)
@@ -261,6 +262,7 @@ def main(argv=None):
             other.append(f"  {sid}: exit {result[0]}, stderr {first!r}")
         slowest = max(slowest, (seconds, sid, cls, result[0]))
         class_seconds[cls] += seconds
+        format_seconds[a[a.index("--format") + 1]] += seconds
     if args.against:
         header, expected, source = [], results_at(args.against, todo), args.against
     else:
@@ -273,6 +275,8 @@ def main(argv=None):
     print(f"slowest: {sid} ({cls}), exit {code}, {seconds:.2f} s in-process;"
           f" peak RSS of this process {peak_mb:.1f} MB")
     print("seconds per class:", ", ".join(f"{k} {v:.2f}" for k, v in class_seconds.items()))
+    print("seconds per format:",
+          ", ".join(f"{k} {format_seconds[k]:.2f}" for k in ("text", "json", "svg")))
     for key, n in sorted(per_class.items()):
         print(f"  class {key}: {n}")
     for key, n in sorted(transitions.items()):

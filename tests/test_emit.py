@@ -1,7 +1,11 @@
+import json.encoder
 import math
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcrochet import (
     PatternDoc,
@@ -20,7 +24,14 @@ from revcrochet import (
 from revcrochet.calculus import round_half_away
 from revcrochet.emit import SVG_SAMPLES
 
-from conftest import LANDMARKS_EVEN, golden, instruction_totals, text_from_json
+from conftest import (
+    LANDMARKS_EVEN,
+    golden,
+    instruction_totals,
+    random_valid_spec,
+    reference_render_json,
+    text_from_json,
+)
 
 
 def build_doc(text, a, b, stitch_gauge, row_gauge, scale, prioritize_extrema=True):
@@ -218,6 +229,88 @@ class TestRenderJson:
         assert row0["op"] == "cast-on"
         assert row0["q"] is None and row0["r"] is None and row0["k"] is None
         assert row0["positions"] == []
+
+
+# (function, a, b, stitch gauge, row gauge, scale, prioritize extrema)
+JSON_ANCHORS = {
+    "running": ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 22, 25, 0.18, True),
+    "running-even": ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 22, 25, 0.18, False),
+    "sphere": ("sin(x)", 0.0, math.pi, 22, 25, 2.0, True),  # closed at both ends: stuffed
+    "ripple": ("2 + sin(20*x)", 0.0, 10.0, 22, 25, 0.3, True),
+    "deep": ("3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2", -4.0, 4.0, 22, 25, 0.5, True),
+    "steep": ("x^2 + 0.05", 0.0, 1.0, 40, 10, 1.0, True),  # a steep row: warnings
+    "closed-start": ("sin(x) + x", 0.0, math.pi, 22, 25, 0.5, True),
+    "closed-end": ("sin(x) + pi - x", 0.0, math.pi, 22, 25, 0.5, True),
+    "int-a-b-scale": ("x^3 + 2*x^2 - 2*x + 4", -3, 1, 22, 25, 1, True),
+    # the parser takes any Unicode whitespace, which "function" echoes
+    "unicode-space": ("2\u3000+\xa0sin(x)\t", 0, 3, 20, 20, 1, False),
+}
+
+# Characters json.dumps escapes: a quote, a backslash, controls, non-ASCII
+# (NBSP, U+3000), an astral character and a lone surrogate.
+JSON_SPECIAL = ['"', "\\", "\t", "\n", "\x00", "\xa0", "\u3000", "\U0001f9f6", "\ud800"]
+JSON_STRINGS = st.lists(
+    st.one_of(st.text(), st.sampled_from(JSON_SPECIAL)), max_size=8
+).map("".join)
+
+
+class TestRenderJsonMatchesJsonDumps:
+    """render_json writes the bytes of json.dumps(indent=2), the oracle in conftest."""
+
+    @pytest.mark.parametrize("name", JSON_ANCHORS)
+    def test_anchors(self, name):
+        text, a, b, stitch_gauge, row_gauge, scale, extrema = JSON_ANCHORS[name]
+        _, _, doc = build_doc(text, a, b, stitch_gauge, row_gauge, scale, extrema)
+        assert render_json(doc) == reference_render_json(doc)
+        flags = (doc.closed_start, doc.closed_end, doc.stuffed, bool(doc.warnings))
+        expected = {
+            "sphere": (True, True, True, False),
+            "steep": (False, False, False, True),
+            "closed-start": (True, False, False, False),
+            "closed-end": (False, True, False, False),
+        }
+        assert flags == expected.get(name, (False, False, False, False))
+        if name in ("int-a-b-scale", "unicode-space"):
+            assert [type(v) for v in (doc.a, doc.b, doc.scale)] == [int, int, int]
+
+    def test_seeded_specs(self):
+        rng = random.Random(2025)
+        for _ in range(100):
+            spec = random_valid_spec(rng)
+            for extrema in (True, False):
+                plan = build_plan(spec, prioritize_extrema=extrema)
+                doc = render_pattern(spec, plan, shape_rows(spec, plan))
+                assert render_json(doc) == reference_render_json(doc), spec.source
+
+    def test_hand_built_documents_with_empty_arrays(self, running_doc):
+        bare = PatternDoc("2", 0, 1.5, 20, 20, 1, False, 0, False, False, False, (), (), (), ())
+        docs = [
+            bare,
+            running_doc._replace(landmarks=(), rows=(), warnings=(), finishing=()),
+            running_doc._replace(rows=running_doc.rows[:1], landmarks=(0,), warnings=("",)),
+        ]
+        for doc in docs:
+            assert render_json(doc) == reference_render_json(doc)
+        assert '"landmarks": [],' in render_json(bare)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(function=JSON_STRINGS, warnings=st.lists(JSON_STRINGS, max_size=3),
+           instruction=JSON_STRINGS)
+    def test_strings_are_escaped_as_json_dumps_escapes_them(
+        self, running_doc, function, warnings, instruction
+    ):
+        rows = tuple(r._replace(instruction=instruction + r.instruction) for r in running_doc.rows)
+        doc = running_doc._replace(function=function, warnings=tuple(warnings), rows=rows)
+        assert render_json(doc) == reference_render_json(doc)
+
+    def test_the_pure_python_encoder_is_never_entered(self, running_doc, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was entered")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        _, _, sphere_doc = build_doc("sin(x)", 0.0, math.pi, 22, 25, 2.0)
+        for doc in (running_doc, sphere_doc):
+            assert render_json(doc).startswith('{\n  "schema_version": 1,\n  "function": ')
 
 
 class TestFEvaluatedOnlyByBuildPlan:
