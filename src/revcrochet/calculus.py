@@ -235,13 +235,13 @@ def adaptive_simpson(
     (see solve_landmarks).
 
     A given list trees receives the tree of this quadrature, for
-    solve_landmarks to read, as (fa, fm, fb, node, kept): the samples at
-    lo, at the midpoint and at hi, the root's node, and the number of
-    split nodes the trees in the list keep so far.  A node that passed its
-    error test is its float value.  A split node is (flm, frm, left,
-    right, least): the samples at its quarter points, its halves' nodes,
-    and the least value that a quadrature of its interval to a looser
-    tolerance can return, min(its own Boole value, least(left) +
+    solve_landmarks to read, as (node, kept): the root's node, and the
+    number of split nodes the trees in the list keep so far.  A node that
+    passed its error test is its float value.  A split node is (own,
+    delta, left, right, least): its own Boole value left + right +
+    delta/15 and error term delta, as its error test read them, its
+    halves' nodes, and the least value that a quadrature of its interval
+    to a looser tolerance can return, min(own, least(left) +
     least(right)), float addition being monotone.  Some nodes are not
     kept, and are None: a split node that starts farther than reach from
     lo (by the values of the nodes left of it), every split node past
@@ -280,12 +280,12 @@ def adaptive_simpson(
         # takes the samples at lmid and rmid next, as above.  The allowance
         # list also holds the split nodes the trees may still keep, and how
         # far from lo they may start.
-        kept = trees[-1][4] if trees else 0
+        kept = trees[-1][1] if trees else 0
         allowance = [QUAD_TOL, 0, TREE_SPLITS - kept, reach]
         value, node, _ = _recorded_step(
             fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, allowance, 0.0
         )
-        trees.append((fa, fm, fb, node, TREE_SPLITS - allowance[2]))
+        trees.append((node, TREE_SPLITS - allowance[2]))
         return value
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
@@ -370,38 +370,26 @@ def _recorded_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, start):
     own = left + right + delta / 15.0
     if own < least:
         least = own
-    return lvalue + rvalue, (flm, frm, lnode, rnode, least), least
+    return lvalue + rvalue, (own, delta, lnode, rnode, least), least
 
 
-def _replay(node, lo, hi, fa, fm, fb):
-    """adaptive_simpson(fp, lo, hi) for a recorded node of [lo, hi], from
-    the samples the tree holds; nan where it needs a node not kept.
+def _replay(node, tol):
+    """adaptive_simpson of a recorded node's interval at tolerance tol, from
+    the values and error terms the tree holds; nan where it needs a node
+    not kept.
 
-    fa, fm and fb are the samples at lo, the midpoint and hi.  The call's
-    tolerance is looser than the node's in the recording, so it splits only
-    where the recording split: never at the depth limit, as it starts with
-    more depth, nor at the split bound, as it splits fewer.  Where the tree
-    holds every node it reaches, it returns the same float with no call of
-    fp, and cannot raise.
+    It makes _simpson_step's error test on the recording's floats; at a tol
+    no tighter than the node's in the recording, as QUAD_TOL is for every
+    node, it splits only where the recording split, never at the depth
+    limit or the split bound, and returns the same float with no fp call.
     """
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return _replayed_step(node, lo, hi, fa, fm, fb, whole, QUAD_TOL)
-
-
-def _replayed_step(node, lo, hi, fa, fm, fb, whole, tol):
     if node.__class__ is not tuple:
         return math.nan if node is None else node  # a leaf passed a tighter test
-    flm, frm, lnode, rnode, _ = node
-    mid = 0.5 * (lo + hi)
-    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
+    own, delta, lnode, rnode, _ = node
     if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
+        return own
     half = 0.5 * tol
-    return _replayed_step(lnode, lo, mid, fa, flm, fm, left, half) + _replayed_step(
-        rnode, mid, hi, fm, frm, fb, right, half
-    )
+    return _replay(lnode, half) + _replay(rnode, half)
 
 
 def _at_limit(lo, hi, estimate, delta, depth, allowance):
@@ -424,8 +412,9 @@ def arclength_rows(spec: PatternSpec, lo: float, hi: float, trees: list | None =
     """Arclength of f over [lo, hi] converted to row units.
 
     A given list trees receives the quadrature's tree (see
-    adaptive_simpson), with the nodes that start within TREE_REACH_ROWS
-    of lo: all that the bisection of a first landmark from lo reads.
+    adaptive_simpson), with the split nodes that start within
+    TREE_REACH_ROWS of lo: all that the tree steps of the first landmark
+    from lo read (see solve_landmarks).
     """
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
@@ -593,26 +582,45 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
     quadrature per step.  A skipped step's quadrature is never run, so it
     cannot raise QuadratureError.
 
-    tree is the segment's quadrature tree, as adaptive_simpson records it
-    in build_plan.  The first landmark's bracket starts at [seg.lo,
-    seg.hi], the tree's root, and is halved as the quadrature halved it,
-    so while it stands on a node with children its steps read the tree
-    (see _bisect_on_tree).  After an extremum, where f' = 0 at seg.lo and
-    the box of f' proves nothing, these steps cost most of the segment's
-    samples.
+    tree is the segment's quadrature tree, (node, kept) as adaptive_simpson
+    records it in build_plan.  The first landmark's bracket starts at the
+    root's interval [seg.lo, seg.hi] and is halved as the quadrature halved
+    it, so while it stands on a split node, leading steps read the tree: the
+    left half's least value (the width bound for a half not kept) decides a
+    step where it reaches the target, and otherwise _replay gives the float
+    of the step's quadrature, a looser one of that half.  A step that needs
+    a node the tree lacks leaves the rest to the plain steps.  After an
+    extremum, where f' = 0 at seg.lo and the box of f' proves nothing, the
+    plain steps would cost most of the segment's samples.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: all that crosses rows
+    node = None if tree is None else tree[0]  # the bracket's node, for the first landmark
     for i in range(1, seg.row_count):
         target = i * seg.arclength_rows / seg.row_count
         # the right end of this landmark's box of f' and the least g it
         # proves; least_g is None until f' is enclosed
         xr, box_hi, least_g = seg.hi, -math.inf, None
-        if tree is not None:
-            xl, al, xr = _bisect_on_tree(factor, target, seg, tree)
-            tree = None
+        while node.__class__ is tuple and xr - xl > LANDMARK_XTOL:
+            mid = 0.5 * (xl + xr)
+            if not xl < mid < xr:
+                break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
+            lnode = node[2]
+            if lnode.__class__ is tuple:
+                least = lnode[4]
+            else:
+                least = (mid - xl) * (1.0 - 1e-12) if lnode is None else lnode
+            if al + factor * least < target:
+                amid = al + factor * _replay(lnode, QUAD_TOL)
+                if amid != amid:
+                    break  # nan: the quadrature needs a node the tree lacks
+                if amid < target:
+                    xl, al, node = mid, amid, node[3]
+                    continue
+            xr, node = mid, lnode
+        node = None  # later landmarks take only the plain steps
         while xr - xl > LANDMARK_XTOL:
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
@@ -641,39 +649,6 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
         xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
-
-
-def _bisect_on_tree(factor, target, seg, tree):
-    """The first landmark's bisection steps while its bracket is a split node of tree.
-
-    Each step's quadrature, of [xl, mid], would be one of the node's left
-    half to a looser tolerance than the segment's.  The half's least value
-    (for a half not kept, solve_landmarks's width bound) decides the step
-    where it reaches the target, and _replay gives the quadrature's float
-    otherwise.  A step that needs a node the tree lacks ends these steps.
-    Returns (xl, al, xr) as solve_landmarks would reach them, for its own
-    steps to go on from.
-    """
-    fa, fm, fb, node, _ = tree
-    xl, al, xr = seg.lo, 0.0, seg.hi
-    while node.__class__ is tuple and xr - xl > LANDMARK_XTOL:
-        mid = 0.5 * (xl + xr)
-        if not xl < mid < xr:
-            break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-        flm, frm, lnode, rnode, _ = node
-        if lnode.__class__ is tuple:
-            least = lnode[4]
-        else:
-            least = (mid - xl) * (1.0 - 1e-12) if lnode is None else lnode
-        if al + factor * least < target:
-            amid = al + factor * _replay(lnode, xl, mid, fa, flm, fm)
-            if amid != amid:
-                break  # nan: the quadrature needs a node the tree lacks
-            if amid < target:
-                xl, al, node, fa, fm = mid, amid, rnode, fm, frm
-                continue
-        xr, node, fm, fb = mid, lnode, flm, fm
-    return xl, al, xr
 
 
 def _chord_rows(spec: PatternSpec, pieces, cuts) -> float:

@@ -20,9 +20,9 @@ PatternRow and PatternDoc are immutable records; a row's JSON object
 lists its fields in their declared order.  render_json is a writer for
 this one schema, byte-identical to json.dumps(indent=2): it takes
 documents as render_pattern builds them, whose values are ints, finite
-floats, bools, None, str and tuples of those.  json is imported by
-render_json, the one function that uses it, so importing this module
-stays cheap.
+floats, bools, None, str and tuples of those.  Its one borrowed part,
+json's C string escaper, comes from _json when render_json runs, so
+neither importing this module nor a JSON run loads the json package.
 """
 
 from __future__ import annotations
@@ -179,9 +179,13 @@ def render_json(doc: PatternDoc) -> str:
     it: ints, finite floats, bools, None, str, tuples of those, and
     PatternRows in "rows".  Numbers are written by repr and strings by
     json's C escaper, as json.dumps writes them; json.dumps itself runs
-    its pure-Python encoder whenever indent is set.
+    its pure-Python encoder whenever indent is set.  The escaper comes from
+    _json, not json, whose __init__ loads json.decoder and with it re.
     """
-    from json.encoder import encode_basestring_ascii as quote
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # no C accelerator: json's Python escaper, the same bytes
+        from json.encoder import encode_basestring_ascii as quote
 
     def scalar(v):
         if v is None:

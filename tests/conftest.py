@@ -8,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from revcrochet import (
@@ -577,6 +578,25 @@ def reference_landmarks(spec, seg):
         xs.append(round_landmark(0.5 * (xl + xr)))
     xs.append(seg.hi)
     return xs
+
+
+# --- arclength oracle -----------------------------------------------------------
+# Composite Gauss–Legendre on the compiled f' alone: it shares no rule, no
+# tolerance and no code with adaptive_simpson, so where the two agree the
+# quadrature is right, not merely equal to an implementation of itself.
+# tests/landmark_oracle.py checks every row count and landmark with it.
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(30)
+GL_PANELS = 64
+
+
+def gl_arclength(fp, lo, hi):
+    """Integral of sqrt(1 + fp(x)^2) over [lo, hi]: GL_PANELS equal panels of 30 nodes."""
+    edges = np.linspace(lo, hi, GL_PANELS + 1)
+    half = 0.5 * np.diff(edges)
+    xs = (edges[:-1] + half)[:, None] + half[:, None] * GL_NODES
+    d = np.array([fp(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+    return math.fsum(half * (np.sqrt(1.0 + d * d) @ GL_WEIGHTS))
 
 
 # --- grid walk oracles --------------------------------------------------------

@@ -36,6 +36,7 @@ from conftest import (
     SEGMENT_ROW_COUNTS,
     SEGMENT_ROW_LENGTHS,
     arc_integrand,
+    gl_arclength,
     outcome,
     random_valid_spec,
     reference_extrema,
@@ -469,19 +470,25 @@ class TestQuadratureOracle:
         assert self.assert_same(fp, 0.25, 1.0)[0] is EvalDomainError
         assert isinstance(self.assert_same(fp, 0.3, 1.0), float)
 
+    def test_gauss_legendre_agrees_on_the_running_example(self, running_spec, running_plan):
+        # tests/landmark_oracle.py checks every landmark with gl_arclength;
+        # here it meets adaptive_simpson on the three segments
+        assert [seg.row_count for seg in running_plan.segments] == SEGMENT_ROW_COUNTS
+        for seg in running_plan.segments:
+            rows = running_spec.rows_per_unit * gl_arclength(running_spec.curve.fp, seg.lo, seg.hi)
+            assert abs(rows - seg.arclength_rows) <= 1e-9
+
 
 def tree_nodes(tree, lo, hi):
-    """(node, lo, hi, fa, fm, fb) for every node of a recorded tree of [lo, hi], root first."""
-    fa, fm, fb, root, _ = tree
-    stack = [(root, lo, hi, fa, fm, fb)]
+    """(node, lo, hi) for every node of a recorded tree of [lo, hi], root first."""
+    stack = [(tree[0], lo, hi)]
     while stack:
         item = stack.pop()
         yield item
-        node, lo, hi, fa, fm, fb = item
+        node, lo, hi = item
         if node.__class__ is tuple:
-            flm, frm, left, right, _ = node
             mid = 0.5 * (lo + hi)
-            stack += [(right, mid, hi, fm, frm, fb), (left, lo, mid, fa, flm, fm)]
+            stack += [(node[3], mid, hi), (node[2], lo, mid)]
 
 
 def holds_all(node):
@@ -500,14 +507,14 @@ def assert_trees_replay(fp, spans, trees):
     """
     replayed = missing = kept = 0
     for (lo, hi), tree in zip(spans, trees, strict=True):
-        for node, u, v, fa, fm, fb in tree_nodes(tree, lo, hi):
+        for node, u, v in tree_nodes(tree, lo, hi):
             if node is None:
                 missing += 1
                 continue
             kept += node.__class__ is tuple
             least = node if node.__class__ is float else node[4]
             expected = outcome(adaptive_simpson, fp, u, v)
-            got = calculus._replay(node, u, v, fa, fm, fb)
+            got = calculus._replay(node, calculus.QUAD_TOL)
             if not isinstance(expected, float):
                 assert least == -math.inf and math.isnan(got)
                 continue
@@ -517,7 +524,7 @@ def assert_trees_replay(fp, spans, trees):
             else:
                 assert same_float(got, expected)
                 replayed += 1
-        assert tree[4] == kept <= calculus.TREE_SPLITS
+        assert tree[1] == kept <= calculus.TREE_SPLITS
     return replayed, missing
 
 
@@ -578,7 +585,7 @@ class TestQuadratureTree:
         spec = make_spec("2 + sin(20*x)", 0.0, 10.0, scale=0.3)
         plan, spans, trees = record_trees(spec)
         replayed, missing = assert_trees_replay(spec.curve.fp, spans, trees)
-        assert trees[-1][4] == 60 and trees[-1][3] is None and replayed and missing
+        assert trees[-1][1] == 60 and trees[-1][0] is None and replayed and missing
         assert plan.landmarks == concatenated_reference(spec, plan)
 
     def test_a_long_segment_keeps_the_nodes_near_its_start(self):
@@ -588,8 +595,35 @@ class TestQuadratureTree:
         plan, spans, trees = record_trees(spec, False)
         everything = []
         adaptive_simpson(spec.curve.fp, -3.0, 1.0, everything)
-        assert trees[0][4] <= 10 and everything[0][4] >= 100
+        assert trees[0][1] <= 10 and everything[0][1] >= 100
         assert_trees_replay(spec.curve.fp, spans, trees)
+        assert plan.landmarks == concatenated_reference(spec, plan)
+
+    def test_a_root_accepted_at_the_first_level(self, monkeypatch):
+        # f' is constant, so the segment's first level passes its error
+        # test: the root is a leaf, and the first landmark goes straight to
+        # the plain steps without a replay
+        spec = make_spec("2 + 0.5*x", 0.0, 3.0, scale=2.0)
+        plan, spans, trees = record_trees(spec)
+        (root, kept), = trees
+        assert root.__class__ is float and kept == 0
+        assert plan.segments[0].row_count > 2
+
+        def refuse(node, tol):
+            raise AssertionError("a leaf root is replayed")
+
+        monkeypatch.setattr(calculus, "_replay", refuse)
+        assert build_plan(spec).landmarks == concatenated_reference(spec, plan)
+
+    def test_later_landmarks_leave_the_tree(self):
+        # the cusp sits where the first landmark's target is reached, and the
+        # quadrature split it finer than LANDMARK_XTOL: the first landmark's
+        # tree steps end on a split node, which the second must not read
+        cusp = 0.07799078598756877
+        spec = make_spec(f"2 + abs(x - {cusp!r})^1.5", 0.0, 1.0, scale=2.0)
+        plan, spans, trees = record_trees(spec, False)
+        assert any(node.__class__ is tuple and v - u <= calculus.LANDMARK_XTOL and u <= cusp <= v
+                   for node, u, v in tree_nodes(trees[0], *spans[0]))
         assert plan.landmarks == concatenated_reference(spec, plan)
 
     def test_split_bound(self, monkeypatch):

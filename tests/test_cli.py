@@ -688,8 +688,36 @@ print(" ".join(calls))
 print(" ".join(sys.modules))
 """
 
+# A whole run in one process, its arguments from the command line; the
+# loaded modules go to stderr, after the run's own output.
+COLD_RUN = """
+import sys
+from revcrochet import cli
+code = cli.run(sys.argv[1:])
+print(" ".join(sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
 
 class TestColdImport:
+    def test_a_json_run_loads_no_json_package(self, capsys):
+        # render_json takes its escaper from _json; json's __init__ would
+        # load json.decoder, and with it re and enum
+        src = Path(__file__).resolve().parents[1] / "src"
+        args = [*RUNNING_ARGS, "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", COLD_RUN, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert {"_json", "revcrochet.emit"} <= loaded
+        assert {"json", "json.decoder", "re"} & loaded == set()
+        assert run(args) == 0
+        assert proc.stdout == capsys.readouterr().out
+
     def test_import_defers_heavy_stdlib_modules(self):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
