@@ -211,12 +211,14 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute QUAD_TOL.
 
     The integrand is the arclength's, taken straight from fp: each sample
-    is one call of fp, and an undefined fp(x) raises EvalDomainError
-    naming the first x that fails.  A non-finite fp(x) is not checked for
-    (that would cost every sample); the quadrature then ends in
-    QuadratureError.  This call evaluates the first level's five samples
-    and returns when it is accepted, as most short intervals are;
-    otherwise each half recurses with two new samples per level.
+    is one call of fp.  The first fp(x) that fails raises EvalDomainError
+    naming x, and this call raises it again once, as "f' " and fp's
+    message, with fp's error as its cause.  A non-finite fp(x) is not
+    checked for (that would cost every sample); the quadrature then ends
+    in QuadratureError.  This call takes the samples at lo, the midpoint
+    and hi; each step then takes two new samples at its quarter points and
+    returns when its level is accepted, as most short intervals are at the
+    first, or else recurses into each half.
 
     Each level halves the tolerance, so the accepted subintervals' error
     estimates sum to at most QUAD_TOL.  Near a cusp, the integrand can
@@ -254,67 +256,38 @@ def adaptive_simpson(
     if hi == lo:
         return 0.0
     mid = 0.5 * (lo + hi)
-    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    x = lo
     try:
-        d = fp(x)
+        d = fp(lo)
         fa = sqrt(1.0 + d * d)
-        x = mid
-        d = fp(x)
+        d = fp(mid)
         fm = sqrt(1.0 + d * d)
-        x = hi
-        d = fp(x)
+        d = fp(hi)
         fb = sqrt(1.0 + d * d)
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        # The first level is a step with no split made yet; the allowance
+        # list holds what is left of the second allowance and the splits
+        # made so far, and with trees also the split nodes the trees may
+        # still keep, and how far from lo they may start.
         if trees is None:
-            x = lmid
-            d = fp(x)
-            flm = sqrt(1.0 + d * d)
-            x = rmid
-            d = fp(x)
-            frm = sqrt(1.0 + d * d)
-    except EvalDomainError as exc:
-        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    if trees is not None:
-        # The first level is _recorded_step's with no split made yet, which
-        # takes the samples at lmid and rmid next, as above.  The allowance
-        # list also holds the split nodes the trees may still keep, and how
-        # far from lo they may start.
-        kept = trees[-1][1] if trees else 0
-        allowance = [QUAD_TOL, 0, TREE_SPLITS - kept, reach]
+            return _simpson_step(
+                fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, [QUAD_TOL, 0]
+            )
+        allowance = [QUAD_TOL, 0, TREE_SPLITS - (trees[-1][1] if trees else 0), reach]
         value, node, _ = _recorded_step(
             fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, allowance, 0.0
         )
-        trees.append((node, TREE_SPLITS - allowance[2]))
-        return value
-    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    tol, depth = QUAD_TOL, QUAD_MAX_DEPTH
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0 or QUAD_MAX_SPLITS <= 0:
-        return _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, [tol, 0])
-    # what is left of the second allowance, and the splits made so far
-    allowance = [tol, 1]
-    half = 0.5 * tol
-    return _simpson_step(
-        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
-    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"f' {exc}") from exc
+    trees.append((node, TREE_SPLITS - allowance[2]))
+    return value
 
 
 def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
     mid = 0.5 * (lo + hi)
-    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    x = lmid
-    try:
-        d = fp(x)
-        flm = sqrt(1.0 + d * d)
-        x = rmid
-        d = fp(x)
-        frm = sqrt(1.0 + d * d)
-    except EvalDomainError as exc:
-        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+    d = fp(0.5 * (lo + mid))
+    flm = sqrt(1.0 + d * d)
+    d = fp(0.5 * (mid + hi))
+    frm = sqrt(1.0 + d * d)
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
@@ -333,16 +306,10 @@ def _recorded_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, start):
     """_simpson_step, returning its value, its node and the node's least
     value (see adaptive_simpson); start is the sum of the values left of lo."""
     mid = 0.5 * (lo + hi)
-    lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    x = lmid
-    try:
-        d = fp(x)
-        flm = sqrt(1.0 + d * d)
-        x = rmid
-        d = fp(x)
-        frm = sqrt(1.0 + d * d)
-    except EvalDomainError as exc:
-        raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+    d = fp(0.5 * (lo + mid))
+    flm = sqrt(1.0 + d * d)
+    d = fp(0.5 * (mid + hi))
+    frm = sqrt(1.0 + d * d)
     left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
     right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
@@ -463,12 +430,12 @@ def _walk(spec, extrema, pieces):
         value = getattr(spec, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecValidationError(f"{name} must be a number, not {value!r}")
-    if not (math.isfinite(spec.a) and math.isfinite(spec.b)):
-        raise SpecValidationError("a and b must be finite")
+    # Below the bound no sum of two points of [a, b] overflows: not b - a,
+    # nor any midpoint 0.5 * (lo + hi).  An int a or b compares exactly.
+    if not (abs(spec.a) < 2.0**1023 and abs(spec.b) < 2.0**1023):
+        raise SpecValidationError("a and b must be finite and less than 2**1023 in magnitude")
     if not spec.a < spec.b:
         raise SpecValidationError("a must be less than b")
-    if not math.isfinite(spec.b - spec.a):
-        raise SpecValidationError("b - a must be finite")
     for name, gauge in (("stitch", spec.stitch_gauge), ("row", spec.row_gauge)):
         if not isinstance(gauge, int) or gauge < 1:
             raise SpecValidationError(f"{name} gauge must be a positive integer")

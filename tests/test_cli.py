@@ -16,9 +16,11 @@ import pytest
 from revcrochet import calculus, emit, shaping
 from revcrochet.cli import _parse_args, run
 
+from code_lines import code_lines
 from conftest import _build_parser, golden, text_from_json
 
 BIG = "1" + "0" * 200
+BOUND_MESSAGE = "revcrochet: a and b must be finite and less than 2**1023 in magnitude\n"
 
 RUNNING_ARGS = [
     "--function", "x^3 + 2*x^2 - 2*x + 4",
@@ -192,7 +194,19 @@ class TestRun:
         code = run(["--function", function, "--a=-1e308", "--b=1e308", "--stitch-gauge", "20",
                     "--row-gauge", "20", "--scale", "1e-300"])
         assert code == 2
-        assert capsys.readouterr().err == "revcrochet: b - a must be finite\n"
+        assert capsys.readouterr().err == BOUND_MESSAGE
+
+    @pytest.mark.parametrize("function, a, b, scale", [
+        # exited 0 with two rows at b: the landmarks ended 1e308, 1e308
+        ("x", "1e307", "1e308", "1e-307"),
+        # 0.5 * (a + b) overflowed: "quadrature did not converge on [1.6e+308, inf]"
+        ("1", "1.6e308", "1.7e308", "1e-307"),
+    ])
+    def test_interval_end_past_the_bound_exits_2(self, capsys, function, a, b, scale):
+        code = run(["--function", function, f"--a={a}", f"--b={b}", "--stitch-gauge", "2",
+                    "--row-gauge", "2", f"--scale={scale}"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", BOUND_MESSAGE)
 
     @pytest.mark.parametrize("b, scale", [("1", "1e300"), ("1", "1e308"), ("1e6", "1")])
     def test_too_many_rows_exits_2_at_once(self, capsys, b, scale):
@@ -745,3 +759,26 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == golden("running_example.txt")
+
+
+CODE_LINES_SAMPLE = '''"""A module docstring
+on two lines."""
+
+# a comment
+import math  # code with a comment
+
+
+class C:
+    """A class docstring."""
+
+    def f(self):
+        """A function docstring."""
+        return """a string that is
+not a docstring"""
+'''
+
+
+def test_code_lines_leave_out_comments_docstrings_and_blank_lines():
+    # code: import, class, def, and the return's string on two lines
+    assert code_lines(CODE_LINES_SAMPLE) == 5
+    assert code_lines("x = 1\n# x = 2\n") == 1
