@@ -691,7 +691,10 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
         landmarks.extend(pts if not landmarks else pts[1:])
 
     f = spec.curve.f
-    heights = [eval_height(f, x) for x in landmarks]
+    try:
+        heights = list(map(f, landmarks))
+    except EvalDomainError:  # again one at a time, to name the first x
+        heights = [eval_height(f, x) for x in landmarks]
     # Two passes in C when every landmark is fine; min skips a nan that is
     # not first, the sum does not.
     if not (min(heights) > 0 and math.isfinite(sum(heights))):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .calculus import LandmarkPlan, PatternSpec, check_height, eval_height
-from .expression import Record
+from .expression import EvalDomainError, Record
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping
 
@@ -227,13 +227,18 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     The curve is sampled at SVG_SAMPLES points; the viewBox is the data
     bounding box padded by 5% on every side (y is negated so the curve
     reads the usual way up), and the markers sit at plan.heights.  A sample
-    where f is undefined or not finite raises SpecValidationError.  Output
-    is deterministic for identical inputs.
+    where f is undefined or not finite raises SpecValidationError naming
+    the first such x.  Every number is written with %.6g, the points and
+    markers by one template each over their (x, -y) pairs.  Output is
+    deterministic for identical inputs.
     """
     f = spec.curve.f
     a, b, n = spec.a, spec.b, SVG_SAMPLES
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
-    ys = [eval_height(f, x) for x in xs]
+    try:
+        ys = list(map(f, xs))
+    except EvalDomainError:  # again one at a time, to name the first x
+        ys = [eval_height(f, x) for x in xs]
     if not math.isfinite(sum(ys)):  # one pass in C when every sample is finite
         for x, y in zip(xs, ys):
             if not math.isfinite(y):
@@ -251,18 +256,15 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     stroke = 0.004 * extent
     radius = 0.010 * extent
 
-    points = " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
-    lines = [
+    box = (vb_x, vb_y, vb_w, vb_h)
+    points = " ".join(map("%.6g,%.6g".__mod__, zip(xs, [-y for y in ys])))
+    circle = '<circle cx="%%.6g" cy="%%.6g" r="%.6g" fill="#cc3333"/>' % radius
+    return "\n".join([
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" '
-        f'viewBox="{vb_x:.6g} {vb_y:.6g} {vb_w:.6g} {vb_h:.6g}" '
-        'preserveAspectRatio="xMidYMid meet">',
-        f'<rect x="{vb_x:.6g}" y="{vb_y:.6g}" width="{vb_w:.6g}" '
-        f'height="{vb_h:.6g}" fill="white"/>',
-        f'<polyline fill="none" stroke="#336699" stroke-width="{stroke:.6g}" '
-        f'points="{points}"/>',
-    ]
-    r = f"{radius:.6g}"
-    for x, y in zip(plan.landmarks, plan.heights):
-        lines.append(f'<circle cx="{x:.6g}" cy="{-y:.6g}" r="{r}" fill="#cc3333"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        'viewBox="%.6g %.6g %.6g %.6g" preserveAspectRatio="xMidYMid meet">' % box,
+        '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="white"/>' % box,
+        '<polyline fill="none" stroke="#336699" stroke-width="%.6g" points="%s"/>'
+        % (stroke, points),
+        *map(circle.__mod__, zip(plan.landmarks, [-y for y in plan.heights])),
+        "</svg>\n",
+    ])

@@ -59,7 +59,7 @@ class EvalDomainError(ExpressionError):
 # Deepest tree parse() accepts.  Differentiation adds at most 4 levels per
 # level (the u^v rule), so f' of a tree this deep is at most 4*50 - 3 = 197
 # levels, whose generated source nests at most 196 parentheses, one per node
-# above the leaves, as in math.pow(u, v), in an enclosure too: there a
+# above the leaves, as in pow(u, v), in an enclosure too: there a
 # constant operand is a plain number or a name (see _emit).  That is within
 # CPython's limit of 200, and far within the recursion limit that hashing,
 # differentiating and compiling a tree use.
@@ -485,15 +485,17 @@ def compile_expr(e: Expr):
     the tree is undefined: a division by zero, a math domain or range
     error, or a fractional power of a negative base.  It never returns a
     complex number.  A subtree that occurs more than once is computed
-    once.  Each call compiles the tree anew; PatternSpec.curve holds a
-    spec's compiled f and f'.
+    once.  The generated code calls the math functions by their bare
+    names (see _FLOAT_NAMESPACE) and its one handler hands x to
+    _domain_error.  Each call compiles the tree anew; PatternSpec.curve
+    holds a spec's compiled f and f'.
     """
     src = (
         "def f(x):\n"
         "    try:\n"
-        f"{_body(e, _FLOAT_OPS)}"
-        "    except _ERRORS as exc:\n"
-        "        raise _domain_error(x) from exc\n"
+        f"{_body(e, _FLOAT_OPS, '        ')}"
+        "    except _ERRORS:\n"
+        "        raise _domain_error(x)\n"
     )
     namespace = dict(_FLOAT_NAMESPACE)
     exec(src, namespace)  # noqa: S102 - source is generated from our own AST
@@ -511,36 +513,54 @@ def compile_enclosure(e: Expr):
     sign), so a decided enclosure also proves the tree continuous on
     [lo, hi].  The enclosure is generated from the same tree walk as
     compile_expr, with an interval operation in place of each float one,
-    and is compiled anew on each call, as compile_expr is.
+    and is compiled anew on each call, as compile_expr is.  The generated
+    function is the bare body; _guarded checks its range and turns a
+    raised rule into None.
     """
-    src = (
-        "def f(lo, hi):\n"
-        "    if not -inf < lo <= hi < inf:\n"
-        "        return None\n"
-        "    x = lo, hi\n"
-        "    try:\n"
-        f"{_body(e, _ENCLOSURE_OPS)}"
-        "    except _ERRORS:\n"
-        "        return None\n"
-    )
+    src = f"def f(lo, hi):\n    x = lo, hi\n{_body(e, _ENCLOSURE_OPS, '    ')}"
     namespace = dict(_ENCLOSURE_NAMESPACE)
     exec(src, namespace)  # noqa: S102 - source is generated from our own AST
-    return namespace["f"]
+    return _guarded(namespace["f"])
 
 
-# Every compile pays for the generated try block, so it names these rather
-# than spelling them out.
+# What a tree's operations raise where it is undefined.  Every compile_expr
+# pays for its generated handler, so the handler names these rather than
+# spelling them out.
 _ERRORS = (ArithmeticError, ValueError)
 
 
 def _domain_error(x):
-    return EvalDomainError(f"undefined at x={x!r}")
+    """EvalDomainError naming x, caused by the exception being handled.
+
+    A compiled function raises it from its handler, so the error's
+    __cause__ is what the tree's operation raised, and the context is
+    suppressed, as raise ... from exc would leave them.
+    """
+    from sys import exc_info
+
+    error = EvalDomainError(f"undefined at x={x!r}")
+    error.__cause__ = exc_info()[1]
+    return error
 
 
-def _body(e, ops):
-    """The lines of a compiled function's try block."""
+def _guarded(body):
+    """body(lo, hi) where lo <= hi are finite, and None elsewhere or where it raises _ERRORS."""
+
+    def enclosure(lo, hi):
+        if not -_INF < lo <= hi < _INF:
+            return None
+        try:
+            return body(lo, hi)
+        except _ERRORS:
+            return None
+
+    return enclosure
+
+
+def _body(e, ops, indent):
+    """The lines that compute tree e and return it, each after indent."""
     statements, value = _emit(e, ops)
-    return "".join(f"        {line}\n" for line in statements) + f"        return {value}\n"
+    return "".join(f"{indent}{line}\n" for line in statements) + f"{indent}return {value}\n"
 
 
 def _intern(e):
@@ -651,7 +671,7 @@ def _emit(e, ops):
     return statements, refs[root]
 
 
-# One parenthesis per node, as in math.pow(u, v): see MAX_DEPTH.
+# One parenthesis per node, as in pow(u, v): see MAX_DEPTH.
 _FLOAT_OPS = {
     "const": lambda value, text: text,
     "op_const": {},
@@ -661,23 +681,30 @@ _FLOAT_OPS = {
     "-": "({0}-{1})",
     "*": "({0}*{1})",
     "/": "({0}/{1})",
-    # math.pow raises where ** would return a complex number, and returns
-    # the same float wherever ** returns one.
-    "^": "math.pow({0}, {1})",
-    "sin": "math.sin({0})",
-    "cos": "math.cos({0})",
-    "tan": "math.tan({0})",
-    "exp": "math.exp({0})",
-    "ln": "math.log({0})",
-    "sqrt": "math.sqrt({0})",
+    "^": "pow({0}, {1})",
+    "sin": "sin({0})",
+    "cos": "cos({0})",
+    "tan": "tan({0})",
+    "exp": "exp({0})",
+    "ln": "log({0})",
+    "sqrt": "sqrt({0})",
     "abs": "abs({0})",
     "sign": "_sign({0})",
 }
 
-# Constant folding in differentiate can overflow to inf, and inf - inf is
-# nan; repr writes those as bare names.
+# Generated code calls these names without a module lookup.  pow is
+# math.pow, not the builtin: math.pow raises where ** and the builtin
+# would return a complex number, and returns the same float wherever they
+# return one.  Constant folding in differentiate can overflow to inf, and
+# inf - inf is nan; repr writes those as bare names.
 _FLOAT_NAMESPACE = {
-    "math": math,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "pow": math.pow,
     "abs": abs,
     "_sign": _sign,
     "inf": math.inf,
@@ -904,4 +931,4 @@ _ENCLOSURE_OPS = {
 _ENCLOSURE_NAMESPACE = {
     name: value for name, value in globals().items() if name.startswith("_enc_")
 }
-_ENCLOSURE_NAMESPACE.update(inf=math.inf, _undecided=_undecided, _ERRORS=_ERRORS, __builtins__={})
+_ENCLOSURE_NAMESPACE.update(_undecided=_undecided, __builtins__={})

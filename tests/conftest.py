@@ -34,9 +34,12 @@ from revcrochet.calculus import (
     QuadratureError,
     SpecValidationError,
     _bisect_sign_change,
+    check_height,
+    eval_height,
     round_landmark,
 )
 from revcrochet.cli import GRAMMAR_HELP
+from revcrochet.emit import SVG_SAMPLES
 from revcrochet.expression import (
     Binary,
     Call,
@@ -489,6 +492,45 @@ def reference_render_json(doc):
     """The pattern JSON as json.dumps writes it: the oracle for emit.render_json."""
     obj = {"schema_version": 1, **doc._asdict(), "rows": [r._asdict() for r in doc.rows]}
     return json.dumps(obj, indent=2) + "\n"
+
+
+def reference_render_svg(spec, plan):
+    """The SVG with one f-string per number: the oracle for emit.render_svg."""
+    f = spec.curve.f
+    a, b, n = spec.a, spec.b, SVG_SAMPLES
+    xs = [a + i * (b - a) / (n - 1) for i in range(n)]
+    ys = [eval_height(f, x) for x in xs]
+    for x, y in zip(xs, ys):
+        if not math.isfinite(y):
+            check_height(x, y, False)
+
+    ymin, ymax = min(ys), max(ys)
+    pad_x = 0.05 * (spec.b - spec.a)
+    height = ymax - ymin
+    pad_y = 0.05 * height if height > 0 else 0.05 * max(1.0, abs(ymax))
+    vb_x = spec.a - pad_x
+    vb_y = -(ymax + pad_y)
+    vb_w = (spec.b - spec.a) + 2 * pad_x
+    vb_h = height + 2 * pad_y
+    extent = max(vb_w, vb_h)
+    stroke = 0.004 * extent
+    radius = 0.010 * extent
+
+    points = " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" '
+        f'viewBox="{vb_x:.6g} {vb_y:.6g} {vb_w:.6g} {vb_h:.6g}" '
+        'preserveAspectRatio="xMidYMid meet">',
+        f'<rect x="{vb_x:.6g}" y="{vb_y:.6g}" width="{vb_w:.6g}" '
+        f'height="{vb_h:.6g}" fill="white"/>',
+        f'<polyline fill="none" stroke="#336699" stroke-width="{stroke:.6g}" '
+        f'points="{points}"/>',
+    ]
+    r = f"{radius:.6g}"
+    for x, y in zip(plan.landmarks, plan.heights):
+        lines.append(f'<circle cx="{x:.6g}" cy="{-y:.6g}" r="{r}" fill="#cc3333"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def same_float(u, v):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revcrochet import (
+    LandmarkPlan,
     PatternDoc,
     PatternRow,
     PatternSpec,
@@ -30,6 +31,7 @@ from conftest import (
     instruction_totals,
     random_valid_spec,
     reference_render_json,
+    reference_render_svg,
     text_from_json,
 )
 
@@ -384,3 +386,57 @@ class TestRenderSvg:
         assert render_svg(running_spec, running_plan) == render_svg(
             running_spec, running_plan
         )
+
+
+# The four anchors of the plan-svg benchmark workload: (f, a, b, scale, extrema).
+SVG_ANCHORS = [
+    ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 9.0, True),
+    ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0, 1.8, False),
+    ("2 + sin(20*x)", 0.0, 10.0, 0.3, True),
+    ("3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2", -4.0, 4.0, 0.5, True),
+]
+# Numbers whose %.6g text takes each form: signed zero, subnormal, exponent
+# below and above the precision, and a tie that rounds to even.
+ODD_NUMBERS = [-0.0, 5e-324, 1e-7, 123456.5, 1e21]
+
+
+class TestRenderSvgMatchesReference:
+    """render_svg's %-templates write the bytes of one f-string per number."""
+
+    @pytest.mark.parametrize("text, a, b, scale, extrema", SVG_ANCHORS)
+    def test_benchmark_anchors(self, text, a, b, scale, extrema):
+        spec = PatternSpec(parse(text), a, b, 22, 25, scale, source=text)
+        plan = build_plan(spec, prioritize_extrema=extrema)
+        assert render_svg(spec, plan) == reference_render_svg(spec, plan)
+
+    @pytest.mark.parametrize("extrema", [True, False])
+    def test_seeded_specs(self, extrema):
+        rng = random.Random(2028)
+        for _ in range(100):
+            spec = random_valid_spec(rng)
+            plan = build_plan(spec, prioritize_extrema=extrema)
+            assert render_svg(spec, plan) == reference_render_svg(spec, plan), spec.source
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("x", -0.0, 1e21),  # the first sample, -0 + 0, is 0, and its -y is -0
+        ("x", 5e-324, 0.0000001),
+        ("x - 123456", 123456.5, 123457.5),
+        ("0*x", -0.0, 0.0000001),  # every sample 0, so every -y is -0
+        ("2", 0.0, 1.0),
+    ])
+    def test_hand_built_plans(self, text, a, b):
+        spec = PatternSpec(parse(text), a, b, 20, 20, 1.0, source=text)
+        landmarks = tuple(ODD_NUMBERS + [-v for v in ODD_NUMBERS])
+        for heights in (landmarks, landmarks[::-1]):
+            plan = LandmarkPlan((), landmarks, len(landmarks) - 1, heights, True)
+            assert render_svg(spec, plan) == reference_render_svg(spec, plan)
+
+    def test_first_undefined_sample_is_named(self):
+        # f is undefined at every sample past 0.5
+        spec = PatternSpec(parse("sqrt(0.5 - x)"), 0.0, 1.0, 20, 20, 1.0, source="sqrt(0.5 - x)")
+        plan = LandmarkPlan((), (0.0,), 0, (1.0,), True)
+        with pytest.raises(ValueError) as got:
+            render_svg(spec, plan)
+        with pytest.raises(ValueError) as expected:
+            reference_render_svg(spec, plan)
+        assert str(got.value) == str(expected.value) == f"f is undefined at x={256 / 511!r}"

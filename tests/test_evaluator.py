@@ -152,6 +152,26 @@ def test_decided_enclosures(text, lo, hi, low, high):
     assert high is None or box[1] == high
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("x^3 + 2*x^2 - 2*x + 4", -3.0, 1.0),  # the running example
+    ("sign(x)", 0.5, 1.0),  # no rule of sign checks its bounds
+])
+@pytest.mark.parametrize("bad", [
+    (-INF, None), (INF, None), (NAN, None), (None, -INF), (None, INF), (None, NAN), "reversed",
+], ids=["lo=-inf", "lo=inf", "lo=nan", "hi=-inf", "hi=inf", "hi=nan", "lo>hi"])
+def test_enclosure_refuses_ranges_that_are_not_finite_and_ordered(text, lo, hi, bad):
+    box_of = compile_enclosure(parse(text))
+    assert box_of(lo, hi) is not None
+    if bad == "reversed":
+        lo, hi = hi, lo
+    else:
+        lo, hi = (lo if bad[0] is None else bad[0]), (hi if bad[1] is None else bad[1])
+    assert box_of(lo, hi) is None
+
+
 @pytest.mark.parametrize("text", ["sign(x)", "sign(sin(5*x))", "sign(x^3 - x)"])
 def test_decided_sign_is_one_value(text):
     # so a decided enclosure proves that no sign jumps in the range
@@ -315,7 +335,7 @@ def test_shared_trees_match_the_reference():
 
 
 @pytest.mark.parametrize("ops, square, five_x", [
-    (_FLOAT_OPS, "math.pow(x, 2.0)", "(5.0*x)"),
+    (_FLOAT_OPS, "pow(x, 2.0)", "(5.0*x)"),
     (_ENCLOSURE_OPS, "_enc_powc(x, 2.0)", "_enc_cmul(5.0, x)"),
 ], ids=["float", "enclosure"])
 def test_each_shared_subtree_is_emitted_once(ops, square, five_x):
