@@ -165,14 +165,6 @@ class PatternSpec(Record):
         _walk(self, False, [] if pieces is None else pieces)
 
 
-def eval_height(f: Callable[[float], float], x: float) -> float:
-    """f(x); where f is undefined, SpecValidationError names x."""
-    try:
-        return f(x)
-    except EvalDomainError as exc:
-        raise SpecValidationError(f"f is undefined at x={x!r}") from exc
-
-
 def check_height(x: float, y: float, interior: bool) -> None:
     """Raise SpecValidationError if f(x) = y is not finite or < 0, or is 0 at an interior x."""
     if not math.isfinite(y):
@@ -454,7 +446,7 @@ def _walk(spec, extrema, pieces):
         try:
             v = fp(x)
         except EvalDomainError as exc:
-            raise SpecValidationError(f"f' is undefined at x={x!r}") from exc
+            raise SpecValidationError(f"f' is {exc}") from exc
         if not math.isfinite(v):
             raise SpecValidationError(f"f' is not finite at x={x!r}")
         return v
@@ -485,7 +477,10 @@ def _walk(spec, extrema, pieces):
             for i in range(start + start % stride, c1 + 1, stride):
                 x = a + i * step if i < n else b
                 if not (f_ok or i % 2):
-                    y = eval_height(f, x)
+                    try:
+                        y = f(x)
+                    except EvalDomainError as exc:
+                        raise SpecValidationError(f"f is {exc}") from exc
                     if not 0 < y < math.inf:
                         check_height(x, y, 0 < i < n)
                 if not scan:
@@ -693,8 +688,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     f = spec.curve.f
     try:
         heights = list(map(f, landmarks))
-    except EvalDomainError:  # again one at a time, to name the first x
-        heights = [eval_height(f, x) for x in landmarks]
+    except EvalDomainError as exc:  # map stops at the first undefined x, which exc names
+        raise SpecValidationError(f"f is {exc}") from exc
     # Two passes in C when every landmark is fine; min skips a nan that is
     # not first, the sum does not.
     if not (min(heights) > 0 and math.isfinite(sum(heights))):

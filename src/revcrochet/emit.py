@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .calculus import LandmarkPlan, PatternSpec, check_height, eval_height
+from .calculus import LandmarkPlan, PatternSpec, SpecValidationError, check_height
 from .expression import EvalDomainError, Record
 from .expression import compile_expr  # noqa: F401 - perfbench/probe.py traces it here
 from .shaping import OP_DECREASE, OP_INCREASE, OP_NONE, RowShaping
@@ -237,8 +237,8 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     xs = [a + i * (b - a) / (n - 1) for i in range(n)]
     try:
         ys = list(map(f, xs))
-    except EvalDomainError:  # again one at a time, to name the first x
-        ys = [eval_height(f, x) for x in xs]
+    except EvalDomainError as exc:  # map stops at the first undefined x, which exc names
+        raise SpecValidationError(f"f is {exc}") from exc
     if not math.isfinite(sum(ys)):  # one pass in C when every sample is finite
         for x, y in zip(xs, ys):
             if not math.isfinite(y):

@@ -35,7 +35,6 @@ from revcrochet.calculus import (
     SpecValidationError,
     _bisect_sign_change,
     check_height,
-    eval_height,
     round_landmark,
 )
 from revcrochet.cli import GRAMMAR_HELP
@@ -494,6 +493,14 @@ def reference_render_json(doc):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def eval_height(f, x):
+    """f(x); where f is undefined, SpecValidationError names x."""
+    try:
+        return f(x)
+    except EvalDomainError as exc:
+        raise SpecValidationError(f"f is undefined at x={x!r}") from exc
+
+
 def reference_render_svg(spec, plan):
     """The SVG with one f-string per number: the oracle for emit.render_svg."""
     f = spec.curve.f
@@ -711,6 +718,25 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the result
         return type(exc), str(exc)
+
+
+def assert_named_by_compiled_f(error, x, raised):
+    """error's cause is the compiled function's EvalDomainError at x, caused by raised."""
+    cause = error.__cause__
+    assert type(cause) is EvalDomainError and str(cause) == f"undefined at x={x!r}"
+    assert type(cause.__cause__) is raised
+
+
+def count_f_calls(spec):
+    """Wrap spec.curve.f so every x it is called at is appended to the returned list."""
+    calls, f = [], spec.curve.f
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    spec.curve = spec.curve._replace(f=counted)
+    return calls
 
 
 def random_valid_spec(rng: random.Random):

@@ -111,14 +111,41 @@ def _draw(cls, rng):
         text = f"{_f(c)} + (x - {_f(d)})^{rng.choice(['2', '3', '1.5', '0.5', '2.5', _f(u(0.3, 3.0))])}"
     elif cls == "complex-kink":
         text = f"{_f(c + 1.0)} + (abs(x - {_f(d)}) - {_f(u(0.00005, 0.01))})^1.5"
+    elif cls == "random-tree":
+        text = f"{_f(c)} + {_tree(rng, 4)}"
     else:
         raise ValueError(cls)
     return text, a, b
 
 
+def _tree(rng, depth):
+    """Text of a random expression over the whole grammar, at most depth levels deep.
+
+    One operand of each binary operation carries the depth, the other is
+    shallower, as in the trees of tests/test_expression.py.
+    """
+    if depth == 1 or rng.random() < 0.1:
+        kind = rng.random()
+        if kind < 0.4:
+            return "x"
+        if kind < 0.5:
+            return rng.choice(["pi", "e"])
+        digits = rng.randint(0, 9)
+        return f"{rng.uniform(0, 10) * 10.0 ** rng.randint(-8, 3):.{digits}f}"
+    kind = rng.random()
+    if kind < 0.15:
+        return f"-({_tree(rng, depth - 1)})"
+    if kind < 0.3:
+        fn = rng.choice(["sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign"])
+        return f"{fn}({_tree(rng, depth - 1)})"
+    deep, shallow = _tree(rng, depth - 1), _tree(rng, rng.randint(1, depth - 1))
+    left, right = (deep, shallow) if rng.random() < 0.5 else (shallow, deep)
+    return f"({left}{rng.choice('+-*/^')}{right})"
+
+
 CLASSES = (
     "poly", "quartic", "trig", "ripple", "exp", "abs-cusp", "sqrt-abs", "ln",
-    "end-root", "tan", "pole", "sign", "power", "complex-kink",
+    "end-root", "tan", "pole", "sign", "power", "complex-kink", "random-tree",
 )
 
 
@@ -127,16 +154,18 @@ def specs():
     out = []
     for cls in CLASSES:
         rng = random.Random(f"corpus:{SEED}:{cls}")
+        # random trees draw gauges, scales and --no-extrema as ROADMAP item 1's 800-tree run did
+        low, top, no_extrema = (5, 3.0, 0.3) if cls == "random-tree" else (10, 1.5, 0.35)
         for i in range(PER_CLASS):
             text, a, b = _draw(cls, rng)
             argv = [
                 "--function", text, f"--a={a!r}", f"--b={b!r}",
-                "--stitch-gauge", str(rng.randint(10, 30)),
-                "--row-gauge", str(rng.randint(10, 30)),
-                f"--scale={round(rng.uniform(0.1, 1.5), 3)!r}",
+                "--stitch-gauge", str(rng.randint(low, 30)),
+                "--row-gauge", str(rng.randint(low, 30)),
+                f"--scale={round(rng.uniform(0.1, top), 3)!r}",
                 "--format", rng.choice(("text", "json", "svg")),
             ]
-            if rng.random() < 0.35:
+            if rng.random() < no_extrema:
                 argv.append("--no-extrema")
             out.append((f"{cls}-{i:02d}", cls, argv))
     return out

@@ -36,6 +36,8 @@ from conftest import (
     SEGMENT_ROW_COUNTS,
     SEGMENT_ROW_LENGTHS,
     arc_integrand,
+    assert_named_by_compiled_f,
+    count_f_calls,
     gl_arclength,
     outcome,
     random_valid_spec,
@@ -121,11 +123,19 @@ class TestValidation:
         # sqrt'(x) = 1/(2 sqrt(x)) blows up at 0
         with pytest.raises(SpecValidationError, match="f' is"):
             make_spec("sqrt(x)", 0.0, 1.0).validate()
+        for extrema in (True, False):
+            with pytest.raises(SpecValidationError, match=r"^f' is undefined at x=0\.0$") as got:
+                build_plan(make_spec("sqrt(x)", 0.0, 1.0), prioritize_extrema=extrema)
+            assert_named_by_compiled_f(got.value, 0.0, ZeroDivisionError)
 
     def test_undefined_function(self):
         # positive everywhere it is defined, but blows up at the x=0 sample
         with pytest.raises(SpecValidationError, match="f is"):
             make_spec("1/x^2", -1.0, 1.0).validate()
+        for extrema in (True, False):
+            with pytest.raises(SpecValidationError, match=r"^f is undefined at x=0\.0$") as got:
+                build_plan(make_spec("1/x^2", -1.0, 1.0), prioritize_extrema=extrema)
+            assert_named_by_compiled_f(got.value, 0.0, ZeroDivisionError)
 
     def test_non_finite_derivative(self):
         big = "1" + "0" * 200
@@ -1057,8 +1067,12 @@ class TestBuildPlan:
     def test_f_undefined_at_a_landmark_is_named(self):
         # 0.5 is a rounded landmark between the grid walk's points
         spec = make_spec("2 + 0*ln(abs(x - 0.5))", 0.0, 1.0003, 20, 20, 2.0)
-        with pytest.raises(SpecValidationError, match=r"^f is undefined at x=0\.5$"):
+        calls = count_f_calls(spec)
+        with pytest.raises(SpecValidationError, match=r"^f is undefined at x=0\.5$") as got:
             build_plan(spec, prioritize_extrema=False)
+        # the failed map names x; f is not taken there a second time
+        assert calls.count(0.5) == 1 and calls[-1] == 0.5
+        assert_named_by_compiled_f(got.value, 0.5, ValueError)
 
     @pytest.mark.parametrize("extrema", [True, False])
     def test_plan_of_zero_stitch_rows_is_refused(self, extrema):

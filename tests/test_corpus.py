@@ -1,6 +1,6 @@
 """The fast subset of the differential corpus in tests/corpus.py.
 
-The first FAST_PER_CLASS specs of every class (84 of 980) run here in
+The first FAST_PER_CLASS specs of every class (90 of 1,050) run here in
 about 3 s on a 2-vCPU VM, within a budget of 5 s; CI checks all of them
 with `python tests/corpus.py`, in about 35 s.  Each must reproduce its
 recorded line: exit code, SHA-256 of stdout, and stderr.  One spec that

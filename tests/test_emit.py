@@ -27,6 +27,8 @@ from revcrochet.emit import SVG_SAMPLES
 
 from conftest import (
     LANDMARKS_EVEN,
+    assert_named_by_compiled_f,
+    count_f_calls,
     golden,
     instruction_totals,
     random_valid_spec,
@@ -325,14 +327,7 @@ class TestFEvaluatedOnlyByBuildPlan:
     def test_shaping_and_emit_do_not_call_f(self, text, a, b, scale, extrema):
         spec = PatternSpec(parse(text), a, b, 20, 20, scale, source=text)
         plan = build_plan(spec, prioritize_extrema=extrema)
-        calls = []
-        f = spec.curve.f
-
-        def counted(x):
-            calls.append(x)
-            return f(x)
-
-        spec.curve = spec.curve._replace(f=counted)
+        calls = count_f_calls(spec)
         doc = render_pattern(spec, plan, shape_rows(spec, plan))
         render_json(doc)
         doc.to_text()
@@ -435,8 +430,13 @@ class TestRenderSvgMatchesReference:
         # f is undefined at every sample past 0.5
         spec = PatternSpec(parse("sqrt(0.5 - x)"), 0.0, 1.0, 20, 20, 1.0, source="sqrt(0.5 - x)")
         plan = LandmarkPlan((), (0.0,), 0, (1.0,), True)
-        with pytest.raises(ValueError) as got:
-            render_svg(spec, plan)
         with pytest.raises(ValueError) as expected:
             reference_render_svg(spec, plan)
-        assert str(got.value) == str(expected.value) == f"f is undefined at x={256 / 511!r}"
+        calls = count_f_calls(spec)
+        with pytest.raises(ValueError) as got:
+            render_svg(spec, plan)
+        x = 256 / 511
+        assert str(got.value) == str(expected.value) == f"f is undefined at x={x!r}"
+        # the failed map names x; f is not taken there a second time
+        assert calls == [i / 511 for i in range(257)]
+        assert_named_by_compiled_f(got.value, x, ValueError)
