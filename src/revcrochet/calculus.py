@@ -46,11 +46,12 @@ EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
-# landmark bisection, 9 to 15 us for the running example (9,967 rows at
-# scale 111) and 29 to 31 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2
+# landmark bisection, 6.0 to 6.4 us for the running example (9,967 rows at
+# scale 111) and 15.8 to 16.7 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2
 # (9,445 rows at scale 66), best of 12 in each of three runs on CPython
-# 3.11, 2 vCPUs; build_plan takes 0.12 s and 0.28 s for them, so 10,000 rows
-# take under half a second.  The running example at scale 30 has 2,694.
+# 3.11, 2 vCPUs; build_plan takes 0.064 s and 0.16 s for them, so 10,000
+# rows take well under half a second.  The running example at scale 30 has
+# 2,694.
 MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
@@ -204,7 +205,7 @@ def adaptive_simpson(
 
     The integrand is the arclength's, taken straight from fp: each sample
     is one call of fp.  The first fp(x) that fails raises EvalDomainError
-    naming x, and this call raises it again once, as "f' " and fp's
+    naming x, and this call raises it again once, as "f' is " and fp's
     message, with fp's error as its cause.  A non-finite fp(x) is not
     checked for (that would cost every sample); the quadrature then ends
     in QuadratureError.  This call takes the samples at lo, the midpoint
@@ -226,7 +227,8 @@ def adaptive_simpson(
     Every accepted value, left + right + delta/15, is Boole's rule on its
     five samples, with the positive weights (7, 32, 12, 32, 7)/90; so the
     result is at least the width times the least sample, up to rounding
-    (see solve_landmarks).
+    (see solve_landmarks, whose plain bisection steps make this first
+    level themselves).
 
     A given list trees receives the tree of this quadrature, for
     solve_landmarks to read, as (node, kept): the root's node, and the
@@ -269,7 +271,7 @@ def adaptive_simpson(
             fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, allowance, 0.0
         )
     except EvalDomainError as exc:
-        raise EvalDomainError(f"f' {exc}") from exc
+        raise EvalDomainError(f"f' is {exc}") from exc
     trees.append((node, TREE_SPLITS - allowance[2]))
     return value
 
@@ -537,12 +539,22 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
     one bound: the width times the least integrand g = sqrt(1 + f'^2), 1
     anywhere, or sqrt(1 + m^2) where the enclosure of f' proves |f'| >= m:
     once per landmark, on [xl, mid] of the first step the width leaves
-    undecided, for that step and the later ones inside it.  adaptive_simpson
-    forms g inline from f', so the bound holds for every sample it takes.
-    Only steps that would have gone right are skipped, so every bracket,
-    accumulated arclength and landmark is the same float as with a
-    quadrature per step.  A skipped step's quadrature is never run, so it
-    cannot raise QuadratureError.
+    undecided, for that step and the later ones inside it.  Only steps that
+    would have gone right are skipped, so every bracket, accumulated
+    arclength and landmark is the same float as with a quadrature per step.
+    A skipped step's quadrature is never run, so it cannot raise
+    QuadratureError.
+
+    A step that integrates makes adaptive_simpson(fp, xl, mid)'s first
+    level itself, forming g inline from f' as it does, so the bound holds
+    for every sample it takes, and its result is the same float: the same
+    expressions on the same samples in the same order, and _simpson_step
+    on the two halves where the first level's error test fails, as
+    adaptive_simpson calls it after its first split.  g at xl is the one
+    that the step which last moved xl took at its right end, across
+    landmarks too; it is taken afresh only before the first such step.
+    The first f' that fails is raised as adaptive_simpson raises it: "f' is
+    " and the message of fp's EvalDomainError, which is its cause.
 
     tree is the segment's quadrature tree, (node, kept) as adaptive_simpson
     records it in build_plan.  The first landmark's bracket starts at the
@@ -558,7 +570,8 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
     xs = [seg.lo]
-    xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: all that crosses rows
+    xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: with gl, all that crosses rows
+    gl = None  # g at xl, from the plain step that moved xl there; None until one did
     node = None if tree is None else tree[0]  # the bracket's node, for the first landmark
     for i in range(1, seg.row_count):
         target = i * seg.arclength_rows / seg.row_count
@@ -587,7 +600,7 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
             mid = 0.5 * (xl + xr)
             if not xl < mid < xr:
                 break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-            # adaptive_simpson returns at least the width times its least
+            # The quadrature returns at least the width times its least
             # sample, up to rounding that the relative slack covers, and
             # float *, + and sqrt round monotonically, so each sample
             # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
@@ -602,9 +615,44 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
                 m = 0.0 if box is None else max(box[0], -box[1], 0.0)
                 box_hi, least_g = mid, sqrt(1.0 + m * m)
                 continue  # the same step again, with the box's bound
-            amid = al + factor * adaptive_simpson(fp, xl, mid)
+            # adaptive_simpson(fp, xl, mid), its first level made here with its
+            # expressions in its order, so the same float; g at xl is carried
+            # from the step that moved xl there, where one did
+            try:
+                if gl is None:
+                    d = fp(xl)
+                    gl = sqrt(1.0 + d * d)
+                c = 0.5 * (xl + mid)
+                d = fp(c)
+                gc = sqrt(1.0 + d * d)
+                d = fp(mid)
+                gr = sqrt(1.0 + d * d)
+                whole = (mid - xl) / 6.0 * (gl + 4.0 * gc + gr)
+                d = fp(0.5 * (xl + c))
+                glm = sqrt(1.0 + d * d)
+                d = fp(0.5 * (c + mid))
+                grm = sqrt(1.0 + d * d)
+                left = (c - xl) / 6.0 * (gl + 4.0 * glm + gc)
+                right = (mid - c) / 6.0 * (gc + 4.0 * grm + gr)
+                delta = left + right - whole
+                if abs(delta) <= 15.0 * QUAD_TOL:
+                    q = left + right + delta / 15.0
+                elif QUAD_MAX_DEPTH > 0 and QUAD_MAX_SPLITS > 0:
+                    # the first split, as _simpson_step makes it
+                    allowance, half = [QUAD_TOL, 1], 0.5 * QUAD_TOL
+                    q = _simpson_step(
+                        fp, xl, c, gl, glm, gc, left, half, QUAD_MAX_DEPTH - 1, allowance
+                    ) + _simpson_step(
+                        fp, c, mid, gc, grm, gr, right, half, QUAD_MAX_DEPTH - 1, allowance
+                    )
+                else:
+                    q = _at_limit(xl, mid, left + right + delta / 15.0, delta,
+                                  QUAD_MAX_DEPTH, [QUAD_TOL, 0])
+            except EvalDomainError as exc:
+                raise EvalDomainError(f"f' is {exc}") from exc
+            amid = al + factor * q
             if amid < target:
-                xl, al = mid, amid
+                xl, al, gl = mid, amid, gr
             else:
                 xr = mid
         x = round_landmark(0.5 * (xl + xr))

@@ -535,9 +535,9 @@ def _domain_error(x):
     A compiled function raises it from its handler, so the error's
     __cause__ is what the tree's operation raised, and the context is
     suppressed, as raise ... from exc would leave them.  Its message is
-    the one wording of an undefined point: the grid walk, build_plan and
-    render_svg report it after "f is " or "f' is ", adaptive_simpson
-    after "f' ".
+    the one wording of an undefined point: the grid walk, build_plan,
+    render_svg, adaptive_simpson and solve_landmarks report it after
+    "f is " or "f' is ".
     """
     from sys import exc_info
 

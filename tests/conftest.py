@@ -558,7 +558,7 @@ def arc_integrand(fp):
         try:
             d = fp(x)
         except EvalDomainError as exc:
-            raise EvalDomainError(f"f' undefined at x={x!r}") from exc
+            raise EvalDomainError(f"f' is undefined at x={x!r}") from exc
         return math.sqrt(1.0 + d * d)
 
     return g

@@ -16,8 +16,11 @@ one after another, as cli.run and calculus.build_plan run them:
 
 Each figure is the best of --repeat runs, in ms.  The plan the stages build
 is checked once against build_plan's, so the stages cannot drift from the
-package unseen.  It is a report, not a gate: it exits 0 whatever it
-measures, and 1 only where that check fails.
+package unseen.  A second table counts the calls of f' in the walk, the
+quadrature and the landmarks stages of one more run, untimed, and the
+landmark search's calls per row; counts repeat exactly from run to run.
+It is a report, not a gate: it exits 0 whatever it measures, and 1 only
+where that check fails.
 
     PYTHONPATH=src python tests/stage_times.py             # best of 10
     PYTHONPATH=src python tests/stage_times.py --repeat 50
@@ -49,6 +52,7 @@ from revcrochet.emit import render_json, render_pattern, render_svg
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 STAGES = ("parse", "curve", "walk", "quadrature", "landmarks", "shaping", "emit")
+COUNTED = ("walk", "quadrature", "landmarks")  # the stages that call f'
 
 
 def load_workloads():
@@ -73,28 +77,41 @@ def anchors():
     return found
 
 
-def timed_run(args):
-    """One run of args' spec, stage by stage: ({stage: seconds}, spec, plan)."""
-    t0 = perf_counter()
+def timed_run(args, fp_calls=None):
+    """One run of args' spec, stage by stage: ({stage: seconds}, spec, plan).
+
+    With a list fp_calls, [0], each call of f' adds 1 to it, and each
+    stage's figure is its calls of f' in place of its seconds.
+    """
+    clock = perf_counter if fp_calls is None else lambda: fp_calls[0]
+    t0 = clock()
     func = parse(args["function"])
-    t1 = perf_counter()
+    t1 = clock()
     spec = PatternSpec(func, args["a"], args["b"], args["stitch_gauge"], args["row_gauge"],
                        args["scale"], args["function"])
     spec.curve  # noqa: B018 - compiled on first read
-    t2 = perf_counter()
+    if fp_calls is not None:
+        fp = spec.curve.fp
+
+        def counted(x):
+            fp_calls[0] += 1
+            return fp(x)
+
+        spec.curve = spec.curve._replace(fp=counted)
+    t2 = clock()
     pieces, cuts = [], []
     if args["prioritize_extrema"]:
         cuts = find_extrema(spec, pieces)
     else:
         spec.validate(pieces)
-    t3 = perf_counter()
+    t3 = clock()
     bounds = [spec.a, *cuts, spec.b]
     spans = list(zip(bounds, bounds[1:]))
     if _chord_rows(spec, pieces, cuts) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
         raise ValueError("the chord bound passes MAX_ROWS")
     trees = []
     lengths = [arclength_rows(spec, lo, hi, trees) for lo, hi in spans]
-    t4 = perf_counter()
+    t4 = clock()
     segments = tuple(
         Segment(lo, hi, length, max(1, round_half_away(length)))
         for (lo, hi), length in zip(spans, lengths)
@@ -106,19 +123,19 @@ def timed_run(args):
     heights = list(map(spec.curve.f, landmarks))
     plan = LandmarkPlan(segments, tuple(landmarks), sum(s.row_count for s in segments),
                         tuple(heights), args["prioritize_extrema"])
-    t5 = perf_counter()
+    t5 = clock()
     if args["format"] == "svg":
         t6 = t5
         render_svg(spec, plan)
     else:
         rows = shape_rows(spec, plan)
-        t6 = perf_counter()
+        t6 = clock()
         doc = render_pattern(spec, plan, rows)
         if args["format"] == "json":
             render_json(doc)
         else:
             doc.to_text()
-    t7 = perf_counter()
+    t7 = clock()
     marks = (t0, t1, t2, t3, t4, t5, t6, t7)
     return {stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])}, spec, plan
 
@@ -142,6 +159,14 @@ def main(argv=None) -> int:
                 best[stage] = min(best[stage], seconds)
         cells = [best[stage] * 1e3 for stage in STAGES]
         print(f"{name:<{width}}" + "".join(f"{ms:11.3f}" for ms in cells) + f"{sum(cells):11.3f}")
+    print()
+    print("calls of f' in one run, untimed")
+    print(f"{'anchor':<{width}}" + "".join(f"{stage:>11}" for stage in COUNTED)
+          + f"{'rows':>11}{'landmarks/row':>15}")
+    for name, op_argv in ops:
+        calls, _, plan = timed_run(_parse_args(op_argv), [0])
+        print(f"{name:<{width}}" + "".join(f"{calls[stage]:11d}" for stage in COUNTED)
+              + f"{plan.total_rows:11d}{calls['landmarks'] / plan.total_rows:15.2f}")
     return 0
 
 

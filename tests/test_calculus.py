@@ -236,16 +236,27 @@ class TestCertifiedScans:
 
     def test_plan_evaluates_f_prime_at_no_x_twice(self, monkeypatch):
         # f(0) = 0 and f'(0) = 0 leave the ranges at 0 undecided.  The
-        # quadratures, which sample some x more than once, get f' unrecorded.
+        # quadratures and the landmark search, which sample some x more than
+        # once, get f' unrecorded.
         spec = make_spec("x^2", 0.0, 1.0)
-        fp, xs = spec.curve.fp, []
+        fp, xs, landmarks = spec.curve.fp, [], False
 
         def recorded(x):
-            xs.append(x)
+            if not landmarks:
+                xs.append(x)
             return fp(x)
+
+        def solve(*args):
+            nonlocal landmarks
+            landmarks = True
+            try:
+                return solve_landmarks(*args)
+            finally:
+                landmarks = False
 
         quadrature = calculus.adaptive_simpson
         monkeypatch.setattr(calculus, "adaptive_simpson", lambda _, *args: quadrature(fp, *args))
+        monkeypatch.setattr(calculus, "solve_landmarks", solve)
         spec.curve = spec.curve._replace(fp=recorded)
         build_plan(spec)
         assert xs and len(set(xs)) == len(xs)
@@ -482,13 +493,13 @@ class TestQuadratureOracle:
             return math.cos(7.0 * x)
 
         got = self.assert_same(fp, 0.0, 1.0)
-        assert got[0] is EvalDomainError and got[1].startswith("f' undefined at x=")
+        assert got[0] is EvalDomainError and got[1].startswith("f' is undefined at x=")
         self.assert_chained(fp, 0.0, 1.0)
 
     def test_undefined_fprime_of_a_compiled_spec(self):
         # f' = 1/(2*sqrt(x - 0.25)) is undefined at and below 0.25
         fp = make_spec("sqrt(x - 0.25)", 0.25, 1.0).curve.fp
-        assert self.assert_same(fp, 0.0, 1.0) == (EvalDomainError, "f' undefined at x=0.0")
+        assert self.assert_same(fp, 0.0, 1.0) == (EvalDomainError, "f' is undefined at x=0.0")
         assert self.assert_same(fp, 0.25, 1.0)[0] is EvalDomainError
         assert isinstance(self.assert_same(fp, 0.3, 1.0), float)
         self.assert_chained(fp, 0.0, 1.0)
@@ -511,7 +522,7 @@ class TestQuadratureOracle:
             with pytest.raises(EvalDomainError) as info:
                 adaptive_simpson(keeping, lo, hi, trees)
             assert len(raised) == 1 and info.value.__cause__ is raised[0]
-            assert str(info.value) == f"f' {raised[0]}"
+            assert str(info.value) == f"f' is {raised[0]}"
 
     def test_gauss_legendre_agrees_on_the_running_example(self, running_spec, running_plan):
         # tests/landmark_oracle.py checks every landmark with gl_arclength;
@@ -833,6 +844,59 @@ class TestSolveLandmarks:
     def test_specs_with_extrema_match_reference_exactly(self, text, a, b, scale):
         self.assert_matches_reference(make_spec(text, a, b, scale=scale), True)
 
+    def test_a_step_past_its_first_level_returns_the_quadratures_float(self, monkeypatch):
+        # where a step's first level fails its error test, the step's two
+        # halves sum to adaptive_simpson's float of [xl, mid]
+        spec = make_spec(DEEP_TEXT, -4.0, 4.0, scale=0.5)
+        (seg,) = build_plan(spec, prioritize_extrema=False).segments
+        step, halves, depth = calculus._simpson_step, [], 0
+
+        def spied(fp, lo, hi, *rest):
+            nonlocal depth
+            depth += 1
+            try:
+                value = step(fp, lo, hi, *rest)
+            finally:
+                depth -= 1
+            if not depth:
+                halves.append((lo, hi, value))
+            return value
+
+        monkeypatch.setattr(calculus, "_simpson_step", spied)
+        solve_landmarks(spec, seg)
+        monkeypatch.undo()
+        assert len(halves) >= 20 and len(halves) % 2 == 0
+        for (xl, c, left), (c2, mid, right) in zip(halves[::2], halves[1::2]):
+            assert c == c2 == 0.5 * (xl + mid)
+            assert left + right == adaptive_simpson(spec.curve.fp, xl, mid)
+
+    @pytest.mark.parametrize("text", [
+        "2 + sin(20*x)",    # the step's first level passes its error test
+        "2 + sin(200*x)",   # it fails it, and the step recurses into its halves
+    ])
+    def test_a_step_ties_where_adaptive_simpson_ties(self, text):
+        # two rows on [0, 0.01]: the first step integrates [0, 0.005], and
+        # the target is adaptive_simpson's arclength of it, in rows, or one
+        # ulp more.  At the tie the step moves right and the landmark rounds
+        # down to 0.0; one ulp above, it moves left and rounds up to 0.01.
+        # A step whose float is an ulp off adaptive_simpson's moves one.
+        spec = make_spec(text, 0.0, 1.0, scale=1.0)
+        rows = spec.rows_per_unit * adaptive_simpson(spec.curve.fp, 0.0, 0.005)
+        for target, landmark in ((rows, 0.0), (math.nextafter(rows, math.inf), 0.01)):
+            assert solve_landmarks(spec, Segment(0.0, 0.01, 2 * target, 2))[1] == landmark
+
+    @pytest.mark.parametrize("limit", ["QUAD_MAX_SPLITS", "QUAD_MAX_DEPTH"])
+    def test_a_landmark_step_at_a_quadrature_limit_of_0(self, monkeypatch, limit):
+        # two rows: the first step integrates [0, 0.5], which no bound
+        # decides (f' changes sign there), and its first level fails; it
+        # raises what adaptive_simpson raises on that interval
+        spec = make_spec("2 + sin(8*x)", 0.0, 1.0)
+        seg = Segment(0.0, 1.0, arclength_rows(spec, 0.0, 1.0), 2)
+        monkeypatch.setattr(calculus, limit, 0)
+        error = outcome(adaptive_simpson, spec.curve.fp, 0.0, 0.5)
+        assert error[0] is QuadratureError and "[0.0, 0.5]" in error[1]
+        assert outcome(solve_landmarks, spec, seg) == error
+
     def test_quadrature_is_at_least_the_skip_bound(self):
         # the lower bounds solve_landmarks uses to skip a bisection step:
         # the width anywhere, and the width times sqrt(1 + m*m) where the
@@ -848,13 +912,13 @@ class TestSolveLandmarks:
                 assert got >= (hi - lo) * math.sqrt(1.0 + m * m) * (1.0 - 1e-12)
         assert proved >= 1000
 
-    def test_cost_per_landmark_does_not_grow_with_segment_length(self, monkeypatch):
+    def test_cost_per_landmark_does_not_grow_with_segment_length(self):
         spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
         plan = build_plan(spec, prioritize_extrema=False)
         (seg,) = plan.segments
         assert seg.row_count >= 800
         fp, fp_box = spec.curve.fp, spec.curve.fp_box
-        calls = quadratures = boxes = 0
+        calls = boxes = 0
 
         def counted(x):
             nonlocal calls
@@ -866,29 +930,26 @@ class TestSolveLandmarks:
             boxes += 1
             return fp_box(lo, hi)
 
-        def counted_simpson(*args):
-            nonlocal quadratures
-            quadratures += 1
-            return adaptive_simpson(*args)
-
         spec.curve = spec.curve._replace(fp=counted, fp_box=counted_box)
-        monkeypatch.setattr(calculus, "adaptive_simpson", counted_simpson)
         solve_landmarks(spec, seg)
         landmarks = seg.row_count - 1
-        # measured: 18.8 calls of f', 3.75 quadratures and 1.00 enclosures
-        # of f' per landmark (18.5, 3.71 and 1.14 with one box kept across
-        # landmarks); 39 calls and 7.8 quadratures with the slope-1 skip
-        # alone, 339 calls with a quadrature per step
-        assert calls / landmarks <= 22
-        assert quadratures / landmarks <= 4.5
+        # measured: 15.0 calls of f' (3.75 integrating steps of 4 new
+        # samples at least, g at xl carried from the step that moved xl)
+        # and 1.00 enclosures of f' per landmark; 18.8 calls with a
+        # quadrature of 5 samples per integrating step, 39 calls and 7.8
+        # integrating steps with the slope-1 skip alone, 339 calls with a
+        # quadrature per step.  At most 4 integrating steps per landmark.
+        assert calls / landmarks <= 16
         assert boxes <= landmarks
 
     @pytest.mark.parametrize("text, a, b, scale, per_row", [
         # 81.5 per row with no tree, 25.8 with it: after each extremum
-        # f' = 0 at the segment start, so no box decides the first landmark
-        ("2 + sin(20*x)", 0.0, 10.0, 0.3, 30),
-        # 17.25 per row with no tree, 17.24 with it
-        (RUNNING_TEXT, -3.0, 1.0, 9.0, 17.25),
+        # f' = 0 at the segment start, so no box decides the first landmark;
+        # 22.1 with each step's first level inline and g at xl carried
+        ("2 + sin(20*x)", 0.0, 10.0, 0.3, 24.0),
+        # 17.25 per row with no tree, 17.24 with it, 13.80 with the first
+        # level inline and g at xl carried
+        (RUNNING_TEXT, -3.0, 1.0, 9.0, 14.0),
     ])
     def test_f_prime_calls_of_the_landmark_search(self, monkeypatch, text, a, b, scale, per_row):
         spec = make_spec(text, a, b, scale=scale)
@@ -1073,6 +1134,23 @@ class TestBuildPlan:
         # the failed map names x; f is not taken there a second time
         assert calls.count(0.5) == 1 and calls[-1] == 0.5
         assert_named_by_compiled_f(got.value, 0.5, ValueError)
+
+    def test_f_prime_undefined_in_a_landmark_step_is_named(self, monkeypatch):
+        # f' is undefined at x = -0.7069 only: the segment's quadrature
+        # misses that float, and a plain bisection step samples it
+        # (tests/test_cli.py runs the same spec through the CLI)
+        spec = make_spec("1.244 + abs(x - -0.7069)^0.986", -1.0, 1.0, 23, 17, 1.257)
+        solve, searched = calculus.solve_landmarks, []
+
+        def landmarks(*args):
+            searched.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(calculus, "solve_landmarks", landmarks)
+        with pytest.raises(EvalDomainError, match=r"^f' is undefined at x=-0\.7069$") as got:
+            build_plan(spec, prioritize_extrema=False)
+        assert len(searched) == 1
+        assert_named_by_compiled_f(got.value, -0.7069, ValueError)
 
     @pytest.mark.parametrize("extrema", [True, False])
     def test_plan_of_zero_stitch_rows_is_refused(self, extrema):

@@ -151,7 +151,7 @@ class TestRun:
                     "--no-extrema"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "revcrochet: f' undefined at x=-0.7069\n"
+        assert err == "revcrochet: f' is undefined at x=-0.7069\n"
 
     @pytest.mark.parametrize("function, a, b, fmt", [
         # the point is the second plot sample, between validation samples
