@@ -228,13 +228,15 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
     bounding box padded by 5% on every side (y is negated so the curve
     reads the usual way up), and the markers sit at plan.heights.  A sample
     where f is undefined or not finite raises SpecValidationError naming
-    the first such x.  Every number is written with %.6g, the points and
-    markers by one template each over their (x, -y) pairs.  Output is
+    the first such x.  Every number is written with %.6g: the points by
+    one % over the flat tuple of their (x, -y) pairs, and the markers by
+    one % over the circle template repeated once per landmark.  Output is
     deterministic for identical inputs.
     """
     f = spec.curve.f
     a, b, n = spec.a, spec.b, SVG_SAMPLES
-    xs = [a + i * (b - a) / (n - 1) for i in range(n)]
+    width, last = b - a, n - 1
+    xs = [a + i * width / last for i in range(n)]
     try:
         ys = list(map(f, xs))
     except EvalDomainError as exc:  # map stops at the first undefined x, which exc names
@@ -245,26 +247,32 @@ def render_svg(spec: PatternSpec, plan: LandmarkPlan) -> str:
                 check_height(x, y, False)
 
     ymin, ymax = min(ys), max(ys)
-    pad_x = 0.05 * (spec.b - spec.a)
+    pad_x = 0.05 * width
     height = ymax - ymin
     pad_y = 0.05 * height if height > 0 else 0.05 * max(1.0, abs(ymax))
-    vb_x = spec.a - pad_x
+    vb_x = a - pad_x
     vb_y = -(ymax + pad_y)
-    vb_w = (spec.b - spec.a) + 2 * pad_x
+    vb_w = width + 2 * pad_x
     vb_h = height + 2 * pad_y
     extent = max(vb_w, vb_h)
     stroke = 0.004 * extent
     radius = 0.010 * extent
 
     box = (vb_x, vb_y, vb_w, vb_h)
-    points = " ".join(map("%.6g,%.6g".__mod__, zip(xs, [-y for y in ys])))
-    circle = '<circle cx="%%.6g" cy="%%.6g" r="%.6g" fill="#cc3333"/>' % radius
-    return "\n".join([
+    points = [0.0] * (2 * n)
+    points[::2] = xs
+    points[1::2] = [-y for y in ys]
+    marks = [0.0] * (2 * len(plan.landmarks))
+    marks[::2] = plan.landmarks
+    marks[1::2] = [-y for y in plan.heights]
+    circle = '\n<circle cx="%%.6g" cy="%%.6g" r="%.6g" fill="#cc3333"/>' % radius
+    return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" '
-        'viewBox="%.6g %.6g %.6g %.6g" preserveAspectRatio="xMidYMid meet">' % box,
-        '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="white"/>' % box,
-        '<polyline fill="none" stroke="#336699" stroke-width="%.6g" points="%s"/>'
-        % (stroke, points),
-        *map(circle.__mod__, zip(plan.landmarks, [-y for y in plan.heights])),
-        "</svg>\n",
-    ])
+        'viewBox="%.6g %.6g %.6g %.6g" preserveAspectRatio="xMidYMid meet">\n' % box
+        + '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="white"/>\n' % box
+        + '<polyline fill="none" stroke="#336699" stroke-width="%.6g" points="' % stroke
+        + " ".join(["%.6g,%.6g"] * n) % tuple(points)
+        + '"/>'
+        + circle * len(plan.landmarks) % tuple(marks)
+        + "\n</svg>\n"
+    )

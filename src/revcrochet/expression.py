@@ -727,14 +727,28 @@ _FLOAT_NAMESPACE = {
 # bounds already bounds the float result at any point between them: those
 # rules need no widening.  sqrt is correctly rounded, hence monotone too.
 # The other math calls are within an ulp or so of the true value, so bounds
-# from them are widened by _SLACK ulps' worth.  A case without a sound rule
-# raises _Undecided, and the whole enclosure is None.
+# from them are widened by _SLACK ulps' worth: lo - (|lo|*_SLACK + _TINY)
+# and hi + (|hi|*_SLACK + _TINY).  A case without a sound rule raises
+# _Undecided, and the whole enclosure is None.
+#
+# Each rule widens and checks its bounds inline, and takes the least and
+# greatest of its candidates by comparisons, not min and max: a compiled
+# enclosure runs a rule per node on every box, and a helper call costs as
+# much as the arithmetic.  The comparisons keep the first of equal
+# candidates, as min and max do, so the zero signs are theirs too; after
+# widening, -0.0 and 0.0 give the same bound.  A bound goes unchecked only
+# where it cannot leave the finite floats.
 
 _INF = math.inf
 _SLACK = 2.0**-46  # relative: 64 ulps at the bottom of a binade
 _TINY = 1e-300     # absolute: covers results near zero and subnormal ones
 _TRIG_LIMIT = 1e8  # |x| above which sin and cos get [-1, 1], tan undecided
 _TRIG_MARGIN = 1e-6  # periods; far above the rounding of (x - peak)/period
+_TWO_PI = 2.0 * math.pi
+# The math functions the rules call, read as globals rather than math's attributes
+_floor, _math_pow, _math_exp, _math_log, _math_sqrt, _math_tan = (
+    math.floor, math.pow, math.exp, math.log, math.sqrt, math.tan
+)
 
 
 class _Undecided(ArithmeticError):
@@ -745,22 +759,9 @@ def _undecided():
     raise _Undecided
 
 
-def _checked(lo, hi):
-    if -_INF < lo and hi < _INF:
-        return lo, hi
-    raise _Undecided
-
-
-def _widened(lo, hi):
-    return _checked(lo - (abs(lo) * _SLACK + _TINY), hi + (abs(hi) * _SLACK + _TINY))
-
-
 def _enc_neg(u):
     return -u[1], -u[0]
 
-
-# The rules for + - * check their bounds inline: a call to _checked costs
-# as much as their arithmetic.
 
 def _enc_add(u, v):
     lo, hi = u[0] + v[0], u[1] + v[1]
@@ -788,9 +789,23 @@ def _enc_mul(u, v):
     (a, b), (c, d) = u, v
     if a >= 0.0 and c >= 0.0:
         lo, hi = a * c, b * d
-    else:
-        p = (a * c, a * d, b * c, b * d)
-        lo, hi = min(p), max(p)
+    else:  # written out, as this rule is the most frequent of the four-corner ones
+        lo = hi = a * c
+        p = a * d
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+        p = b * c
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+        p = b * d
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
     if -_INF < lo and hi < _INF:
         return lo, hi
     raise _Undecided
@@ -808,8 +823,15 @@ def _enc_div(u, v):
     (a, b), (c, d) = u, v
     if not (c > 0.0 or d < 0.0):
         raise _Undecided  # the divisor may be 0
-    p = (a / c, a / d, b / c, b / d)
-    return _checked(min(p), max(p))
+    lo = hi = a / c
+    for p in (a / d, b / c, b / d):
+        if p < lo:
+            lo = p
+        elif p > hi:
+            hi = p
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
 
 
 def _enc_pow(u, v):
@@ -819,8 +841,16 @@ def _enc_pow(u, v):
     if not (a > 0.0 or (a == 0.0 and p > 0.0)):
         raise _Undecided  # a varying power of a base that may be <= 0
     # monotone in the base and in the exponent: the corners bound it
-    c = (math.pow(a, p), math.pow(a, q), math.pow(b, p), math.pow(b, q))
-    return _widened(min(c), max(c))
+    lo = hi = _math_pow(a, p)
+    for c in (_math_pow(a, q), _math_pow(b, p), _math_pow(b, q)):
+        if c < lo:
+            lo = c
+        elif c > hi:
+            hi = c
+    hi += hi * _SLACK + _TINY  # every corner is >= 0, so lo stays finite
+    if hi < _INF:
+        return lo - (lo * _SLACK + _TINY), hi
+    raise _Undecided
 
 
 def _enc_powc(u, p):
@@ -828,39 +858,51 @@ def _enc_powc(u, p):
     a, b = u
     if p == 0.0:
         return 1.0, 1.0
-    positive = a > 0.0 or (a == 0.0 and p > 0.0)
-    if not positive and (p != math.floor(p) or (p < 0.0 and b >= 0.0)):
+    if not (a > 0.0 or (a == 0.0 and p > 0.0)) and (p != _floor(p) or (p < 0.0 and b >= 0.0)):
         raise _Undecided  # a fractional power of a base < 0, or 0 to a power < 0
-    ea, eb = math.pow(a, p), math.pow(b, p)
-    lo, hi = _widened(min(ea, eb), max(ea, eb))  # monotone on [a, b] ...
-    if a < 0.0 < b and p % 2.0 == 0.0:
-        lo = 0.0  # ... unless an even power spans 0
-    return lo, hi
+    lo, hi = _math_pow(a, p), _math_pow(b, p)
+    if hi < lo:  # monotone on [a, b] ...
+        lo, hi = hi, lo
+    lo -= abs(lo) * _SLACK + _TINY
+    hi += abs(hi) * _SLACK + _TINY
+    if -_INF < lo and hi < _INF:
+        if a < 0.0 < b and p % 2.0 == 0.0:
+            lo = 0.0  # ... unless an even power spans 0
+        return lo, hi
+    raise _Undecided
 
 
-def _enc_trig(fn, peak, lo, hi):
-    """fn = sin or cos over [lo, hi], where fn peaks at peak + 2*k*pi."""
-    if hi - lo >= 2.0 * math.pi or lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
-        return -1.0, 1.0
-    # in periods from a peak; a peak or trough near the range counts as in it
-    t0 = (lo - peak) / (2.0 * math.pi) - _TRIG_MARGIN
-    t1 = (hi - peak) / (2.0 * math.pi) + _TRIG_MARGIN
-    has_peak = math.floor(t1) >= t0
-    has_trough = math.floor(t1 - 0.5) + 0.5 >= t0
-    if has_peak and has_trough:
-        return -1.0, 1.0
-    # monotone on [lo, hi], between extrema
-    ea, eb = fn(lo), fn(hi)
-    lo, hi = _widened(min(ea, eb), max(ea, eb))
-    return (-1.0 if has_trough else lo), (1.0 if has_peak else hi)
+def _trig_rule(fn, peak):
+    """The rule for fn = sin or cos, where fn peaks at peak + 2*k*pi.
+
+    Its bounds lie in [-1, 1], so widened they need no check.
+    """
+
+    def rule(u):
+        lo, hi = u
+        if hi - lo >= _TWO_PI or lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
+            return -1.0, 1.0
+        # in periods from a peak; a peak or trough near the range counts as in it
+        t0 = (lo - peak) / _TWO_PI - _TRIG_MARGIN
+        t1 = (hi - peak) / _TWO_PI + _TRIG_MARGIN
+        has_peak = _floor(t1) >= t0
+        has_trough = _floor(t1 - 0.5) + 0.5 >= t0
+        if has_peak and has_trough:
+            return -1.0, 1.0
+        # monotone on [lo, hi], between extrema
+        lo, hi = fn(lo), fn(hi)
+        if hi < lo:
+            lo, hi = hi, lo
+        return (
+            -1.0 if has_trough else lo - (abs(lo) * _SLACK + _TINY),
+            1.0 if has_peak else hi + (abs(hi) * _SLACK + _TINY),
+        )
+
+    return rule
 
 
-def _enc_sin(u):
-    return _enc_trig(math.sin, 0.5 * math.pi, u[0], u[1])
-
-
-def _enc_cos(u):
-    return _enc_trig(math.cos, 0.0, u[0], u[1])
+_enc_sin = _trig_rule(math.sin, 0.5 * math.pi)
+_enc_cos = _trig_rule(math.cos, 0.0)
 
 
 def _enc_tan(u):
@@ -870,25 +912,36 @@ def _enc_tan(u):
     # poles at pi/2 + k*pi; increasing between them
     t0 = (lo - 0.5 * math.pi) / math.pi - _TRIG_MARGIN
     t1 = (hi - 0.5 * math.pi) / math.pi + _TRIG_MARGIN
-    if math.floor(t1) >= t0:
+    if _floor(t1) >= t0:
         raise _Undecided
-    return _widened(math.tan(lo), math.tan(hi))
+    lo, hi = _math_tan(lo), _math_tan(hi)
+    lo -= abs(lo) * _SLACK + _TINY
+    hi += abs(hi) * _SLACK + _TINY
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Undecided
 
 
 def _enc_exp(u):
-    return _widened(math.exp(u[0]), math.exp(u[1]))
+    lo, hi = _math_exp(u[0]), _math_exp(u[1])
+    hi += hi * _SLACK + _TINY  # exp is >= 0, so lo stays finite
+    if hi < _INF:
+        return lo - (lo * _SLACK + _TINY), hi
+    raise _Undecided
 
 
 def _enc_ln(u):
+    """ln of a float is within [-745, 710], so widened it needs no check."""
     if not u[0] > 0.0:
         raise _Undecided
-    return _widened(math.log(u[0]), math.log(u[1]))
+    lo, hi = _math_log(u[0]), _math_log(u[1])
+    return lo - (abs(lo) * _SLACK + _TINY), hi + (abs(hi) * _SLACK + _TINY)
 
 
 def _enc_sqrt(u):
     if not u[0] >= 0.0:
         raise _Undecided
-    return math.sqrt(u[0]), math.sqrt(u[1])
+    return _math_sqrt(u[0]), _math_sqrt(u[1])
 
 
 def _enc_abs(u):
@@ -897,7 +950,7 @@ def _enc_abs(u):
         return lo, hi
     if hi <= 0.0:
         return -hi, -lo
-    return 0.0, max(-lo, hi)
+    return 0.0, (hi if hi > -lo else -lo)
 
 
 def _enc_sign(u):
