@@ -13,6 +13,8 @@ decimal places; the downstream stitch counts use the rounded values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 from math import sqrt
 
 from .expression import EvalDomainError, Record, compile_enclosure, compile_expr, differentiate
@@ -28,30 +30,30 @@ QUAD_MAX_DEPTH = 50
 # operations 169.  Unbounded, a pole at a segment end ran for minutes, and so
 # did an arclength of 7e12 rows before the chord bound refused it up front.
 QUAD_MAX_SPLITS = 2**20
-# Most split nodes that the recorded quadrature trees of one plan keep (see
-# adaptive_simpson); past it, nodes are not kept.  A split node and its
-# floats hold about 170 bytes, so the trees stay under 6 MB: the corpus spec
-# sqrt-abs-58 fills them, and cli.run on it peaks at 5.3 MB traced.  With
-# neither this cap nor TREE_REACH_ROWS, the trees held 33 MB on sqrt-abs-14
-# (202,532 splits).
-TREE_SPLITS = 2**15
-# Rows of arclength from a segment's start within which its recorded tree
-# keeps split nodes.  A segment of L rows gets round(L) rows, and has a first
-# landmark only if that is 2 or more; its share L / round(L) is then at most
-# 1.25 rows, and the first landmark's bisection reads no node that starts
-# past it.
-TREE_REACH_ROWS = 1.5
+# Most leaves that the segment quadratures of one plan tabulate for the
+# landmark search (see adaptive_simpson); a segment whose quadrature would
+# pass it keeps no table.  A leaf is two floats in a list, 64 bytes, so the
+# tables stay under 4.3 MB.  The test corpus's plans keep at most 18,979
+# leaves (sqrt-abs-26); sqrt-abs-14's one segment would take 202,533.
+TABLE_LEAVES = 2**16
 LANDMARK_XTOL = 1e-4      # bisection bracket width; finer than the 0.01 reporting step
+# Distance in x from a landmark's crossing on the leaf table within which a
+# replayed bisection step makes the plain step's comparison (see
+# solve_landmarks).
+LANDMARK_MARGIN = 2e-8
+# Largest |g(x*) - quartic(x*)| times the leaf's width at which a leaf table
+# is trusted for the crossing x* (see _crossings).
+TABLE_SENTINEL = 1e-6
 EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
-# landmark bisection, 6.0 to 6.4 us for the running example (9,967 rows at
-# scale 111) and 15.8 to 16.7 us for 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2
-# (9,445 rows at scale 66), best of 12 in each of three runs on CPython
-# 3.11, 2 vCPUs; build_plan takes 0.064 s and 0.16 s for them, so 10,000
-# rows take well under half a second.  The running example at scale 30 has
-# 2,694.
+# crossing on the leaf table and one replayed bisection, 4.6 us for the
+# running example (9,967 rows at scale 111) and 4.5 us for
+# 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 (9,445 rows at scale 66), best of 21
+# runs on CPython 3.11, 2 vCPUs (the plain bisection took 6.7 and 13.2 us);
+# build_plan takes 0.049 s and 0.050 s for them, so 10,000 rows take well
+# under half a second.  The running example at scale 30 has 2,694.
 MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
@@ -195,11 +197,7 @@ class LandmarkPlan(Record):
 
 
 def adaptive_simpson(
-    fp: Callable[[float], float],
-    lo: float,
-    hi: float,
-    trees: list | None = None,
-    reach: float = math.inf,
+    fp: Callable[[float], float], lo: float, hi: float, tables: list | None = None
 ) -> float:
     """Adaptive Simpson quadrature of sqrt(1 + fp(x)^2) over [lo, hi] to absolute QUAD_TOL.
 
@@ -225,31 +223,29 @@ def adaptive_simpson(
     constants are read at each call.
 
     Every accepted value, left + right + delta/15, is Boole's rule on its
-    five samples, with the positive weights (7, 32, 12, 32, 7)/90; so the
-    result is at least the width times the least sample, up to rounding
-    (see solve_landmarks, whose plain bisection steps make this first
-    level themselves).
+    five samples, with the positive weights (7, 32, 12, 32, 7)/90: the
+    integral of the quartic through them.  So the result is at least the
+    width times the least sample, up to rounding (see solve_landmarks,
+    whose plain bisection steps make this first level themselves).
 
-    A given list trees receives the tree of this quadrature, for
-    solve_landmarks to read, as (node, kept): the root's node, and the
-    number of split nodes the trees in the list keep so far.  A node that
-    passed its error test is its float value.  A split node is (own,
-    delta, left, right, least): its own Boole value left + right +
-    delta/15 and error term delta, as its error test read them, its
-    halves' nodes, and the least value that a quadrature of its interval
-    to a looser tolerance can return, min(own, least(left) +
-    least(right)), float addition being monotone.  Some nodes are not
-    kept, and are None: a split node that starts farther than reach from
-    lo (by the values of the nodes left of it), every split node past
-    TREE_SPLITS kept in the list, and a node accepted at the depth limit.
-    The least value of the first two is the width times 1 - 1e-12, as
-    every sample is at least 1 (see solve_landmarks); that of the last is
-    -inf, as a looser quadrature could sample it further, where the
-    recording took no sample.
+    A given list tables receives (table, leaves): the leaf table of this
+    quadrature, for solve_landmarks to read, and the leaves that the tables
+    in the list hold so far.  The table is the list lo, then the value and
+    the hi of each accepted leaf in recursion order, so left to right; leaf
+    k is table[2k:2k + 3], (lo, value, hi).  The result is still the
+    recursion's own sum, the same float as with no list.  The table is None
+    where a leaf was accepted at the depth limit, which its five samples do
+    not describe, and where the leaves would pass TABLE_LEAVES in the list;
+    past that cap, recording stops.
     """
     if hi == lo:
         return 0.0
     mid = 0.5 * (lo + hi)
+    tol = QUAD_TOL
+    # what is left of the second allowance, the splits made so far and,
+    # with tables, the most splits whose leaves the tables still hold
+    allowance = [tol, 0]
+    table = None
     try:
         d = fp(lo)
         fa = sqrt(1.0 + d * d)
@@ -258,47 +254,22 @@ def adaptive_simpson(
         d = fp(hi)
         fb = sqrt(1.0 + d * d)
         whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-        # The first level is a step with no split made yet; the allowance
-        # list holds what is left of the second allowance and the splits
-        # made so far, and with trees also the split nodes the trees may
-        # still keep, and how far from lo they may start.
-        if trees is None:
-            return _simpson_step(
-                fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, [QUAD_TOL, 0]
-            )
-        allowance = [QUAD_TOL, 0, TREE_SPLITS - (trees[-1][1] if trees else 0), reach]
-        value, node, _ = _recorded_step(
-            fp, lo, hi, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH, allowance, 0.0
-        )
+        if tables is not None:
+            table, held = [lo], tables[-1][1] if tables else 0
+            allowance.append(TABLE_LEAVES - held - 1)
+        value = _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, QUAD_MAX_DEPTH, allowance, table)
     except EvalDomainError as exc:
         raise EvalDomainError(f"f' is {exc}") from exc
-    trees.append((node, TREE_SPLITS - allowance[2]))
+    if table is not None:
+        if allowance[0] < tol or allowance[1] > allowance[2]:
+            table = None  # a leaf at the depth limit spent allowance, or the cap was passed
+        else:
+            held += allowance[1] + 1
+        tables.append((table, held))
     return value
 
 
-def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance):
-    mid = 0.5 * (lo + hi)
-    d = fp(0.5 * (lo + mid))
-    flm = sqrt(1.0 + d * d)
-    d = fp(0.5 * (mid + hi))
-    frm = sqrt(1.0 + d * d)
-    left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0 or allowance[1] >= QUAD_MAX_SPLITS:
-        return _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, allowance)
-    allowance[1] += 1
-    half = 0.5 * tol
-    return _simpson_step(
-        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
-    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
-
-
-def _recorded_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, start):
-    """_simpson_step, returning its value, its node and the node's least
-    value (see adaptive_simpson); start is the sum of the values left of lo."""
+def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, table=None):
     mid = 0.5 * (lo + hi)
     d = fp(0.5 * (lo + mid))
     flm = sqrt(1.0 + d * d)
@@ -309,48 +280,18 @@ def _recorded_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, start):
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
         value = left + right + delta / 15.0
-        return value, value, value
+        if table is not None:
+            table += (value, hi)
+        return value
     if depth <= 0 or allowance[1] >= QUAD_MAX_SPLITS:
-        value = _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, allowance)
-        return value, None, -math.inf
+        return _at_limit(lo, hi, left + right + delta / 15.0, delta, depth, allowance)
     allowance[1] += 1
+    if table is not None and allowance[1] > allowance[2]:
+        table = None  # past the cap: the rest of the table would be dropped
     half = 0.5 * tol
-    if start > allowance[3] or allowance[2] <= 0:
-        value = _simpson_step(
-            fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance
-        ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance)
-        return value, None, (hi - lo) * (1.0 - 1e-12)
-    allowance[2] -= 1
-    lvalue, lnode, least = _recorded_step(
-        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance, start
-    )
-    rvalue, rnode, rleast = _recorded_step(
-        fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance, start + lvalue
-    )
-    least += rleast
-    own = left + right + delta / 15.0
-    if own < least:
-        least = own
-    return lvalue + rvalue, (own, delta, lnode, rnode, least), least
-
-
-def _replay(node, tol):
-    """adaptive_simpson of a recorded node's interval at tolerance tol, from
-    the values and error terms the tree holds; nan where it needs a node
-    not kept.
-
-    It makes _simpson_step's error test on the recording's floats; at a tol
-    no tighter than the node's in the recording, as QUAD_TOL is for every
-    node, it splits only where the recording split, never at the depth
-    limit or the split bound, and returns the same float with no fp call.
-    """
-    if node.__class__ is not tuple:
-        return math.nan if node is None else node  # a leaf passed a tighter test
-    own, delta, lnode, rnode, _ = node
-    if abs(delta) <= 15.0 * tol:
-        return own
-    half = 0.5 * tol
-    return _replay(lnode, half) + _replay(rnode, half)
+    return _simpson_step(
+        fp, lo, mid, fa, flm, fm, left, half, depth - 1, allowance, table
+    ) + _simpson_step(fp, mid, hi, fm, frm, fb, right, half, depth - 1, allowance, table)
 
 
 def _at_limit(lo, hi, estimate, delta, depth, allowance):
@@ -369,19 +310,15 @@ def _at_limit(lo, hi, estimate, delta, depth, allowance):
     )
 
 
-def arclength_rows(spec: PatternSpec, lo: float, hi: float, trees: list | None = None) -> float:
+def arclength_rows(spec: PatternSpec, lo: float, hi: float, tables: list | None = None) -> float:
     """Arclength of f over [lo, hi] converted to row units.
 
-    A given list trees receives the quadrature's tree (see
-    adaptive_simpson), with the split nodes that start within
-    TREE_REACH_ROWS of lo: all that the tree steps of the first landmark
-    from lo read (see solve_landmarks).
+    A given list tables receives the quadrature's leaf table (see
+    adaptive_simpson), which solve_landmarks reads.
     """
     if not (spec.a <= lo < hi <= spec.b):
         raise ValueError(f"need a <= lo < hi <= b, got lo={lo!r}, hi={hi!r}")
-    factor = spec.rows_per_unit
-    reach = TREE_REACH_ROWS / factor if factor > 0 else math.inf
-    return factor * adaptive_simpson(spec.curve.fp, lo, hi, trees, reach)
+    return spec.rows_per_unit * adaptive_simpson(spec.curve.fp, lo, hi, tables)
 
 
 def find_extrema(spec: PatternSpec, pieces: list | None = None) -> list[float]:
@@ -524,7 +461,7 @@ def _bisect_sign_change(deriv, lo, hi, lo_sign):
     return 0.5 * (lo + hi)
 
 
-def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) -> list[float]:
+def solve_landmarks(spec: PatternSpec, seg: Segment, table=None) -> list[float]:
     """Landmarks x_0 .. x_rowcount for one segment.
 
     Interior landmark i satisfies rows(seg.lo, x_i) = i * L / row_count,
@@ -533,132 +470,224 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, tree: tuple | None = None) 
     to two decimals and clamped into [a, b], which rounding can leave where
     a or b is off the 0.01 grid.  The segment endpoints stay unrounded.
 
-    A bisection step whose outcome a lower bound on the arclength already
-    decides moves the right bracket without running the quadrature, so the
-    cost per landmark does not grow with segment length.  Each step tests
-    one bound: the width times the least integrand g = sqrt(1 + f'^2), 1
-    anywhere, or sqrt(1 + m^2) where the enclosure of f' proves |f'| >= m:
-    once per landmark, on [xl, mid] of the first step the width leaves
-    undecided, for that step and the later ones inside it.  Only steps that
-    would have gone right are skipped, so every bracket, accumulated
-    arclength and landmark is the same float as with a quadrature per step.
-    A skipped step's quadrature is never run, so it cannot raise
-    QuadratureError.
+    The plain bisection brackets landmark i from [xl, seg.hi], xl being
+    where landmark i - 1's bracket ended, and moves xl to mid where al, the
+    arclength in rows accumulated at xl, plus the quadrature of [xl, mid]
+    is below the target.  A step whose outcome a lower bound on the
+    arclength already decides moves the right bracket without running the
+    quadrature, so the cost per landmark does not grow with segment
+    length.  Each step tests one bound: the width times the least
+    integrand g = sqrt(1 + f'^2), 1 anywhere, or sqrt(1 + m^2) where the
+    enclosure of f' proves |f'| >= m: once per landmark, on [xl, mid] of
+    the first step the width leaves undecided, for that step and the later
+    ones inside it.  Only steps that would have gone right are skipped, so
+    every bracket, accumulated arclength and landmark is the same float as
+    with a quadrature per step.  A step that integrates makes
+    adaptive_simpson(fp, xl, mid) itself (see _arc_step), carrying g at xl
+    from the step that moved xl there.
 
-    A step that integrates makes adaptive_simpson(fp, xl, mid)'s first
-    level itself, forming g inline from f' as it does, so the bound holds
-    for every sample it takes, and its result is the same float: the same
-    expressions on the same samples in the same order, and _simpson_step
-    on the two halves where the first level's error test fails, as
-    adaptive_simpson calls it after its first split.  g at xl is the one
-    that the step which last moved xl took at its right end, across
-    landmarks too; it is taken afresh only before the first such step.
-    The first f' that fails is raised as adaptive_simpson raises it: "f' is
-    " and the message of fp's EvalDomainError, which is its cause.
-
-    tree is the segment's quadrature tree, (node, kept) as adaptive_simpson
-    records it in build_plan.  The first landmark's bracket starts at the
-    root's interval [seg.lo, seg.hi] and is halved as the quadrature halved
-    it, so while it stands on a split node, leading steps read the tree: the
-    left half's least value (the width bound for a half not kept) decides a
-    step where it reaches the target, and otherwise _replay gives the float
-    of the step's quadrature, a looser one of that half.  A step that needs
-    a node the tree lacks leaves the rest to the plain steps.  After an
-    extremum, where f' = 0 at seg.lo and the box of f' proves nothing, the
-    plain steps would cost most of the segment's samples.
+    table is the segment quadrature's leaf table, as adaptive_simpson
+    records it in build_plan.  Where the box of f' on the whole segment is
+    decided (so no plain step could raise) and _crossings trusts the
+    table, each landmark's crossing x* is read off the table, and the plain
+    bisection is replayed without integrating.  A step whose mid is more
+    than a margin from x* moves as its comparison would: LANDMARK_MARGIN,
+    for the drift between al and the table, plus the sentinel's residual at
+    x*, for the quartic's error inside a wide leaf.  A step within the
+    margin, a near-tie, makes the plain step's own comparison, with al
+    rebuilt as the plain steps build it since the last near-tie (see
+    _rebuilt).  Every bracket then ends where the plain bisection's does,
+    except where its quadrature of a wide [xl, mid] aliases an oscillating
+    integrand and is off by more than the margin; the table's crossing is
+    the right one there.  Any other segment, or one with no table, takes
+    the plain bisection.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
+    targets = [i * seg.arclength_rows / seg.row_count for i in range(1, seg.row_count)]
+    crossings = None
+    if table is not None and targets and fp_box(seg.lo, seg.hi) is not None:
+        crossings, residuals = _crossings(fp, table, [target / factor for target in targets])
     xs = [seg.lo]
     xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: with gl, all that crosses rows
-    gl = None  # g at xl, from the plain step that moved xl there; None until one did
-    node = None if tree is None else tree[0]  # the bracket's node, for the first landmark
-    for i in range(1, seg.row_count):
-        target = i * seg.arclength_rows / seg.row_count
-        # the right end of this landmark's box of f' and the least g it
-        # proves; least_g is None until f' is enclosed
-        xr, box_hi, least_g = seg.hi, -math.inf, None
-        while node.__class__ is tuple and xr - xl > LANDMARK_XTOL:
-            mid = 0.5 * (xl + xr)
-            if not xl < mid < xr:
-                break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-            lnode = node[2]
-            if lnode.__class__ is tuple:
-                least = lnode[4]
-            else:
-                least = (mid - xl) * (1.0 - 1e-12) if lnode is None else lnode
-            if al + factor * least < target:
-                amid = al + factor * _replay(lnode, QUAD_TOL)
-                if amid != amid:
-                    break  # nan: the quadrature needs a node the tree lacks
-                if amid < target:
-                    xl, al, node = mid, amid, node[3]
+    gl = None  # g at xl, from the step that moved xl there; None until one did
+    path = [xl]  # with a table, xl where al was last exact, then each move of xl since
+    for i, target in enumerate(targets):
+        xr = seg.hi
+        if crossings is not None:
+            margin = LANDMARK_MARGIN + residuals[i]
+            below, above = crossings[i] - margin, crossings[i] + margin
+            while xr - xl > LANDMARK_XTOL:
+                mid = 0.5 * (xl + xr)
+                if not xl < mid < xr:
+                    break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
+                if mid < below:
+                    xl = mid
+                    path.append(mid)
+                elif mid > above:
+                    xr = mid
+                else:  # a near-tie: the plain step's comparison
+                    al, gl = _rebuilt(fp, factor, path, al, gl)
+                    q, gl, gr = _arc_step(fp, xl, mid, gl)
+                    amid = al + factor * q
+                    if amid < target:
+                        xl, al, gl = mid, amid, gr
+                    else:
+                        xr = mid
+                    path = [xl]
+        else:
+            # the right end of this landmark's box of f' and the least g it
+            # proves; least_g is None until f' is enclosed
+            box_hi, least_g = -math.inf, None
+            while xr - xl > LANDMARK_XTOL:
+                mid = 0.5 * (xl + xr)
+                if not xl < mid < xr:
+                    break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
+                # The quadrature returns at least the width times its least
+                # sample, up to rounding that the relative slack covers, and
+                # float *, + and sqrt round monotonically, so each sample
+                # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
+                # The box starts at an earlier xl of this landmark, and xl never
+                # decreases, so it holds [xl, mid] when mid <= box_hi.
+                g = least_g if mid <= box_hi else 1.0
+                if al + factor * ((mid - xl) * g * (1.0 - 1e-12)) >= target:
+                    xr = mid
                     continue
-            xr, node = mid, lnode
-        node = None  # later landmarks take only the plain steps
-        while xr - xl > LANDMARK_XTOL:
-            mid = 0.5 * (xl + xr)
-            if not xl < mid < xr:
-                break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-            # The quadrature returns at least the width times its least
-            # sample, up to rounding that the relative slack covers, and
-            # float *, + and sqrt round monotonically, so each sample
-            # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
-            # The box starts at an earlier xl of this landmark, and xl never
-            # decreases, so it holds [xl, mid] when mid <= box_hi.
-            g = least_g if mid <= box_hi else 1.0
-            if al + factor * ((mid - xl) * g * (1.0 - 1e-12)) >= target:
-                xr = mid
-                continue
-            if least_g is None:
-                box = fp_box(xl, mid)
-                m = 0.0 if box is None else max(box[0], -box[1], 0.0)
-                box_hi, least_g = mid, sqrt(1.0 + m * m)
-                continue  # the same step again, with the box's bound
-            # adaptive_simpson(fp, xl, mid), its first level made here with its
-            # expressions in its order, so the same float; g at xl is carried
-            # from the step that moved xl there, where one did
-            try:
-                if gl is None:
-                    d = fp(xl)
-                    gl = sqrt(1.0 + d * d)
-                c = 0.5 * (xl + mid)
-                d = fp(c)
-                gc = sqrt(1.0 + d * d)
-                d = fp(mid)
-                gr = sqrt(1.0 + d * d)
-                whole = (mid - xl) / 6.0 * (gl + 4.0 * gc + gr)
-                d = fp(0.5 * (xl + c))
-                glm = sqrt(1.0 + d * d)
-                d = fp(0.5 * (c + mid))
-                grm = sqrt(1.0 + d * d)
-                left = (c - xl) / 6.0 * (gl + 4.0 * glm + gc)
-                right = (mid - c) / 6.0 * (gc + 4.0 * grm + gr)
-                delta = left + right - whole
-                if abs(delta) <= 15.0 * QUAD_TOL:
-                    q = left + right + delta / 15.0
-                elif QUAD_MAX_DEPTH > 0 and QUAD_MAX_SPLITS > 0:
-                    # the first split, as _simpson_step makes it
-                    allowance, half = [QUAD_TOL, 1], 0.5 * QUAD_TOL
-                    q = _simpson_step(
-                        fp, xl, c, gl, glm, gc, left, half, QUAD_MAX_DEPTH - 1, allowance
-                    ) + _simpson_step(
-                        fp, c, mid, gc, grm, gr, right, half, QUAD_MAX_DEPTH - 1, allowance
-                    )
+                if least_g is None:
+                    box = fp_box(xl, mid)
+                    m = 0.0 if box is None else max(box[0], -box[1], 0.0)
+                    box_hi, least_g = mid, sqrt(1.0 + m * m)
+                    continue  # the same step again, with the box's bound
+                q, gl, gr = _arc_step(fp, xl, mid, gl)
+                amid = al + factor * q
+                if amid < target:
+                    xl, al, gl = mid, amid, gr
                 else:
-                    q = _at_limit(xl, mid, left + right + delta / 15.0, delta,
-                                  QUAD_MAX_DEPTH, [QUAD_TOL, 0])
-            except EvalDomainError as exc:
-                raise EvalDomainError(f"f' is {exc}") from exc
-            amid = al + factor * q
-            if amid < target:
-                xl, al, gl = mid, amid, gr
-            else:
-                xr = mid
+                    xr = mid
         x = round_landmark(0.5 * (xl + xr))
         xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
+
+
+def _arc_step(fp, xl, mid, gl):
+    """(adaptive_simpson(fp, xl, mid), g at xl, g at mid); gl is g at xl, or None.
+
+    Its first level is made here with adaptive_simpson's expressions in its
+    order, and _simpson_step runs on the two halves where the level's error
+    test fails, as adaptive_simpson calls it after its first split (or
+    _at_limit where QUAD_MAX_DEPTH or QUAD_MAX_SPLITS is 0): the same float.
+    An f' that fails is raised as adaptive_simpson raises it.
+    """
+    try:
+        if gl is None:
+            d = fp(xl)
+            gl = sqrt(1.0 + d * d)
+        c = 0.5 * (xl + mid)
+        d = fp(c)
+        gc = sqrt(1.0 + d * d)
+        d = fp(mid)
+        gr = sqrt(1.0 + d * d)
+        whole = (mid - xl) / 6.0 * (gl + 4.0 * gc + gr)
+        d = fp(0.5 * (xl + c))
+        glm = sqrt(1.0 + d * d)
+        d = fp(0.5 * (c + mid))
+        grm = sqrt(1.0 + d * d)
+        left = (c - xl) / 6.0 * (gl + 4.0 * glm + gc)
+        right = (mid - c) / 6.0 * (gc + 4.0 * grm + gr)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * QUAD_TOL:
+            q = left + right + delta / 15.0
+        elif QUAD_MAX_DEPTH > 0 and QUAD_MAX_SPLITS > 0:
+            # the first split, as _simpson_step makes it
+            allowance, half = [QUAD_TOL, 1], 0.5 * QUAD_TOL
+            q = _simpson_step(
+                fp, xl, c, gl, glm, gc, left, half, QUAD_MAX_DEPTH - 1, allowance
+            ) + _simpson_step(fp, c, mid, gc, grm, gr, right, half, QUAD_MAX_DEPTH - 1, allowance)
+        else:
+            q = _at_limit(xl, mid, left + right + delta / 15.0, delta, QUAD_MAX_DEPTH,
+                          [QUAD_TOL, 0])
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"f' is {exc}") from exc
+    return q, gl, gr
+
+
+def _rebuilt(fp, factor, path, al, gl):
+    """al and g at path[-1] after the plain steps' left moves along path.
+
+    al and gl are the arclength in rows and g (or None) at path[0]; each
+    move adds factor times its quadrature, as a plain step adds it.
+    """
+    for u, v in zip(path, path[1:]):
+        q, _, gl = _arc_step(fp, u, v, gl)
+        al += factor * q
+    return al, gl
+
+
+def _crossings(fp, table, targets):
+    """(crossings, residuals): where a leaf table's arclength reaches each target.
+
+    The targets ascend, in the table's units.  Each is located among the
+    leaves' prefix sums, and inside its leaf the crossing x* solves F(x*) =
+    the rest, F being the integral from the leaf's lo of the quartic
+    through its five samples, whose integral over the leaf is its Boole
+    value; Newton's method finds it, from the linear guess.  The samples
+    are taken again where the quadrature took them, the same floats, once
+    per leaf that holds a crossing.  A sentinel sample g(x*) checks each
+    crossing: its residual is |g(x*) - quartic(x*)| times the leaf's width.
+    crossings is None, and the table not trusted, where a residual passes
+    TABLE_SENTINEL (the last residual is that one), where the quartic is
+    not positive along Newton's path or Newton leaves the leaf, and where
+    f' fails.
+    """
+    ends = list(accumulate(table[1::2]))
+    last, k = len(ends) - 1, -1
+    found, residuals = [], []
+    try:
+        for target in targets:
+            j = bisect_left(ends, target, max(k, 0), last)
+            if j != k:
+                lo, value, hi = table[2 * j:2 * j + 3]
+                mid = 0.5 * (lo + hi)
+                xs = (0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+                if j != k + 1 or not found:
+                    xs = (lo, *xs)
+                gs = [sqrt(1.0 + d * d) for d in map(fp, xs)]
+                g0, g1, g2, g3, g4 = gs if len(gs) == 5 else (g4, *gs)
+                k, start, h = j, ends[j - 1] if j else 0.0, 0.25 * (hi - lo)
+                # the quartic p(u) = g2 + c1*u + ... + c4*u^4 in u = (x - mid) / h,
+                # and its integral P(u) = g2*u + e2*u^2 + ... + e5*u^5; p_lo = P(-2)
+                c1 = (g0 - 8.0 * g1 + 8.0 * g3 - g4) / 12.0
+                c2 = (16.0 * (g1 + g3) - g0 - 30.0 * g2 - g4) / 24.0
+                c3 = (g4 - g0 + 2.0 * (g1 - g3)) / 12.0
+                c4 = (g0 + g4 - 4.0 * (g1 + g3) + 6.0 * g2) / 24.0
+                e2, e3, e4, e5 = 0.5 * c1, c2 / 3.0, 0.25 * c3, 0.2 * c4
+                p_lo = -2.0 * (g2 - 2.0 * (e2 - 2.0 * (e3 - 2.0 * (e4 - 2.0 * e5))))
+            # Newton's method from the linear guess: a step of at most 1e-7
+            # leaves an error near its square, far below an ulp of x
+            rest = (target - start) / h + p_lo
+            u = 4.0 * (target - start) / value - 2.0
+            for _ in range(8):
+                p = g2 + u * (c1 + u * (c2 + u * (c3 + u * c4)))
+                if not (p > 0.0 and -2.0 - 1e-9 <= u <= 2.0 + 1e-9):
+                    return None, residuals
+                step = (u * (g2 + u * (e2 + u * (e3 + u * (e4 + u * e5)))) - rest) / p
+                u -= step
+                if abs(step) <= 1e-7:
+                    break
+            else:
+                return None, residuals
+            x = lo + (u + 2.0) * h
+            d = fp(x)
+            p = g2 + u * (c1 + u * (c2 + u * (c3 + u * c4)))
+            residual = abs(sqrt(1.0 + d * d) - p) * (hi - lo)
+            residuals.append(residual)
+            if not residual <= TABLE_SENTINEL:
+                return None, residuals
+            found.append(x)
+    except EvalDomainError:
+        return None, residuals
+    return found, residuals
 
 
 def _chord_rows(spec: PatternSpec, pieces, cuts) -> float:
@@ -716,8 +745,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     )
     if _chord_rows(spec, pieces, cuts) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
         raise too_many
-    trees = []
-    lengths = [arclength_rows(spec, lo, hi, trees) for lo, hi in spans]
+    tables = []
+    lengths = [arclength_rows(spec, lo, hi, tables) for lo, hi in spans]
     # inf and nan, which round_half_away cannot take, are not <= MAX_ROWS
     counts = [max(1, round_half_away(length)) for length in lengths if length <= MAX_ROWS]
     total = sum(counts)
@@ -729,8 +758,8 @@ def build_plan(spec: PatternSpec, prioritize_extrema: bool = True) -> LandmarkPl
     )
 
     landmarks: list[float] = []
-    for seg, tree in zip(segments, trees, strict=True):
-        pts = solve_landmarks(spec, seg, tree)
+    for seg, (table, _) in zip(segments, tables, strict=True):
+        pts = solve_landmarks(spec, seg, table)
         landmarks.extend(pts if not landmarks else pts[1:])
 
     f = spec.curve.f

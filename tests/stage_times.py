@@ -19,7 +19,10 @@ is checked once against build_plan's, so the stages cannot drift from the
 package unseen.  A second table counts the calls of f', f_box and fp_box
 (f' and the enclosures of f and f') in the walk, the quadrature and the
 landmarks stages of one more run, untimed, and the landmark search's f'
-calls per row.  --counts prints only counts: that table, and the opcodes
+calls per row, with the segments whose landmarks the leaf table places and
+those the plain bisection places, the near-ties that made the plain
+comparison and the largest sentinel residual (see
+calculus.solve_landmarks).  --counts prints only counts: that table, and the opcodes
 each stage executes in one run traced by sys.settrace with
 f_trace_opcodes, with the opcodes executed inside the enclosures per
 enclosure call.  Counts repeat exactly from run to run and under any
@@ -43,7 +46,7 @@ import types
 from pathlib import Path
 from time import perf_counter
 
-from revcrochet import LandmarkPlan, PatternSpec, Segment, build_plan, parse, shape_rows
+from revcrochet import LandmarkPlan, PatternSpec, Segment, build_plan, calculus, parse, shape_rows
 from revcrochet.calculus import (
     CHORD_MARGIN,
     MAX_ROWS,
@@ -129,16 +132,16 @@ def timed_run(args, meter=clock, calls=None):
     spans = list(zip(bounds, bounds[1:]))
     if _chord_rows(spec, pieces, cuts) > (MAX_ROWS + 0.5 * len(spans)) * (1 + CHORD_MARGIN):
         raise ValueError("the chord bound passes MAX_ROWS")
-    trees = []
-    lengths = [arclength_rows(spec, lo, hi, trees) for lo, hi in spans]
+    tables = []
+    lengths = [arclength_rows(spec, lo, hi, tables) for lo, hi in spans]
     t4 = meter()
     segments = tuple(
         Segment(lo, hi, length, max(1, round_half_away(length)))
         for (lo, hi), length in zip(spans, lengths)
     )
     landmarks = []
-    for seg, tree in zip(segments, trees):
-        pts = solve_landmarks(spec, seg, tree)
+    for seg, (table, _) in zip(segments, tables):
+        pts = solve_landmarks(spec, seg, table)
         landmarks.extend(pts if not landmarks else pts[1:])
     heights = list(map(spec.curve.f, landmarks))
     plan = LandmarkPlan(segments, tuple(landmarks), sum(s.row_count for s in segments),
@@ -166,6 +169,31 @@ def call_counts(args):
     calls = [0, 0, 0]
     counts, _, plan = timed_run(args, lambda: tuple(calls), calls)
     return counts, plan
+
+
+def table_counts(args):
+    """Of one untimed run: (segments whose landmarks the leaf table places, segments
+    with landmarks that the plain bisection places, near-ties, largest sentinel residual)."""
+    crossings, rebuilt = calculus._crossings, calculus._rebuilt
+    seen, ties = [], [0]
+
+    def spying(*args):
+        result = crossings(*args)
+        seen.append(result)
+        return result
+
+    def counting(*args):
+        ties[0] += 1
+        return rebuilt(*args)
+
+    calculus._crossings, calculus._rebuilt = spying, counting
+    try:
+        _, _, plan = timed_run(args)
+    finally:
+        calculus._crossings, calculus._rebuilt = crossings, rebuilt
+    table = sum(found is not None for found, _ in seen)
+    searched = sum(seg.row_count > 1 for seg in plan.segments)
+    return table, searched - table, ties[0], max((max(r) for _, r in seen if r), default=0.0)
 
 
 def opcode_counts(args):
@@ -206,13 +234,19 @@ def opcode_counts(args):
 
 
 def print_call_counts(ops, width):
-    print("calls of f', f_box and fp_box in one run, untimed (walk/quadrature/landmarks)")
-    print(f"{'anchor':<{width}}{'fp':>22}{'f_box':>14}{'fp_box':>16}{'rows':>7}{'landmark fp/row':>17}")
+    print("calls of f', f_box and fp_box in one run, untimed (walk/quadrature/landmarks);")
+    print("segments whose landmarks the leaf table / the plain bisection places, near-ties")
+    print("that made the plain comparison, and the largest sentinel residual")
+    print(f"{'anchor':<{width}}{'fp':>22}{'f_box':>14}{'fp_box':>16}{'rows':>7}{'landmark fp/row':>17}"
+          f"{'table/plain':>13}{'ties':>6}{'residual':>10}")
     for name, op_argv in ops:
-        counts, plan = call_counts(_parse_args(op_argv))
+        args = _parse_args(op_argv)
+        counts, plan = call_counts(args)
         cells = ["/".join(str(counts[stage][i]) for stage in COUNTED) for i in range(3)]
+        table, plain, ties, residual = table_counts(args)
         print(f"{name:<{width}}{cells[0]:>22}{cells[1]:>14}{cells[2]:>16}{plan.total_rows:7d}"
-              f"{counts['landmarks'][0] / plan.total_rows:17.2f}")
+              f"{counts['landmarks'][0] / plan.total_rows:17.2f}{f'{table}/{plain}':>13}{ties:6d}"
+              f"{residual:10.1e}")
 
 
 def print_opcode_counts(ops, width):

@@ -440,7 +440,7 @@ class TestQuadratureOracle:
         got = outcome(adaptive_simpson, fp, lo, hi)
         tol, depth = calculus.QUAD_TOL, calculus.QUAD_MAX_DEPTH
         expected = outcome(reference_simpson, arc_integrand(fp), lo, hi, tol, depth)
-        # recording the tree changes neither the float nor the error
+        # recording the leaf table changes neither the float nor the error
         recorded = outcome(adaptive_simpson, fp, lo, hi, [])
         if isinstance(expected, float):
             assert isinstance(got, float) and same_float(got, expected)
@@ -507,7 +507,7 @@ class TestQuadratureOracle:
 
     @staticmethod
     def assert_chained(fp, lo, hi):
-        """On the plain and the recorded path, the error's cause is what fp raised."""
+        """With and without a leaf table, the error's cause is what fp raised."""
         raised = []
 
         def keeping(x):
@@ -517,10 +517,10 @@ class TestQuadratureOracle:
                 raised.append(exc)
                 raise
 
-        for trees in (None, []):
+        for tables in (None, []):
             raised.clear()
             with pytest.raises(EvalDomainError) as info:
-                adaptive_simpson(keeping, lo, hi, trees)
+                adaptive_simpson(keeping, lo, hi, tables)
             assert len(raised) == 1 and info.value.__cause__ is raised[0]
             assert str(info.value) == f"f' is {raised[0]}"
 
@@ -557,63 +557,48 @@ KNOWN_WRONG_LANDMARKS = [
 ]
 
 
-def tree_nodes(tree, lo, hi):
-    """(node, lo, hi) for every node of a recorded tree of [lo, hi], root first."""
-    stack = [(tree[0], lo, hi)]
-    while stack:
-        item = stack.pop()
-        yield item
-        node, lo, hi = item
-        if node.__class__ is tuple:
-            mid = 0.5 * (lo + hi)
-            stack += [(node[3], mid, hi), (node[2], lo, mid)]
+def leaf_samples(fp, lo, hi):
+    """g = sqrt(1 + fp^2) at the five points adaptive_simpson samples on [lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    xs = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+    return [math.sqrt(1.0 + d * d) for d in map(fp, xs)]
 
 
-def holds_all(node):
-    """No node of node's tree is missing (None)."""
-    if node.__class__ is tuple:
-        return holds_all(node[2]) and holds_all(node[3])
-    return node is not None
+def assert_leaves_replay(fp, lo, hi, table):
+    """The table tiles [lo, hi] left to right, and each leaf's value is its Boole
+    value on its samples, taken again: the float the quadrature accepted.
+    Returns the number of leaves."""
+    assert table[0] == lo and table[-1] == hi and len(table) % 2 == 1
+    for k in range(0, len(table) - 1, 2):
+        u, value, v = table[k:k + 3]
+        assert u < v
+        g0, g1, g2, g3, g4 = leaf_samples(fp, u, v)
+        mid = 0.5 * (u + v)
+        whole = (v - u) / 6.0 * (g0 + 4.0 * g2 + g4)
+        left = (mid - u) / 6.0 * (g0 + 4.0 * g1 + g2)
+        right = (v - mid) / 6.0 * (g2 + 4.0 * g3 + g4)
+        delta = left + right - whole
+        assert same_float(value, left + right + delta / 15.0)
+    return len(table) // 2
 
 
-def assert_trees_replay(fp, spans, trees):
-    """Every kept node replays to adaptive_simpson's float, or to nan.
-
-    nan comes only from a node with a missing node below it.  The node's
-    least value is at most that float, and -inf where adaptive_simpson
-    raises.  Returns the nodes replayed to a float and the missing nodes.
-    """
-    replayed = missing = kept = 0
-    for (lo, hi), tree in zip(spans, trees, strict=True):
-        for node, u, v in tree_nodes(tree, lo, hi):
-            if node is None:
-                missing += 1
-                continue
-            kept += node.__class__ is tuple
-            least = node if node.__class__ is float else node[4]
-            expected = outcome(adaptive_simpson, fp, u, v)
-            got = calculus._replay(node, calculus.QUAD_TOL)
-            if not isinstance(expected, float):
-                assert least == -math.inf and math.isnan(got)
-                continue
-            assert least <= expected
-            if math.isnan(got):
-                assert not holds_all(node)
-            else:
-                assert same_float(got, expected)
-                replayed += 1
-        assert tree[1] == kept <= calculus.TREE_SPLITS
-    return replayed, missing
-
-
-def record_trees(spec, prioritize_extrema=True):
-    """The plan, its segment spans, and the trees build_plan records for them."""
+def leaf_tables(spec, prioritize_extrema=True):
+    """The plan, and the leaf tables build_plan records for its segments."""
     plan = build_plan(spec, prioritize_extrema)
-    spans = [(seg.lo, seg.hi) for seg in plan.segments]
-    trees = []
-    for lo, hi in spans:
-        arclength_rows(spec, lo, hi, trees)
-    return plan, spans, trees
+    tables = []
+    for seg in plan.segments:
+        arclength_rows(spec, seg.lo, seg.hi, tables)
+    return plan, tables
+
+
+def assert_tables_replay(spec, plan, tables):
+    """Every kept table replays, and the running counts of leaves add up; returns the leaves."""
+    held = 0
+    for seg, (table, count) in zip(plan.segments, tables, strict=True):
+        if table is not None:
+            held += assert_leaves_replay(spec.curve.fp, seg.lo, seg.hi, table)
+        assert count == held
+    return held
 
 
 def concatenated_reference(spec, plan):
@@ -625,15 +610,14 @@ def concatenated_reference(spec, plan):
 
 
 class TestQuadratureTree:
-    """The segment quadrature's tree, which the first landmark's bisection reads."""
+    """The leaves of the segment quadrature's tree, which build_plan tabulates for the landmarks."""
 
     def test_seeded_specs_replay(self):
         rng = random.Random(24)
         for _ in range(12):
             spec = random_valid_spec(rng)
-            _, spans, trees = record_trees(spec, rng.random() < 0.5)
-            replayed, _ = assert_trees_replay(spec.curve.fp, spans, trees)
-            assert replayed
+            plan, tables = leaf_tables(spec, rng.random() < 0.5)
+            assert assert_tables_replay(spec, plan, tables)
 
     @pytest.mark.parametrize("text, a, b, scale", [
         ("2 + sin(20*x)", 0.0, 10.0, 0.3),  # the ripple anchor
@@ -641,71 +625,54 @@ class TestQuadratureTree:
     ])
     def test_anchors_replay(self, text, a, b, scale):
         spec = make_spec(text, a, b, scale=scale)
-        _, spans, trees = record_trees(spec)
-        replayed, _ = assert_trees_replay(spec.curve.fp, spans, trees)
-        assert replayed >= 500
+        plan, tables = leaf_tables(spec)
+        assert assert_tables_replay(spec, plan, tables) >= 1000  # 4,455 and 1,085
+        assert all(table is not None for table, _ in tables)
 
-    def test_depth_limit_nodes_are_missing(self):
+    def test_depth_limit_nodes_are_missing(self, monkeypatch):
         # f' ~ |x - 0.3|^0.05 changes too fast next to the cusp for the
-        # halved tolerance: the one segment starts there, and its
-        # quadrature hits the depth limit within the nodes it keeps
+        # halved tolerance: the one segment starts there, and its quadrature
+        # accepts a leaf at the depth limit, so it keeps no table and its
+        # landmarks take the plain bisection
         spec = make_spec("2 + abs(x - 0.3)^1.05", 0.3, 1.0, scale=2.0)
-        plan, spans, trees = record_trees(spec)
-        replayed, missing = assert_trees_replay(spec.curve.fp, spans, trees)
-        assert replayed and missing
-        # only a node at the depth limit bounds nothing
-        assert any(node.__class__ is tuple and node[4] == -math.inf
-                   for (lo, hi), tree in zip(spans, trees) for node, *_ in tree_nodes(tree, lo, hi))
-        assert plan.landmarks == concatenated_reference(spec, plan)
+        plan, tables = leaf_tables(spec)
+        assert [table for table, _ in tables] == [None] and plan.total_rows > 2
+
+        def refuse(*args):
+            raise AssertionError("a segment with no table reads one")
+
+        monkeypatch.setattr(calculus, "_crossings", refuse)
+        assert build_plan(spec).landmarks == plan.landmarks == concatenated_reference(spec, plan)
 
     def test_a_plan_past_the_node_cap(self, monkeypatch):
-        monkeypatch.setattr(calculus, "TREE_SPLITS", 60)
+        # a cap of 200 leaves, where the 65 segments take 4,455: a segment
+        # whose quadrature would pass what is left of it keeps no table
+        monkeypatch.setattr(calculus, "TABLE_LEAVES", 200)
         spec = make_spec("2 + sin(20*x)", 0.0, 10.0, scale=0.3)
-        plan, spans, trees = record_trees(spec)
-        replayed, missing = assert_trees_replay(spec.curve.fp, spans, trees)
-        assert trees[-1][1] == 60 and trees[-1][0] is None and replayed and missing
-        assert plan.landmarks == concatenated_reference(spec, plan)
-
-    def test_a_long_segment_keeps_the_nodes_near_its_start(self):
-        # 808 rows: the first landmark's bisection reads only nodes that
-        # start within 1.25 rows of a
-        spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
-        plan, spans, trees = record_trees(spec, False)
-        everything = []
-        adaptive_simpson(spec.curve.fp, -3.0, 1.0, everything)
-        assert trees[0][1] <= 10 and everything[0][1] >= 100
-        assert_trees_replay(spec.curve.fp, spans, trees)
+        plan, tables = leaf_tables(spec)
+        kept = [table is not None for table, _ in tables]
+        assert kept[:2] == [True, True] and kept.count(False) > 50
+        assert assert_tables_replay(spec, plan, tables) <= 200
         assert plan.landmarks == concatenated_reference(spec, plan)
 
     def test_a_root_accepted_at_the_first_level(self, monkeypatch):
         # f' is constant, so the segment's first level passes its error
-        # test: the root is a leaf, and the first landmark goes straight to
-        # the plain steps without a replay
+        # test: the table holds one leaf, whose quartic is the constant g,
+        # and no landmark needs a step of the plain bisection
         spec = make_spec("2 + 0.5*x", 0.0, 3.0, scale=2.0)
-        plan, spans, trees = record_trees(spec)
-        (root, kept), = trees
-        assert root.__class__ is float and kept == 0
-        assert plan.segments[0].row_count > 2
+        plan, tables = leaf_tables(spec)
+        ((table, held),) = tables
+        assert len(table) == 3 and held == 1 and plan.segments[0].row_count > 2
 
-        def refuse(node, tol):
-            raise AssertionError("a leaf root is replayed")
+        def refuse(*args):
+            raise AssertionError("a landmark step integrates")
 
-        monkeypatch.setattr(calculus, "_replay", refuse)
+        monkeypatch.setattr(calculus, "_arc_step", refuse)
         assert build_plan(spec).landmarks == concatenated_reference(spec, plan)
 
-    def test_later_landmarks_leave_the_tree(self):
-        # the cusp sits where the first landmark's target is reached, and the
-        # quadrature split it finer than LANDMARK_XTOL: the first landmark's
-        # tree steps end on a split node, which the second must not read
-        cusp = 0.07799078598756877
-        spec = make_spec(f"2 + abs(x - {cusp!r})^1.5", 0.0, 1.0, scale=2.0)
-        plan, spans, trees = record_trees(spec, False)
-        assert any(node.__class__ is tuple and v - u <= calculus.LANDMARK_XTOL and u <= cusp <= v
-                   for node, u, v in tree_nodes(trees[0], *spans[0]))
-        assert plan.landmarks == concatenated_reference(spec, plan)
-
     def test_split_bound(self, monkeypatch):
-        # the quadrature splits just as often as the bound allows
+        # the quadrature splits just as often as the bound allows, and its
+        # table holds one leaf more than its splits
         calls = []
 
         def fp(x):
@@ -715,20 +682,19 @@ class TestQuadratureTree:
         adaptive_simpson(fp, 0.0, 3.0)
         needed = (len(calls) - 5) // 4  # see test_splits_past_the_bound_raise
         monkeypatch.setattr(calculus, "QUAD_MAX_SPLITS", needed)
-        trees = []
-        adaptive_simpson(fp, 0.0, 3.0, trees)
-        replayed, missing = assert_trees_replay(fp, [(0.0, 3.0)], trees)
-        assert replayed > needed and missing == 0
+        tables = []
+        adaptive_simpson(fp, 0.0, 3.0, tables)
+        assert assert_leaves_replay(fp, 0.0, 3.0, tables[0][0]) == tables[0][1] == needed + 1
 
     def test_depth_limit(self, monkeypatch):
         # at QUAD_MAX_DEPTH = 6 the unit step at 0.3 leaves one interval at
         # the depth limit (see test_depth_limit_intervals_share_one_allowance)
         monkeypatch.setattr(calculus, "QUAD_TOL", 1e-4)
         monkeypatch.setattr(calculus, "QUAD_MAX_DEPTH", 6)
-        fp, trees = integrand_steps(0.3), []
-        adaptive_simpson(fp, 0.0, 1.0, trees)
-        replayed, missing = assert_trees_replay(fp, [(0.0, 1.0)], trees)
-        assert replayed and missing == 1
+        tables = []
+        adaptive_simpson(integrand_steps(0.3), 0.0, 1.0, tables)
+        adaptive_simpson(integrand_steps(), 0.0, 1.0, tables)
+        assert tables == [(None, 0), (tables[1][0], 1)] and len(tables[1][0]) == 3
 
     def test_segment_quadratures_go_through_the_module_attribute(self, monkeypatch):
         # perfbench/probe.py counts and times them there, and tests patch it
@@ -808,7 +774,8 @@ class TestSolveLandmarks:
 
     @staticmethod
     def assert_matches_reference(spec, prioritize_extrema):
-        # build_plan's first landmark of each segment reads the segment's tree
+        # build_plan reads each segment's leaf table where it trusts it;
+        # solve_landmarks with no table takes the plain bisection
         plan = build_plan(spec, prioritize_extrema)
         for seg in plan.segments:
             assert solve_landmarks(spec, seg) == reference_landmarks(spec, seg)
@@ -943,13 +910,15 @@ class TestSolveLandmarks:
         assert boxes <= landmarks
 
     @pytest.mark.parametrize("text, a, b, scale, per_row", [
-        # 81.5 per row with no tree, 25.8 with it: after each extremum
-        # f' = 0 at the segment start, so no box decides the first landmark;
-        # 22.1 with each step's first level inline and g at xl carried
-        ("2 + sin(20*x)", 0.0, 10.0, 0.3, 24.0),
-        # 17.25 per row with no tree, 17.24 with it, 13.80 with the first
-        # level inline and g at xl carried
-        (RUNNING_TEXT, -3.0, 1.0, 9.0, 14.0),
+        # by the plain bisection: 81.5 per row with no quadrature tree, 25.8
+        # with it (after each extremum f' = 0 at the segment start, so no
+        # box decides the first landmark), 22.1 with each step's first
+        # level inline and g at xl carried; 4.47 from the leaf tables
+        ("2 + sin(20*x)", 0.0, 10.0, 0.3, 5.0),
+        # 17.24 by the plain bisection, 13.80 with the first level inline
+        # and g at xl carried; 1.63 from the leaf table, 1 of them the
+        # sentinel
+        (RUNNING_TEXT, -3.0, 1.0, 9.0, 2.0),
     ])
     def test_f_prime_calls_of_the_landmark_search(self, monkeypatch, text, a, b, scale, per_row):
         spec = make_spec(text, a, b, scale=scale)

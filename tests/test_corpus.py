@@ -3,9 +3,9 @@
 The first FAST_PER_CLASS specs of every class (90 of 1,050) run here in
 about 3 s on a 2-vCPU VM, within a budget of 5 s; CI checks all of them
 with `python tests/corpus.py`, in about 35 s.  Each must reproduce its
-recorded line: exit code, SHA-256 of stdout, and stderr.  One spec that
-fills the cap on the landmark search's quadrature trees also holds its
-traced memory under 8 MB.
+recorded line: exit code, SHA-256 of stdout, and stderr.  A spec whose
+segment quadratures take 29,000 leaves also holds its traced memory under
+8 MB.
 """
 
 import hashlib
@@ -35,16 +35,19 @@ def test_fast_subset_matches_the_recording(spec_id, cls, argv):
     assert result_line(spec_id, cls, argv, result) == RECORDED[spec_id]
 
 
-def test_the_quadrature_trees_of_a_plan_stay_small(monkeypatch):
-    # sqrt-abs-58's segment from its extremum at the cusp fills the trees'
-    # cap on split nodes within 1.5 rows of the cusp; with no cap and no
-    # reach, the trees held 33 MB on sqrt-abs-14 (202,532 splits)
-    argv = next(argv for spec_id, _, argv in specs() if spec_id == "sqrt-abs-58")
+def test_the_leaf_tables_of_a_plan_stay_small(monkeypatch):
+    # sqrt-abs-58's two segments take 29,000 leaves and end at a vertical
+    # tangent, where a leaf is accepted at the depth limit, so the plan keeps
+    # no table.  (sqrt-abs-14's one segment would take 202,533 leaves; its
+    # table stops at the cap of 2**16 and took 3.4 MB traced, against 7.1 MB
+    # with no cap, but tracing it takes 16 s.)
+    spec_id = "sqrt-abs-58"
+    argv = next(argv for sid, _, argv in specs() if sid == spec_id)
     solve, kept = calculus.solve_landmarks, []
 
-    def landmarks(spec, seg, tree=None):
-        kept.append(tree[1])
-        return solve(spec, seg, tree)
+    def landmarks(spec, seg, table=None):
+        kept.append(table)
+        return solve(spec, seg, table)
 
     monkeypatch.setattr(calculus, "solve_landmarks", landmarks)
     tracemalloc.start()
@@ -53,8 +56,8 @@ def test_the_quadrature_trees_of_a_plan_stay_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result_line("sqrt-abs-58", "sqrt-abs", argv, result) == RECORDED["sqrt-abs-58"]
-    assert max(kept) == calculus.TREE_SPLITS
+    assert result_line(spec_id, "sqrt-abs", argv, result) == RECORDED[spec_id]
+    assert kept and all(table is None for table in kept)
     assert peak < 8_000_000
 
 

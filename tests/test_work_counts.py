@@ -19,11 +19,11 @@ from stage_times import COUNTED, anchors, call_counts, counting_curve
 
 # anchor: (f' calls, f_box calls, fp_box calls), each per stage in COUNTED
 PINNED = {
-    "running@9.0/svg": ((136, 539, 11147), (15, 0, 0), (43, 0, 805)),
-    "deep@0.5/svg": ((1124, 4361, 2201), (1, 0, 0), (151, 0, 54)),
-    "running@1.8/svg/no-extrema": ((0, 681, 3389), (15, 0, 0), (1, 0, 161)),
-    "ripple@0.3/svg": ((3456, 17885, 5624), (1, 0, 0), (255, 0, 190)),
-    "sphere@2.0/svg": ((52, 146, 1150), (15, 0, 0), (15, 0, 46)),
+    "running@9.0/svg": ((136, 539, 1318), (15, 0, 0), (43, 0, 3)),
+    "deep@0.5/svg": ((1124, 4361, 324), (1, 0, 0), (151, 0, 21)),
+    "running@1.8/svg/no-extrema": ((0, 681, 540), (15, 0, 0), (1, 0, 1)),
+    "ripple@0.3/svg": ((3456, 17885, 1140), (1, 0, 0), (255, 0, 64)),
+    "sphere@2.0/svg": ((52, 146, 317), (15, 0, 0), (15, 0, 2)),
 }
 ARGV = dict(anchors())
 
