@@ -48,12 +48,13 @@ EXTREMUM_XTOL = 1e-9
 EXTREMUM_DEDUPE = 1e-6
 EXTREMUM_GRID = 4096      # cells of the one grid that validation and the f' sign scan walk
 # Largest pattern build_plan places landmarks for: each row costs one
-# crossing on the leaf table and one replayed bisection, 4.6 us for the
-# running example (9,967 rows at scale 111) and 4.5 us for
-# 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 (9,445 rows at scale 66), best of 21
-# runs on CPython 3.11, 2 vCPUs (the plain bisection took 6.7 and 13.2 us);
-# build_plan takes 0.049 s and 0.050 s for them, so 10,000 rows take well
-# under half a second.  The running example at scale 30 has 2,694.
+# crossing on the leaf table and one replayed bisection, 4.8 us for the
+# running example (9,967 rows at scale 111) and 5.0 us for
+# 3 + sin(5*x)*cos(3*x) + exp(-x^2)*x^2 (9,445 rows at scale 66), best of 11
+# runs on CPython 3.11, 2 vCPUs (8.0 and 17 us with no table, where every
+# step makes the exact comparison); build_plan takes 0.049 s and 0.058 s
+# for them, so 10,000 rows take well under half a second.  The running
+# example at scale 30 has 2,694.
 MAX_ROWS = 10_000
 # Relative slack of the chord bound on the row count (see _chord_rows), far
 # above the quadrature's error on any arclength near the cap.
@@ -225,8 +226,8 @@ def adaptive_simpson(
     Every accepted value, left + right + delta/15, is Boole's rule on its
     five samples, with the positive weights (7, 32, 12, 32, 7)/90: the
     integral of the quartic through them.  So the result is at least the
-    width times the least sample, up to rounding (see solve_landmarks,
-    whose plain bisection steps make this first level themselves).
+    width times the least sample, up to rounding, a bound that
+    solve_landmarks tests before it calls this.
 
     A given list tables receives (table, leaves): the leaf table of this
     quadrature, for solve_landmarks to read, and the leaves that the tables
@@ -269,7 +270,7 @@ def adaptive_simpson(
     return value
 
 
-def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, table=None):
+def _simpson_step(fp, lo, hi, fa, fm, fb, whole, tol, depth, allowance, table):
     mid = 0.5 * (lo + hi)
     d = fp(0.5 * (lo + mid))
     flm = sqrt(1.0 + d * d)
@@ -470,37 +471,40 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, table=None) -> list[float]:
     to two decimals and clamped into [a, b], which rounding can leave where
     a or b is off the 0.01 grid.  The segment endpoints stay unrounded.
 
-    The plain bisection brackets landmark i from [xl, seg.hi], xl being
-    where landmark i - 1's bracket ended, and moves xl to mid where al, the
-    arclength in rows accumulated at xl, plus the quadrature of [xl, mid]
-    is below the target.  A step whose outcome a lower bound on the
-    arclength already decides moves the right bracket without running the
-    quadrature, so the cost per landmark does not grow with segment
-    length.  Each step tests one bound: the width times the least
-    integrand g = sqrt(1 + f'^2), 1 anywhere, or sqrt(1 + m^2) where the
-    enclosure of f' proves |f'| >= m: once per landmark, on [xl, mid] of
-    the first step the width leaves undecided, for that step and the later
-    ones inside it.  Only steps that would have gone right are skipped, so
-    every bracket, accumulated arclength and landmark is the same float as
-    with a quadrature per step.  A step that integrates makes
-    adaptive_simpson(fp, xl, mid) itself (see _arc_step), carrying g at xl
-    from the step that moved xl there.
+    The bisection brackets landmark i from [xl, seg.hi], xl being where
+    landmark i - 1's bracket ended.  Its exact comparison moves xl to mid
+    where al, the arclength in rows accumulated at xl, plus factor times
+    adaptive_simpson(fp, xl, mid) is below the target.
 
     table is the segment quadrature's leaf table, as adaptive_simpson
     records it in build_plan.  Where the box of f' on the whole segment is
-    decided (so no plain step could raise) and _crossings trusts the
-    table, each landmark's crossing x* is read off the table, and the plain
-    bisection is replayed without integrating.  A step whose mid is more
-    than a margin from x* moves as its comparison would: LANDMARK_MARGIN,
-    for the drift between al and the table, plus the sentinel's residual at
-    x*, for the quartic's error inside a wide leaf.  A step within the
-    margin, a near-tie, makes the plain step's own comparison, with al
-    rebuilt as the plain steps build it since the last near-tie (see
-    _rebuilt).  Every bracket then ends where the plain bisection's does,
-    except where its quadrature of a wide [xl, mid] aliases an oscillating
-    integrand and is off by more than the margin; the table's crossing is
-    the right one there.  Any other segment, or one with no table, takes
-    the plain bisection.
+    decided (so no step could raise) and _crossings trusts the table, each
+    landmark's crossing x* is read off the table, and a step whose mid is
+    more than a margin from x* moves as its comparison would, without
+    integrating: LANDMARK_MARGIN, for the drift between al and the table,
+    plus the sentinel's residual at x*, for the quartic's error inside a
+    wide leaf.  A left move made so leaves al behind: path holds xl where
+    al was last exact, then each move of xl since, and a step that
+    integrates first adds their quadratures to al as the exact steps would
+    have (see _rebuilt).  Every bracket then ends where the exact
+    comparisons alone end it, except where the quadrature of a wide [xl,
+    mid] aliases an oscillating integrand and is off by more than the
+    margin; the table's crossing is the right one there.  Any other segment
+    has no crossings, so every step is within the margin.
+
+    A step within the margin, a near-tie on the table, moves xr to mid
+    without integrating where a lower bound on the arclength already
+    decides the step, so the cost per landmark does not grow with segment
+    length.  Each step tests one bound: the width times the least integrand
+    g = sqrt(1 + f'^2), 1 anywhere, or sqrt(1 + m^2) where the enclosure of
+    f' proves |f'| >= m: once per landmark, on [xl, mid] of the first step
+    the width leaves undecided, for that step and the later ones inside it.
+    al is at most the arclength at xl, a float sum of nonnegative
+    quadratures along path, and float + is monotone, so a bound that
+    decides the step with al decides it with the arclength at xl too, and
+    the exact comparison would move right as well.  So every bracket,
+    accumulated arclength and landmark is the same float as with a
+    quadrature per step.
     """
     fp, fp_box = spec.curve.fp, spec.curve.fp_box
     factor, a, b = spec.rows_per_unit, spec.a, spec.b
@@ -509,119 +513,59 @@ def solve_landmarks(spec: PatternSpec, seg: Segment, table=None) -> list[float]:
     if table is not None and targets and fp_box(seg.lo, seg.hi) is not None:
         crossings, residuals = _crossings(fp, table, [target / factor for target in targets])
     xs = [seg.lo]
-    xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: with gl, all that crosses rows
-    gl = None  # g at xl, from the step that moved xl there; None until one did
-    path = [xl]  # with a table, xl where al was last exact, then each move of xl since
+    xl, al = seg.lo, 0.0  # left bracket and its arclength in rows: all that crosses rows
+    path = [xl]  # xl where al was last exact, then each move of xl since
+    below, above = -math.inf, math.inf
     for i, target in enumerate(targets):
         xr = seg.hi
         if crossings is not None:
             margin = LANDMARK_MARGIN + residuals[i]
             below, above = crossings[i] - margin, crossings[i] + margin
-            while xr - xl > LANDMARK_XTOL:
-                mid = 0.5 * (xl + xr)
-                if not xl < mid < xr:
-                    break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-                if mid < below:
-                    xl = mid
-                    path.append(mid)
-                elif mid > above:
-                    xr = mid
-                else:  # a near-tie: the plain step's comparison
-                    al, gl = _rebuilt(fp, factor, path, al, gl)
-                    q, gl, gr = _arc_step(fp, xl, mid, gl)
-                    amid = al + factor * q
-                    if amid < target:
-                        xl, al, gl = mid, amid, gr
-                    else:
-                        xr = mid
-                    path = [xl]
-        else:
-            # the right end of this landmark's box of f' and the least g it
-            # proves; least_g is None until f' is enclosed
-            box_hi, least_g = -math.inf, None
-            while xr - xl > LANDMARK_XTOL:
-                mid = 0.5 * (xl + xr)
-                if not xl < mid < xr:
-                    break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
-                # The quadrature returns at least the width times its least
-                # sample, up to rounding that the relative slack covers, and
-                # float *, + and sqrt round monotonically, so each sample
-                # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
-                # The box starts at an earlier xl of this landmark, and xl never
-                # decreases, so it holds [xl, mid] when mid <= box_hi.
-                g = least_g if mid <= box_hi else 1.0
-                if al + factor * ((mid - xl) * g * (1.0 - 1e-12)) >= target:
-                    xr = mid
-                    continue
-                if least_g is None:
-                    box = fp_box(xl, mid)
-                    m = 0.0 if box is None else max(box[0], -box[1], 0.0)
-                    box_hi, least_g = mid, sqrt(1.0 + m * m)
-                    continue  # the same step again, with the box's bound
-                q, gl, gr = _arc_step(fp, xl, mid, gl)
-                amid = al + factor * q
+        # the right end of this landmark's box of f' and the least g it
+        # proves; least_g is None until f' is enclosed
+        box_hi, least_g = -math.inf, None
+        while xr - xl > LANDMARK_XTOL:
+            mid = 0.5 * (xl + xr)
+            if not xl < mid < xr:
+                break  # the bracket is one ulp wide, wider than LANDMARK_XTOL
+            # The quadrature returns at least the width times its least
+            # sample, up to rounding that the relative slack covers, and
+            # float *, + and sqrt round monotonically, so each sample
+            # sqrt(1.0 + d * d) is at least sqrt(1 + m*m) where |d| >= m.
+            # The box starts at an earlier xl of this landmark, and xl never
+            # decreases, so it holds [xl, mid] when mid <= box_hi.
+            if mid < below:
+                xl = mid
+                path.append(mid)
+            elif mid > above or al + factor * (
+                (mid - xl) * (least_g if mid <= box_hi else 1.0) * (1.0 - 1e-12)
+            ) >= target:
+                xr = mid
+            elif least_g is None:
+                box = fp_box(xl, mid)
+                m = 0.0 if box is None else max(box[0], -box[1], 0.0)
+                # the same step again, with the box's bound
+                box_hi, least_g = mid, sqrt(1.0 + m * m)
+            else:
+                al = _rebuilt(fp, factor, path, al)
+                amid = al + factor * adaptive_simpson(fp, xl, mid)
                 if amid < target:
-                    xl, al, gl = mid, amid, gr
+                    xl, al = mid, amid
                 else:
                     xr = mid
+                path = [xl]
         x = round_landmark(0.5 * (xl + xr))
         xs.append(a if x < a else b if x > b else x)
     xs.append(seg.hi)
     return xs
 
 
-def _arc_step(fp, xl, mid, gl):
-    """(adaptive_simpson(fp, xl, mid), g at xl, g at mid); gl is g at xl, or None.
-
-    Its first level is made here with adaptive_simpson's expressions in its
-    order, and _simpson_step runs on the two halves where the level's error
-    test fails, as adaptive_simpson calls it after its first split (or
-    _at_limit where QUAD_MAX_DEPTH or QUAD_MAX_SPLITS is 0): the same float.
-    An f' that fails is raised as adaptive_simpson raises it.
-    """
-    try:
-        if gl is None:
-            d = fp(xl)
-            gl = sqrt(1.0 + d * d)
-        c = 0.5 * (xl + mid)
-        d = fp(c)
-        gc = sqrt(1.0 + d * d)
-        d = fp(mid)
-        gr = sqrt(1.0 + d * d)
-        whole = (mid - xl) / 6.0 * (gl + 4.0 * gc + gr)
-        d = fp(0.5 * (xl + c))
-        glm = sqrt(1.0 + d * d)
-        d = fp(0.5 * (c + mid))
-        grm = sqrt(1.0 + d * d)
-        left = (c - xl) / 6.0 * (gl + 4.0 * glm + gc)
-        right = (mid - c) / 6.0 * (gc + 4.0 * grm + gr)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * QUAD_TOL:
-            q = left + right + delta / 15.0
-        elif QUAD_MAX_DEPTH > 0 and QUAD_MAX_SPLITS > 0:
-            # the first split, as _simpson_step makes it
-            allowance, half = [QUAD_TOL, 1], 0.5 * QUAD_TOL
-            q = _simpson_step(
-                fp, xl, c, gl, glm, gc, left, half, QUAD_MAX_DEPTH - 1, allowance
-            ) + _simpson_step(fp, c, mid, gc, grm, gr, right, half, QUAD_MAX_DEPTH - 1, allowance)
-        else:
-            q = _at_limit(xl, mid, left + right + delta / 15.0, delta, QUAD_MAX_DEPTH,
-                          [QUAD_TOL, 0])
-    except EvalDomainError as exc:
-        raise EvalDomainError(f"f' is {exc}") from exc
-    return q, gl, gr
-
-
-def _rebuilt(fp, factor, path, al, gl):
-    """al and g at path[-1] after the plain steps' left moves along path.
-
-    al and gl are the arclength in rows and g (or None) at path[0]; each
-    move adds factor times its quadrature, as a plain step adds it.
-    """
+def _rebuilt(fp, factor, path, al):
+    """al at path[-1], given al at path[0]: each move along path adds factor
+    times its quadrature, as an exact step adds it."""
     for u, v in zip(path, path[1:]):
-        q, _, gl = _arc_step(fp, u, v, gl)
-        al += factor * q
-    return al, gl
+        al += factor * adaptive_simpson(fp, u, v)
+    return al
 
 
 def _crossings(fp, table, targets):

@@ -1,17 +1,19 @@
 """The landmarks of the leaf table against the plain bisection: a differential guard.
 
 build_plan places each segment's landmarks from its quadrature's leaf
-table where calculus.solve_landmarks trusts the table, and by the plain
-bisection elsewhere; solve_landmarks given no table always bisects.  Both
-must give the same plan, or raise the same error, but for the stated
-fix: where the plain bisection's quadrature of a wide step aliases the
-integrand's oscillation, its landmarks can fall in the wrong 0.01 cell.  A
-plan that differs from the plain one in landmarks alone passes only where
-the Gauss-Legendre oracle (tests/conftest.py) puts every moved landmark of
-the table in the cell that holds its target, and none of the plain ones;
-STATED pins the first such spec found.  same_brackets, a finer guard for
-specs with no such aliasing, compares the last bracket of every landmark
-before it is rounded.
+table where calculus.solve_landmarks trusts the table.  Elsewhere, and
+always when solve_landmarks is given no table, the segment has no
+crossings and every step of its bisection makes the exact comparison: the
+plain bisection.  Both must give the same plan, or raise the same
+error, but for the stated fix: where the plain bisection's quadrature of
+a wide step aliases the integrand's oscillation, its landmarks can fall
+in the wrong 0.01 cell.  A plan that differs from the plain one in
+landmarks alone passes only where the Gauss-Legendre oracle
+(tests/conftest.py) puts every moved landmark of the table in the cell
+that holds its target, and none of the plain ones; STATED pins the first
+such spec found.  same_brackets, a finer guard for specs with no such
+aliasing, compares the last bracket of every landmark before it is
+rounded.
 
 The draws mix three families, half of each with --no-extrema: the ripple
 2 + sin(w*x) with w in [5, 40], the monotone c + s*x - (s*amp/w)*cos(w*x)

@@ -20,15 +20,15 @@ package unseen.  A second table counts the calls of f', f_box and fp_box
 (f' and the enclosures of f and f') in the walk, the quadrature and the
 landmarks stages of one more run, untimed, and the landmark search's f'
 calls per row, with the segments whose landmarks the leaf table places and
-those the plain bisection places, the near-ties that made the plain
-comparison and the largest sentinel residual (see
-calculus.solve_landmarks).  --counts prints only counts: that table, and the opcodes
-each stage executes in one run traced by sys.settrace with
-f_trace_opcodes, with the opcodes executed inside the enclosures per
-enclosure call.  Counts repeat exactly from run to run and under any
-PYTHONHASHSEED; opcode counts depend on the Python version.  It is a
-report, not a gate: it exits 0 whatever it measures, and 1 only where that
-check fails.
+those with no crossings on a table, the steps that integrated to make the
+exact comparison (on the table, the near-ties that no bound decided) and
+the largest sentinel residual (see calculus.solve_landmarks).  --counts
+prints only counts: that table, and the opcodes each stage executes in
+one run traced by sys.settrace with f_trace_opcodes, with the opcodes
+executed inside the enclosures per enclosure call.  Counts repeat
+exactly from run to run and under any PYTHONHASHSEED; opcode counts
+depend on the Python version.  It is a report, not a gate: it exits 0
+whatever it measures, and 1 only where that check fails.
 
     PYTHONPATH=src python tests/stage_times.py             # best of 10
     PYTHONPATH=src python tests/stage_times.py --repeat 50
@@ -173,9 +173,9 @@ def call_counts(args):
 
 def table_counts(args):
     """Of one untimed run: (segments whose landmarks the leaf table places, segments
-    with landmarks that the plain bisection places, near-ties, largest sentinel residual)."""
+    with landmarks and no crossings, steps that integrated, largest sentinel residual)."""
     crossings, rebuilt = calculus._crossings, calculus._rebuilt
-    seen, ties = [], [0]
+    seen, exact = [], [0]
 
     def spying(*args):
         result = crossings(*args)
@@ -183,7 +183,7 @@ def table_counts(args):
         return result
 
     def counting(*args):
-        ties[0] += 1
+        exact[0] += 1  # once before each step's quadrature
         return rebuilt(*args)
 
     calculus._crossings, calculus._rebuilt = spying, counting
@@ -193,7 +193,7 @@ def table_counts(args):
         calculus._crossings, calculus._rebuilt = crossings, rebuilt
     table = sum(found is not None for found, _ in seen)
     searched = sum(seg.row_count > 1 for seg in plan.segments)
-    return table, searched - table, ties[0], max((max(r) for _, r in seen if r), default=0.0)
+    return table, searched - table, exact[0], max((max(r) for _, r in seen if r), default=0.0)
 
 
 def opcode_counts(args):
@@ -235,17 +235,17 @@ def opcode_counts(args):
 
 def print_call_counts(ops, width):
     print("calls of f', f_box and fp_box in one run, untimed (walk/quadrature/landmarks);")
-    print("segments whose landmarks the leaf table / the plain bisection places, near-ties")
-    print("that made the plain comparison, and the largest sentinel residual")
+    print("segments whose landmarks the leaf table places / with no crossings, steps that")
+    print("integrated to make the exact comparison, and the largest sentinel residual")
     print(f"{'anchor':<{width}}{'fp':>22}{'f_box':>14}{'fp_box':>16}{'rows':>7}{'landmark fp/row':>17}"
-          f"{'table/plain':>13}{'ties':>6}{'residual':>10}")
+          f"{'table/none':>13}{'exact':>6}{'residual':>10}")
     for name, op_argv in ops:
         args = _parse_args(op_argv)
         counts, plan = call_counts(args)
         cells = ["/".join(str(counts[stage][i]) for stage in COUNTED) for i in range(3)]
-        table, plain, ties, residual = table_counts(args)
+        table, none, exact, residual = table_counts(args)
         print(f"{name:<{width}}{cells[0]:>22}{cells[1]:>14}{cells[2]:>16}{plan.total_rows:7d}"
-              f"{counts['landmarks'][0] / plan.total_rows:17.2f}{f'{table}/{plain}':>13}{ties:6d}"
+              f"{counts['landmarks'][0] / plan.total_rows:17.2f}{f'{table}/{none}':>13}{exact:6d}"
               f"{residual:10.1e}")
 
 

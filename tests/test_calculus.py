@@ -49,6 +49,7 @@ from conftest import (
 )
 from corpus import _draw as corpus_draw
 from corpus import fast_specs
+from corpus import specs as corpus_specs
 import landmark_oracle
 
 
@@ -658,16 +659,30 @@ class TestQuadratureTree:
     def test_a_root_accepted_at_the_first_level(self, monkeypatch):
         # f' is constant, so the segment's first level passes its error
         # test: the table holds one leaf, whose quartic is the constant g,
-        # and no landmark needs a step of the plain bisection
+        # and no landmark step integrates
         spec = make_spec("2 + 0.5*x", 0.0, 3.0, scale=2.0)
         plan, tables = leaf_tables(spec)
         ((table, held),) = tables
         assert len(table) == 3 and held == 1 and plan.segments[0].row_count > 2
+        quadrature, solve = calculus.adaptive_simpson, calculus.solve_landmarks
+        inside = False
 
         def refuse(*args):
-            raise AssertionError("a landmark step integrates")
+            if inside:
+                raise AssertionError("a landmark step integrates")
+            return quadrature(*args)
 
-        monkeypatch.setattr(calculus, "_arc_step", refuse)
+        def landmarks(*args):
+            nonlocal inside
+            assert args[2] is not None  # the segment's table
+            inside = True
+            try:
+                return solve(*args)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(calculus, "adaptive_simpson", refuse)
+        monkeypatch.setattr(calculus, "solve_landmarks", landmarks)
         assert build_plan(spec).landmarks == concatenated_reference(spec, plan)
 
     def test_split_bound(self, monkeypatch):
@@ -775,11 +790,13 @@ class TestSolveLandmarks:
     @staticmethod
     def assert_matches_reference(spec, prioritize_extrema):
         # build_plan reads each segment's leaf table where it trusts it;
-        # solve_landmarks with no table takes the plain bisection
+        # solve_landmarks with no table has no crossings, and every step
+        # makes the exact comparison
         plan = build_plan(spec, prioritize_extrema)
         for seg in plan.segments:
             assert solve_landmarks(spec, seg) == reference_landmarks(spec, seg)
         assert plan.landmarks == concatenated_reference(spec, plan)
+        return plan
 
     def test_random_specs_match_reference_exactly(self):
         rng = random.Random(2024)
@@ -811,31 +828,47 @@ class TestSolveLandmarks:
     def test_specs_with_extrema_match_reference_exactly(self, text, a, b, scale):
         self.assert_matches_reference(make_spec(text, a, b, scale=scale), True)
 
-    def test_a_step_past_its_first_level_returns_the_quadratures_float(self, monkeypatch):
-        # where a step's first level fails its error test, the step's two
-        # halves sum to adaptive_simpson's float of [xl, mid]
-        spec = make_spec(DEEP_TEXT, -4.0, 4.0, scale=0.5)
-        (seg,) = build_plan(spec, prioritize_extrema=False).segments
-        step, halves, depth = calculus._simpson_step, [], 0
+    @pytest.mark.parametrize("case", ["3 + abs(x - 0.5)", "sqrt-abs-45"])
+    def test_segments_with_no_crossings_match_reference_exactly(self, case, monkeypatch):
+        # build_plan reads no leaf table on either spec, so every step of
+        # its landmark search makes the exact comparison.  The kink of
+        # 3 + abs(x - 0.5) is the extremum, a segment end, so the box of f'
+        # on each segment is undecided (1,008 rows); the box of each
+        # landmark decides but at the kink.  Of the corpus spec's two
+        # segments (20 rows, exit 0), the box of the first is undecided,
+        # and the second keeps no table: a leaf at the depth limit.
+        if case.startswith("sqrt-abs"):
+            args = _parse_args(next(argv for sid, _, argv in corpus_specs() if sid == case))
+            spec = PatternSpec(parse(args["function"]), args["a"], args["b"],
+                               args["stitch_gauge"], args["row_gauge"], args["scale"],
+                               args["function"])
+            extrema = args["prioritize_extrema"]
+        else:
+            spec, extrema = make_spec(case, -1.0, 2.0, scale=38.0), True
+        crossings, found = [], calculus._crossings
 
-        def spied(fp, lo, hi, *rest):
-            nonlocal depth
-            depth += 1
-            try:
-                value = step(fp, lo, hi, *rest)
-            finally:
-                depth -= 1
-            if not depth:
-                halves.append((lo, hi, value))
-            return value
+        def spying(*args):
+            result = found(*args)
+            crossings.append(result[0])
+            return result
 
-        monkeypatch.setattr(calculus, "_simpson_step", spied)
-        solve_landmarks(spec, seg)
-        monkeypatch.undo()
-        assert len(halves) >= 20 and len(halves) % 2 == 0
-        for (xl, c, left), (c2, mid, right) in zip(halves[::2], halves[1::2]):
-            assert c == c2 == 0.5 * (xl + mid)
-            assert left + right == adaptive_simpson(spec.curve.fp, xl, mid)
+        monkeypatch.setattr(calculus, "_crossings", spying)
+        plan = self.assert_matches_reference(spec, extrema)
+        assert [seg.row_count > 1 for seg in plan.segments] == [True, True]
+        assert all(found is None for found in crossings)
+        if not case.startswith("sqrt-abs"):
+            assert plan.total_rows > 1000
+            assert all(spec.curve.fp_box(seg.lo, seg.hi) is None for seg in plan.segments)
+            boxes, fp_box = [], spec.curve.fp_box
+
+            def recording(lo, hi):
+                boxes.append(fp_box(lo, hi))
+                return boxes[-1]
+
+            spec.curve = spec.curve._replace(fp_box=recording)
+            for seg in plan.segments:
+                solve_landmarks(spec, seg)
+            assert len(boxes) == plan.total_rows - 2 and boxes.count(None) == 1
 
     @pytest.mark.parametrize("text", [
         "2 + sin(20*x)",    # the step's first level passes its error test
@@ -880,34 +913,41 @@ class TestSolveLandmarks:
         assert proved >= 1000
 
     def test_cost_per_landmark_does_not_grow_with_segment_length(self):
-        spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=9.0)
-        plan = build_plan(spec, prioritize_extrema=False)
-        (seg,) = plan.segments
-        assert seg.row_count >= 800
-        fp, fp_box = spec.curve.fp, spec.curve.fp_box
-        calls = boxes = 0
+        # solve_landmarks with no table: every step makes the exact comparison
+        def cost(scale):
+            """(rows, f' calls per landmark, enclosures of f' per landmark)."""
+            spec = make_spec(RUNNING_TEXT, -3.0, 1.0, scale=scale)
+            (seg,) = build_plan(spec, prioritize_extrema=False).segments
+            fp, fp_box = spec.curve.fp, spec.curve.fp_box
+            calls = boxes = 0
 
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return fp(x)
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return fp(x)
 
-        def counted_box(lo, hi):
-            nonlocal boxes
-            boxes += 1
-            return fp_box(lo, hi)
+            def counted_box(lo, hi):
+                nonlocal boxes
+                boxes += 1
+                return fp_box(lo, hi)
 
-        spec.curve = spec.curve._replace(fp=counted, fp_box=counted_box)
-        solve_landmarks(spec, seg)
-        landmarks = seg.row_count - 1
-        # measured: 15.0 calls of f' (3.75 integrating steps of 4 new
-        # samples at least, g at xl carried from the step that moved xl)
-        # and 1.00 enclosures of f' per landmark; 18.8 calls with a
-        # quadrature of 5 samples per integrating step, 39 calls and 7.8
-        # integrating steps with the slope-1 skip alone, 339 calls with a
-        # quadrature per step.  At most 4 integrating steps per landmark.
-        assert calls / landmarks <= 16
-        assert boxes <= landmarks
+            spec.curve = spec.curve._replace(fp=counted, fp_box=counted_box)
+            solve_landmarks(spec, seg)
+            landmarks = seg.row_count - 1
+            return seg.row_count, calls / landmarks, boxes / landmarks
+
+        rows, calls, boxes = cost(9.0)
+        # measured: 18.76 calls of f' (3.75 integrating steps of 5 samples
+        # at least) and 1.00 enclosures of f' per landmark; 15.0 calls with
+        # g at xl carried from the step that moved xl there, 39 calls and
+        # 7.8 integrating steps with the slope-1 skip alone, 339 calls with
+        # a quadrature per step.  At most 4 integrating steps per landmark.
+        assert rows >= 800
+        assert calls <= 19 and boxes <= 1
+        # 13.86 calls per landmark at 2,694 rows
+        longer, longer_calls, longer_boxes = cost(30.0)
+        assert longer >= 2600
+        assert longer_calls <= calls and longer_boxes <= 1
 
     @pytest.mark.parametrize("text, a, b, scale, per_row", [
         # by the plain bisection: 81.5 per row with no quadrature tree, 25.8
