@@ -65,6 +65,44 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("2x")
 
+    # One row per place a ParseError is raised, and for the depth limits one
+    # per rule and token that checks them: the message and the position.
+    @pytest.mark.parametrize("text, message, position", [
+        ("   ", "empty expression", 0),
+        ("1 + . + $", "bare '.' is not a number", 4),  # the first lexical error wins
+        ("2 + ٣*x", "unexpected character '٣'", 4),
+        ("x²", "unknown identifier 'x²'", 0),  # '²' continues a name, as str.isalnum says
+        ("1" * 400, "number too large", 0),
+        ("2*foo(x)", "unknown identifier 'foo'", 2),
+        ("sin x", "expected '(', found 'x'", 4),
+        ("(x", "expected ')', found 'end of input'", 2),
+        ("sin(x", "expected ')', found 'end of input'", 5),
+        ("2x", "unexpected 'x'", 1),
+        ("x)", "unexpected ')'", 1),
+        ("1 +", "expected a value, found 'end of input'", 3),
+        ("()", "expected a value, found ')'", 1),
+        ("*x", "expected a value, found '*'", 0),
+        ("+".join(["x"] * 51), f"expression nests deeper than {MAX_DEPTH} levels", 99),
+        ("*".join(["x"] * 51), f"expression nests deeper than {MAX_DEPTH} levels", 99),
+        ("x^" * 50 + "x", f"expression nests deeper than {MAX_DEPTH} levels", 1),
+        ("-(" + "+".join(["x"] * 50) + ")", f"expression nests deeper than {MAX_DEPTH} levels", 0),
+        ("sin(" + "+".join(["x"] * 50) + ")", f"expression nests deeper than {MAX_DEPTH} levels", 0),
+        ("(" * 51 + "x" + ")" * 51, f"expression nests deeper than {MAX_DEPTH} levels", 50),
+        ("-" * 51 + "x", f"expression nests deeper than {MAX_DEPTH} levels", 50),
+        ("x^" * 51 + "x", f"expression nests deeper than {MAX_DEPTH} levels", 101),
+        ("sin(" * 51 + "x" + ")" * 51, f"expression nests deeper than {MAX_DEPTH} levels", 200),
+    ], ids=[
+        "empty", "bare-dot", "non-ascii-digit", "non-ascii-name", "too-large", "unknown-name",
+        "call-without-paren", "open-group", "open-call", "trailing-name", "trailing-paren",
+        "value-at-end", "value-at-paren", "value-at-operator",
+        "tree-at-plus", "tree-at-times", "tree-at-caret", "tree-at-minus", "tree-at-call",
+        "open-parens", "open-negations", "open-exponents", "open-calls",
+    ])
+    def test_every_parse_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
     def test_whitespace_insensitive(self):
         dense = parse("x^2+1")
         spaced = parse("  x ^ 2 + 1 ")
@@ -303,7 +341,43 @@ def random_parsed_tree(rng, depth):
     return Binary(rng.choice("+-*/^"), left, right)
 
 
+FUZZ_PIECES = [
+    "0", "7", "12", "3.5", "9.", ".25", ".", "x", "pi", "e", "sin(", "ln(", "sqrt(", "abs(",
+    "foo", "sinx", "_t", "+", "-", "*", "/", "^", "(", ")", " ", "²", "$",
+]
+# What opens a level of nesting, whether a tree level, a parenthesis or an
+# open negation, exponent or call; an entry ending in '(' is closed again.
+FUZZ_OPENERS = ["(", "-", "sin(", "x^", "x*", "x+", "-(", "2^(", "x/"]
+
+
+def fuzz_text(rng):
+    """Random text near the grammar; one in 25 nests 40 to 60 deep."""
+    text = "".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 12)))
+    if rng.random() < 0.04:
+        kinds = rng.sample(FUZZ_OPENERS, rng.randint(1, 2))
+        openers = rng.choices(kinds, k=rng.randint(40, 60))
+        closers = ")" * sum(o.endswith("(") for o in openers)
+        if closers and rng.random() < 0.1:
+            closers = closers[1:]
+        text = "".join(openers) + (text if rng.random() < 0.2 else "x") + closers
+    return text
+
+
 class TestProperties:
+    def test_parse_returns_a_tree_or_a_parse_error_inside_the_text(self):
+        rng = random.Random(2024)
+        trees = 0
+        for _ in range(20_000):
+            text = fuzz_text(rng)
+            try:
+                tree = parse(text)
+            except ParseError as err:
+                assert 0 <= err.position <= len(text), text
+                continue
+            assert parse(render(tree)) == tree, text
+            trees += 1
+        assert trees > 1000  # the draw reaches past the error paths
+
     def test_render_parse_is_the_identity_on_trees(self):
         rng = random.Random(4242)
         for _ in range(2000):
