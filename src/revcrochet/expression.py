@@ -11,13 +11,18 @@ Grammar (infix, whitespace-insensitive, no implicit multiplication):
     NUMBER := ASCII digits with an optional decimal point (no exponent notation)
 
 Unary minus binds looser than '^', so -x^2 means -(x^2).  pi and e parse
-to Const(math.pi) and Const(math.e).  A numeral too large for a float, or
-a tree more than MAX_DEPTH levels deep or with more than that many
-parentheses open at once, is a ParseError.  Trees are immutable and
-hashable.  A tree is evaluated by the function compile_expr generates for
-it; evaluation is deterministic for a given tree and x.  compile_enclosure
-generates, from the same emitter, a function that bounds what that
-evaluator returns over a range of x.
+to Const(math.pi) and Const(math.e).  A numeral too large for a float is a
+ParseError, and so is input past any of three limits of MAX_DEPTH (50)
+each: more tree levels, more parentheses open at once, or more negations,
+exponents and calls open at once.  A ParseError reads "... (at position
+N)", N being the 0-based character offset of the token at fault.  The
+whole text is tokenized first, so a bad character or a bare '.' is
+reported before any other syntax error.
+
+Trees are immutable and hashable.  A tree is evaluated by the function
+compile_expr generates for it; evaluation is deterministic for a given
+tree and x.  compile_enclosure generates, from the same emitter, a
+function that bounds what that evaluator returns over a range of x.
 
 Each node class is a Record, a tuple with named fields, so two trees
 compare equal, and hash equal, when their fields do.  A Record also equals
@@ -296,91 +301,67 @@ def _neg(a):
 # Tokenizer / parser
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
 # str.isdigit would also take digits such as '²' and '٣', which float()
 # refuses or reads as 2 and 3.
 _DIGITS = "0123456789"
 
 
 def _tokenize(text):
+    """Every token of text as (kind, text, position), then the end of input."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
+        j = i + 1
         if c in _DIGITS or c == ".":
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == ".":
+            if text.startswith(".", j):
                 j += 1
                 while j < n and text[j] in _DIGITS:
                     j += 1
             if text[i:j] == ".":
                 raise ParseError("bare '.' is not a number", i)
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+            tokens.append(("number", text[i:j], i))
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+            tokens.append(("ident", text[i:j], i))
+        elif c in "+-*/^()":
+            tokens.append((c, c, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
+    tokens.append(("end", "end of input", n))
     return tokens
 
 
 class _Parser:
     """Recursive descent; every rule returns (tree, tree depth).
 
-    Depth counts nodes on the longest root-to-leaf path (a leaf is 1).  The
-    recursion stays as shallow as MAX_DEPTH: at most that many grouping
-    parentheses, and that many calls, negations and exponents, may be open
-    at once.
+    Depth counts nodes on the longest root-to-leaf path (a leaf is 1); it
+    is checked at each operator and function name.  The recursion stays as
+    shallow as MAX_DEPTH: at most that many grouping parentheses (checked
+    at '('), and that many negations, exponents and calls (checked at '-',
+    '^' and the name), may be open at once.
     """
 
     def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.tokens = _tokenize(text)[::-1]  # the next token last
         self.open = {"group": 0, "node": 0}
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {found!r}", tok.pos)
-        return self.take()
+    def take(self, kind=None):
+        """The next token, consumed; ParseError if it is not of kind."""
+        tok = self.tokens[-1]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return self.tokens.pop()
 
     def deeper(self, depth, tok):
         """depth + 1, or ParseError once that passes MAX_DEPTH."""
         if depth >= MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok[2])
         return depth + 1
 
     def nested(self, rule, tok, kind="node"):
@@ -390,72 +371,53 @@ class _Parser:
         self.open[kind] -= 1
         return result
 
-    def parse(self):
-        e, _ = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return e
-
-    def expr(self):
-        e, depth = self.term()
-        while self.peek().kind in ("+", "-"):
+    def expr(self, level=0):
+        """Level 0 joins level 1 by '+' and '-', level 1 joins unary by '*' and '/'."""
+        ops = ("*", "/") if level else ("+", "-")
+        e, depth = self.unary() if level else self.expr(1)
+        while self.tokens[-1][0] in ops:
             tok = self.take()
-            right, right_depth = self.term()
-            e, depth = Binary(tok.kind, e, right), self.deeper(max(depth, right_depth), tok)
-        return e, depth
-
-    def term(self):
-        e, depth = self.unary()
-        while self.peek().kind in ("*", "/"):
-            tok = self.take()
-            right, right_depth = self.unary()
-            e, depth = Binary(tok.kind, e, right), self.deeper(max(depth, right_depth), tok)
+            right, right_depth = self.unary() if level else self.expr(1)
+            e, depth = Binary(tok[0], e, right), self.deeper(max(depth, right_depth), tok)
         return e, depth
 
     def unary(self):
-        if self.peek().kind == "-":
+        """'-' unary, or an atom with an optional '^' unary (right-associative)."""
+        if self.tokens[-1][0] == "-":
             tok = self.take()
             arg, depth = self.nested(self.unary, tok)
             return Neg(arg), self.deeper(depth, tok)
-        return self.power()
-
-    def power(self):
-        base, depth = self.atom()
-        if self.peek().kind == "^":
+        e, depth = self.atom()
+        if self.tokens[-1][0] == "^":
             tok = self.take()
             exponent, exp_depth = self.nested(self.unary, tok)
-            return Binary("^", base, exponent), self.deeper(max(depth, exp_depth), tok)
-        return base, depth
+            e, depth = Binary("^", e, exponent), self.deeper(max(depth, exp_depth), tok)
+        return e, depth
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            value = float(tok.text)
+        tok = self.take()
+        kind, name, pos = tok
+        if kind == "number":
+            value = float(name)
             if not math.isfinite(value):
-                raise ParseError("number too large", tok.pos)
+                raise ParseError("number too large", pos)
             return Const(value), 1
-        if tok.kind == "(":
-            self.take()
+        if kind == "(":
             result = self.nested(self.expr, tok, "group")
-            self.expect(")")
+            self.take(")")
             return result
-        if tok.kind == "ident":
-            self.take()
-            name = tok.text
-            if name == "x":
-                return Var(), 1
-            if name in NAMED_CONSTANTS:
-                return Const(NAMED_CONSTANTS[name]), 1
-            if name in FUNCTION_NAMES:
-                self.expect("(")
-                arg, depth = self.nested(self.expr, tok)
-                self.expect(")")
-                return Call(name, arg), self.deeper(depth, tok)
-            raise ParseError(f"unknown identifier {name!r}", tok.pos)
-        found = tok.text or "end of input"
-        raise ParseError(f"expected a value, found {found!r}", tok.pos)
+        if kind != "ident":
+            raise ParseError(f"expected a value, found {name!r}", pos)
+        if name == "x":
+            return Var(), 1
+        if name in NAMED_CONSTANTS:
+            return Const(NAMED_CONSTANTS[name]), 1
+        if name not in FUNCTION_NAMES:
+            raise ParseError(f"unknown identifier {name!r}", pos)
+        self.take("(")
+        arg, depth = self.nested(self.expr, tok)
+        self.take(")")
+        return Call(name, arg), self.deeper(depth, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +432,12 @@ def parse(text: str) -> Expr:
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e, _ = parser.expr()
+    kind, found, pos = parser.tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected {found!r}", pos)
+    return e
 
 
 def differentiate(e: Expr) -> Expr:
@@ -906,6 +873,11 @@ _enc_cos = _trig_rule(math.cos, 0.0)
 
 
 def _enc_tan(u):
+    """A range it decides stays _TRIG_MARGIN periods from every pole.
+
+    There |tan| is at most about 3.2e5, math.tan(pi/2 - pi*1e-6), so
+    widened the bounds need no check.
+    """
     lo, hi = u
     if lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
         raise _Undecided
@@ -915,11 +887,7 @@ def _enc_tan(u):
     if _floor(t1) >= t0:
         raise _Undecided
     lo, hi = _math_tan(lo), _math_tan(hi)
-    lo -= abs(lo) * _SLACK + _TINY
-    hi += abs(hi) * _SLACK + _TINY
-    if -_INF < lo and hi < _INF:
-        return lo, hi
-    raise _Undecided
+    return lo - (abs(lo) * _SLACK + _TINY), hi + (abs(hi) * _SLACK + _TINY)
 
 
 def _enc_exp(u):

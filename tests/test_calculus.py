@@ -18,6 +18,7 @@ from revcrochet import (
 )
 from revcrochet import calculus, expression, render_pattern, render_svg, shape_rows
 from revcrochet.calculus import (
+    EXTREMUM_XTOL,
     QuadratureError,
     Segment,
     adaptive_simpson,
@@ -750,6 +751,25 @@ class TestFindExtrema:
         assert got[0] == pytest.approx(math.pi / 2, abs=1e-6)
         assert got[1] == pytest.approx(3 * math.pi / 2, abs=1e-6)
 
+
+    def test_a_bracket_one_ulp_wide_ends_the_bisection(self, monkeypatch):
+        # an ulp at 1e8 (1.5e-8) is wider than EXTREMUM_XTOL, which the
+        # bracket can then never reach: it stops one ulp wide instead
+        spec = make_spec("3 + sin(0.7*x)", 1e8, 1e8 + 6)
+        bisect, calls = calculus._bisect_sign_change, []
+
+        def bounded(deriv, lo, hi, lo_sign):
+            def counted(x):
+                calls.append(x)
+                assert len(calls) < 100, "the bisection does not end"
+                return deriv(x)
+            return bisect(counted, lo, hi, lo_sign)
+
+        monkeypatch.setattr(calculus, "_bisect_sign_change", bounded)
+        (x,) = find_extrema(spec)
+        assert math.ulp(x) > EXTREMUM_XTOL
+        assert spec.curve.fp(x) > 0 > spec.curve.fp(x + math.ulp(x))
+        assert len(calls) == 16
 
     @pytest.mark.parametrize("text, expected", [
         # two sign changes 2e-7 apart, within EXTREMUM_DEDUPE: the second goes

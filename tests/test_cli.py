@@ -219,6 +219,30 @@ class TestRun:
             "lower the scale or the row gauge\n"
         )
 
+    @pytest.mark.parametrize("argv, chords, rows", [
+        # one segment of 11,956 rows
+        (["--function", "2 + sin(50*x)", "--a", "0", "--b", "10", "--scale", "6", "--no-extrema"],
+         375, [11956]),
+        # two segments, each within the cap, their sum past it
+        (["--function", "2 + x^2", "--a", "-1", "--b", "1", "--scale", "552"], 9758, [5102, 5102]),
+    ], ids=["one-segment", "the-sum"])
+    def test_arclength_past_the_row_cap_exits_2_after_the_quadrature(
+            self, capsys, monkeypatch, argv, chords, rows):
+        # the chords stay within the cap, so every segment is integrated
+        results = []
+        for name in ("_chord_rows", "arclength_rows"):
+            def recording(*args, fn=getattr(calculus, name)):
+                results.append(fn(*args))
+                return results[-1]
+            monkeypatch.setattr(calculus, name, recording)
+        code = run([*argv, "--stitch-gauge", "22", "--row-gauge", "25"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "revcrochet: the pattern would have more than 10000 rows; "
+            "lower the scale or the row gauge\n"
+        )
+        assert [round(r) for r in results] == [chords, *rows]
+
     def test_chords_past_the_row_cap_refuse_before_any_quadrature(self, capsys, monkeypatch):
         # about 7e12 rows by its chord; the quadrature spent its whole split
         # budget first (11 s) and said "quadrature did not converge"

@@ -284,6 +284,32 @@ def test_unary_rules_match_the_reference(name):
         assert outcome(new, u) == outcome(ref, u), (name, u)
 
 
+def test_tan_at_its_margin_is_finite():
+    # _enc_tan leaves its widened bounds unchecked: a range it decides stays
+    # _TRIG_MARGIN periods from every pole, where |tan| is about 3.2e5
+    def decided(u):
+        return isinstance(outcome(expression._enc_tan, u), tuple)
+
+    bound = math.tan(0.5 * math.pi - math.pi * _TRIG_MARGIN)
+    last = math.floor((_TRIG_LIMIT - 0.5 * math.pi) / math.pi) - 1  # the last pole inside
+    for k in (-last, -2, -1, 0, 1, last):
+        pole = 0.5 * math.pi + k * math.pi
+        for side in (-1.0, 1.0):
+            def reaching(x):  # a range with one end at x, on the pole's given side
+                return (x - 0.1, x) if side < 0 else (x, x + 0.1)
+
+            # the float closest to the pole at which the rule still decides
+            far, near = pole + side * 2.0 * math.pi * _TRIG_MARGIN, pole
+            assert decided(reaching(far)) and not decided(reaching(near))
+            while far < 0.5 * (far + near) < near or near < 0.5 * (far + near) < far:
+                mid = 0.5 * (far + near)
+                far, near = (mid, near) if decided(reaching(mid)) else (far, mid)
+            u = reaching(far)
+            lo, hi = expression._enc_tan(u)
+            assert outcome(expression._enc_tan, u) == outcome(_enc_tan, u)
+            assert 0.99 * bound < max(-lo, hi) < 1.01 * bound
+
+
 @pytest.mark.parametrize("name", BINARY)
 def test_binary_rules_match_the_reference(name):
     new, ref = getattr(expression, f"_enc_{name}"), REFERENCE[f"_enc_{name}"]

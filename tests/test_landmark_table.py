@@ -236,6 +236,26 @@ class TestTrust:
         self.assert_plain(make_spec(RUNNING_TEXT, -3.0, 1.0, scale=1.8), False)
         assert crossings and all(found is None for _, (found, _) in crossings)
 
+    # Each refusal comes first on its path; without it Newton would reach a
+    # crossing in the leaf, and the sentinel would refuse it instead.
+    @pytest.mark.parametrize("samples, fraction", [
+        # the linear guess u = -1.72 is where the quartic dips to -8.7
+        ((1.0, 1.0, 20.0, 1.0, 1.0), 0.07),
+        # from the guess u = 1.2 Newton's first step lands at u = 2.07
+        ((1.0, 1.0, 1.0, 1.0, 5.0), 0.8),
+        # from u = -1.36 Newton wanders, through 1.87 and down to -1.91,
+        # 0.45, -1.18, 0.61 and -1.91 again, inside the leaf
+        ((1.0, 1.0, 1.0, 1.0, 20.0), 0.16),
+    ], ids=["quartic-not-positive", "newton-leaves-the-leaf", "no-convergence-in-8-steps"])
+    def test_newton_refuses_a_crossing(self, samples, fraction):
+        # one leaf on [-2, 2], so u = x: g takes the samples at -2, -1, 0, 1
+        # and 2, and is 1 elsewhere
+        slopes = {u - 2.0: math.sqrt(g * g - 1.0) for u, g in enumerate(samples)}
+        value = float(boole_partial(samples, 1, 2))
+        found = calculus._crossings(lambda x: slopes.get(x, 0.0), [-2.0, value, 2.0],
+                                    [fraction * value])
+        assert found == (None, [])
+
     def test_an_undefined_f_prime_at_a_crossing(self):
         def fp(x):
             if x > 0.5:
