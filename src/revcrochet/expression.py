@@ -396,9 +396,9 @@ class _Parser:
 
     def atom(self):
         tok = self.take()
-        kind, name, pos = tok
+        kind, text, pos = tok
         if kind == "number":
-            value = float(name)
+            value = float(text)
             if not math.isfinite(value):
                 raise ParseError("number too large", pos)
             return Const(value), 1
@@ -407,17 +407,17 @@ class _Parser:
             self.take(")")
             return result
         if kind != "ident":
-            raise ParseError(f"expected a value, found {name!r}", pos)
-        if name == "x":
+            raise ParseError(f"expected a value, found {text!r}", pos)
+        if text == "x":
             return Var(), 1
-        if name in NAMED_CONSTANTS:
-            return Const(NAMED_CONSTANTS[name]), 1
-        if name not in FUNCTION_NAMES:
-            raise ParseError(f"unknown identifier {name!r}", pos)
+        if text in NAMED_CONSTANTS:
+            return Const(NAMED_CONSTANTS[text]), 1
+        if text not in FUNCTION_NAMES:
+            raise ParseError(f"unknown identifier {text!r}", pos)
         self.take("(")
         arg, depth = self.nested(self.expr, tok)
         self.take(")")
-        return Call(name, arg), self.deeper(depth, tok)
+        return Call(text, arg), self.deeper(depth, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -873,10 +873,10 @@ _enc_cos = _trig_rule(math.cos, 0.0)
 
 
 def _enc_tan(u):
-    """A range it decides stays _TRIG_MARGIN periods from every pole.
+    """Decided only between two poles, _TRIG_MARGIN periods or more from each.
 
-    There |tan| is at most about 3.2e5, math.tan(pi/2 - pi*1e-6), so
-    widened the bounds need no check.
+    There |tan| is at most about 3.2e5, math.tan(pi/2 - pi*1e-6), so the
+    widened bounds need no check.
     """
     lo, hi = u
     if lo < -_TRIG_LIMIT or hi > _TRIG_LIMIT:
